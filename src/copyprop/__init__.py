@@ -16,7 +16,6 @@ from .dataflow import (
     FactSet,
     format_facts,
     format_pair,
-    meet,
     predecessors,
     reachable_blocks,
     solve_forward,

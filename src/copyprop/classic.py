@@ -8,15 +8,15 @@ rules out a redefinition of e between the copy and the use. The replacement
 is the copy's immediate source; chains are not followed, and copy sources
 themselves are left to the chain-resolving pass, so a chain of n copies
 needs n repetitions to feed through while the unified pass needs one.
+Reaching definitions runs on the worklist solver of copy availability.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .analysis import run_acs
-from .dataflow import CopyPair, predecessors, reachable_blocks
+from .dataflow import CopyPair, _solve
 from .ir import (
     Binary,
     Block,
@@ -26,10 +26,9 @@ from .ir import (
     Program,
     Var,
     defined_var,
-    natural_key,
     sorted_labels,
 )
-from .propagate import Replacement, ReplacementReport
+from .propagate import Replacement, ReplacementReport, _to_fixpoint
 
 
 @dataclass(frozen=True)
@@ -41,34 +40,15 @@ class DefSite:
 def reaching_definitions(prog: Program) -> dict[str, frozenset[DefSite]]:
     """Forward may-analysis: definition sites that can reach each reachable
     block's input. Joins take the union and the entry starts empty."""
-    reach = reachable_blocks(prog)
-    preds = predecessors(prog)
-    gen: dict[str, frozenset[DefSite]] = {}
-    for label in reach:
-        d = defined_var(prog.blocks[label].stmt)
-        gen[label] = frozenset({DefSite(label, d)}) if d is not None else frozenset()
-    ins: dict[str, frozenset[DefSite]] = {label: frozenset() for label in reach}
-    outs: dict[str, frozenset[DefSite]] = {label: frozenset() for label in reach}
-    work = deque(sorted(reach, key=natural_key))
-    queued = set(work)
-    while work:
-        label = work.popleft()
-        queued.discard(label)
-        in_f: frozenset[DefSite] = frozenset()
-        for pred in preds[label]:
-            if pred in reach:
-                in_f |= outs[pred]
-        d = defined_var(prog.blocks[label].stmt)
-        out_f = in_f if d is None else frozenset(s for s in in_f if s.var != d)
-        out_f |= gen[label]
-        ins[label] = in_f
-        if out_f != outs[label]:
-            outs[label] = out_f
-            for succ in prog.blocks[label].succs:
-                if succ not in queued:
-                    work.append(succ)
-                    queued.add(succ)
-    return ins
+
+    def step(block: Block, sites: frozenset[DefSite]) -> frozenset[DefSite]:
+        d = defined_var(block.stmt)
+        if d is None:
+            return sites
+        return frozenset(s for s in sites if s.var != d) | {DefSite(block.label, d)}
+
+    result = _solve(prog, step, frozenset(), frozenset(), frozenset.union)
+    return {label: result.in_sets[label] for label in result.reachable}
 
 
 def classic_transform(prog: Program) -> tuple[Program, ReplacementReport]:
@@ -114,16 +94,4 @@ def classic_transform(prog: Program) -> tuple[Program, ReplacementReport]:
 
 def classic_to_fixpoint(prog: Program, max_rounds: int) -> tuple[Program, ReplacementReport]:
     """Repeat the baseline with reanalysis until a round changes nothing."""
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be at least 1")
-    replacements: list[Replacement] = []
-    rounds = 0
-    converged = False
-    while rounds < max_rounds:
-        rounds += 1
-        prog, report = classic_transform(prog)
-        replacements.extend(report.replacements)
-        if not report.replacements:
-            converged = True
-            break
-    return prog, ReplacementReport(tuple(replacements), rounds, converged)
+    return _to_fixpoint(prog, max_rounds, classic_transform)

@@ -109,8 +109,7 @@ def _same_solution(a: AnalysisResult, b: AnalysisResult) -> bool:
     return a.in_sets == b.in_sets and a.out_sets == b.out_sets and a.reachable == b.reachable
 
 
-def _mop_agrees(prog: Program) -> bool:
-    result = run_acs(prog)
+def _mop_agrees(prog: Program, result: AnalysisResult) -> bool:
     return all(mop_in(prog, label) == result.in_sets[label] for label in result.reachable)
 
 
@@ -129,13 +128,15 @@ def _dump_failure(kind: str, prog: Program, verdict: Verdict) -> None:
     print("FAIL")
 
 
-def _check_one(prog: Program, envs: list[dict[str, int]], args: argparse.Namespace) -> tuple[str, Verdict] | None:
+def _check_one(
+    prog: Program, result: AnalysisResult, envs: list[dict[str, int]], args: argparse.Namespace
+) -> tuple[str, Verdict] | None:
     """Returns (check name, verdict) for the first failure, else None."""
     for rounds in (1, 10):
         verdict = differential_check(prog, envs, args.fuel, rounds=rounds, check_facts=rounds == 1)
         if not verdict.ok:
             return "differential", verdict
-    if not _same_solution(run_acs(prog), solve_round_robin(prog)):
+    if not _same_solution(result, solve_round_robin(prog)):
         return "solver-agreement", Verdict(False, "worklist and round-robin fixpoints differ")
     return None
 
@@ -160,13 +161,14 @@ def cmd_check(args: argparse.Namespace) -> int:
     mop_checked = 0
     for prog in programs:
         envs = _random_envs(rng, prog, args.inputs)
-        failure = _check_one(prog, envs, args)
+        result = run_acs(prog)
+        failure = _check_one(prog, result, envs, args)
         if failure is not None:
             _dump_failure(failure[0], prog, failure[1])
             return 1
         if args.acyclic_mop:
             try:
-                agrees = _mop_agrees(prog)
+                agrees = _mop_agrees(prog, result)
             except CyclicGraphError:
                 continue
             mop_checked += 1

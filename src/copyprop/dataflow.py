@@ -1,17 +1,18 @@
-"""Must-availability lattice over copy facts and a forward worklist solver.
+"""Must-availability lattice over copy facts and the package's one forward worklist solver.
 
 Facts are (dst, src) pairs meaning dst currently holds the value of src.
 Sets of facts meet by intersection; the symbolic TOP element stands for
-"every fact" and only appears before a block has been visited.
+"every fact" and only appears before a block has been visited. The same
+solver runs the baseline's reaching definitions (`classic`) on a union lattice.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Generic, Iterable, Iterator, TypeVar
 
-from .ir import Operand, Program, Statement, Var, format_operand
+from .ir import Block, Operand, Program, Statement, Var, format_operand
 
 
 @dataclass(frozen=True)
@@ -107,10 +108,6 @@ TOP = FactSet(None)
 EMPTY = FactSet(frozenset())
 
 
-def meet(a: FactSet, b: FactSet) -> FactSet:
-    return a.meet(b)
-
-
 def format_facts(facts: FactSet) -> str:
     if facts.pairs is None:
         return "TOP"
@@ -119,10 +116,15 @@ def format_facts(facts: FactSet) -> str:
     return "{ " + ", ".join(format_pair(p) for p in sorted(facts.pairs, key=pair_sort_key)) + " }"
 
 
+L = TypeVar("L")
+
+
 @dataclass(frozen=True)
-class AnalysisResult:
-    in_sets: dict[str, FactSet]
-    out_sets: dict[str, FactSet]
+class AnalysisResult(Generic[L]):
+    """Fixpoint of a forward analysis over lattice L (FactSet unless stated)."""
+
+    in_sets: dict[str, L]
+    out_sets: dict[str, L]
     reachable: frozenset[str]
     iterations: int
 
@@ -151,6 +153,57 @@ Transfer = Callable[[Statement, FactSet], FactSet]
 UpdateHook = Callable[[str, FactSet, FactSet], None]
 
 
+def _solve(
+    prog: Program,
+    step: Callable[[Block, L], L],
+    entry: L,
+    init: L,
+    meet: Callable[[L, L], L],
+    *,
+    order: str = "fifo",
+    on_update: Callable[[str, L, L], None] | None = None,
+) -> AnalysisResult[L]:
+    """Worklist fixpoint of a forward analysis (Kildall's monotone framework).
+
+    Every IN and OUT starts at `init`, which must be the identity of `meet`,
+    so predecessors not yet visited, and unreachable ones that never are,
+    drop out of a block's meet. The entry's IN is `entry` met with its
+    predecessors. Every reachable block is queued once, in `prog.blocks`
+    order, and a block's successors are requeued whenever its OUT changes.
+    `order` selects the extraction end ("fifo" or "lifo"); the fixpoint is
+    the same either way. `on_update(label, old, new)` fires on every OUT
+    change; `iterations` counts block visits.
+    """
+    if order not in ("fifo", "lifo"):
+        raise ValueError(f"unknown worklist order {order!r}")
+    preds = predecessors(prog)
+    reach = reachable_blocks(prog)
+    ins = dict.fromkeys(prog.blocks, init)
+    outs = dict.fromkeys(prog.blocks, init)
+    work = deque(label for label in prog.blocks if label in reach)
+    queued = set(work)
+    visits = 0
+    while work:
+        label = work.popleft() if order == "fifo" else work.pop()
+        queued.discard(label)
+        visits += 1
+        in_f = entry if label == prog.entry else init
+        for pred in preds[label]:
+            in_f = meet(in_f, outs[pred])
+        ins[label] = in_f
+        block = prog.blocks[label]
+        new_out = step(block, in_f)
+        if new_out != outs[label]:
+            if on_update is not None:
+                on_update(label, outs[label], new_out)
+            outs[label] = new_out
+            for succ in block.succs:
+                if succ not in queued:
+                    work.append(succ)
+                    queued.add(succ)
+    return AnalysisResult(ins, outs, reach, visits)
+
+
 def solve_forward(
     prog: Program,
     transfer: Transfer,
@@ -158,42 +211,14 @@ def solve_forward(
     order: str = "fifo",
     on_update: UpdateHook | None = None,
 ) -> AnalysisResult:
-    """Greatest-fixpoint worklist solve of a forward must-analysis.
+    """Greatest-fixpoint solve of a forward must-analysis over copy facts.
 
     Every OUT set starts at TOP and can only descend; the entry IN is the
-    empty set. The worklist is seeded with the entry block and successors are
-    requeued whenever a block's OUT changes, so unreachable blocks are never
-    visited and keep TOP. `order` selects the extraction end ("fifo" or
-    "lifo"); the fixpoint is the same either way. `on_update(label, old,
-    new)` fires on every OUT change.
+    empty set. Unreachable blocks are never visited and keep TOP. `order`
+    and `on_update` are passed to the worklist loop (see `_solve`).
     """
-    if order not in ("fifo", "lifo"):
-        raise ValueError(f"unknown worklist order {order!r}")
-    preds = predecessors(prog)
-    ins = {label: TOP for label in prog.blocks}
-    outs = {label: TOP for label in prog.blocks}
-    ins[prog.entry] = EMPTY
-    work = deque([prog.entry])
-    queued = {prog.entry}
-    iterations = 0
-    while work:
-        label = work.popleft() if order == "fifo" else work.pop()
-        queued.discard(label)
-        iterations += 1
-        if label == prog.entry:
-            in_f = EMPTY
-        else:
-            in_f = TOP
-            for pred in preds[label]:
-                in_f = in_f.meet(outs[pred])
-        ins[label] = in_f
-        new_out = transfer(prog.blocks[label].stmt, in_f)
-        if new_out != outs[label]:
-            if on_update is not None:
-                on_update(label, outs[label], new_out)
-            outs[label] = new_out
-            for succ in prog.blocks[label].succs:
-                if succ not in queued:
-                    work.append(succ)
-                    queued.add(succ)
-    return AnalysisResult(ins, outs, reachable_blocks(prog), iterations)
+
+    def step(block: Block, facts: FactSet) -> FactSet:
+        return transfer(block.stmt, facts)
+
+    return _solve(prog, step, EMPTY, TOP, FactSet.meet, order=order, on_update=on_update)

@@ -380,7 +380,7 @@ def differential_check(
     (hence the same branch decisions), and the same final environment. With
     check_facts the original run is also replayed against the analysis.
     """
-    result = run_acs(prog)
+    result = run_acs(prog) if rounds <= 1 or check_facts else None
     if rounds <= 1:
         transformed, _ = transform(prog, result)
     else:

@@ -10,6 +10,7 @@ program keeps its shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .analysis import run_acs
 from .dataflow import AnalysisResult, FactSet
@@ -99,23 +100,26 @@ def transform(prog: Program, result: AnalysisResult) -> tuple[Program, Replaceme
     return Program(new_blocks, prog.entry, prog.exit), report
 
 
+def _to_fixpoint(
+    prog: Program, max_rounds: int, one_pass: Callable[[Program], tuple[Program, ReplacementReport]]
+) -> tuple[Program, ReplacementReport]:
+    """Repeat an analyse-and-rewrite pass until a round replaces nothing (that
+    round counts) or max_rounds is hit; non-convergence is reported, never raised."""
+    if max_rounds < 1:
+        raise ValueError("max_rounds must be at least 1")
+    replacements: list[Replacement] = []
+    for rounds in range(1, max_rounds + 1):
+        prog, report = one_pass(prog)
+        replacements.extend(report.replacements)
+        if not report.replacements:
+            return prog, ReplacementReport(tuple(replacements), rounds, True)
+    return prog, ReplacementReport(tuple(replacements), max_rounds, False)
+
+
 def transform_to_fixpoint(prog: Program, max_rounds: int) -> tuple[Program, ReplacementReport]:
     """Reanalyze and rewrite until a round changes nothing or max_rounds is hit.
 
     A rewritten copy can introduce pairs a later round resolves further, so a
-    single pass is not always idempotent. Non-convergence inside max_rounds
-    is reported, never raised.
+    single pass is not always idempotent.
     """
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be at least 1")
-    replacements: list[Replacement] = []
-    rounds = 0
-    converged = False
-    while rounds < max_rounds:
-        rounds += 1
-        prog, report = transform(prog, run_acs(prog))
-        replacements.extend(report.replacements)
-        if not report.replacements:
-            converged = True
-            break
-    return prog, ReplacementReport(tuple(replacements), rounds, converged)
+    return _to_fixpoint(prog, max_rounds, lambda p: transform(p, run_acs(p)))

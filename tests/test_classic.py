@@ -51,6 +51,21 @@ def test_reaching_definitions_loop():
     assert DefSite("B1", "x1") in rd["B2"]
 
 
+def test_reaching_definitions_skip_unreachable():
+    """An orphan's definition does not reach the join it jumps to, and the
+    orphan has no entry of its own."""
+    blocks = {
+        "B0": Block("B0", Nop(), ("B1",)),
+        "B1": Block("B1", Copy("x", Const(1)), ("B2",)),
+        "B2": Block("B2", Nop(), ()),
+        "B9": Block("B9", Copy("x", Const(2)), ("B2",)),
+    }
+    rd = reaching_definitions(Program(blocks, "B0", "B2"))
+    assert set(rd) == {"B0", "B1", "B2"}
+    assert rd["B2"] == frozenset({DefSite("B1", "x")})
+    assert all(DefSite("B9", "x") not in sites for sites in rd.values())
+
+
 def test_classic_fig1_cannot_rewrite(fig1):
     """Two definitions of y reach B4, so the unique-definition test fails even
     though both are the same copy and the pair analysis proves (y, x)."""

@@ -17,7 +17,6 @@ from copyprop import (
     Program,
     Var,
     format_facts,
-    meet,
     predecessors,
     random_program,
     reachable_blocks,
@@ -56,22 +55,22 @@ def test_fact_set_rejects_cycles():
 
 def test_meet_top_is_identity():
     fs = pairs(("y", "x"))
-    assert meet(TOP, fs) == fs
-    assert meet(fs, TOP) == fs
-    assert meet(TOP, TOP).is_top
+    assert TOP.meet(fs) == fs
+    assert fs.meet(TOP) == fs
+    assert TOP.meet(TOP).is_top
 
 
 def test_meet_is_intersection():
     a = pairs(("y", "x"), ("z", 1))
     b = pairs(("y", "x"), ("w", "v"))
-    assert meet(a, b) == pairs(("y", "x"))
-    assert meet(a, EMPTY) == EMPTY
+    assert a.meet(b) == pairs(("y", "x"))
+    assert a.meet(EMPTY) == EMPTY
 
 
 def test_meet_conflicting_pairs_drop_out():
     a = pairs(("y", "x"))
     b = pairs(("y", "z"))
-    assert meet(a, b) == EMPTY
+    assert a.meet(b) == EMPTY
 
 
 def test_lookup():
@@ -177,12 +176,19 @@ def test_solver_updates_only_descend():
 
 
 def test_solver_order_does_not_matter():
+    """Neither the extraction end nor the block listing order, which seeds
+    the worklist, moves the fixpoint."""
     for prog in _corpus(40):
+        reversed_prog = Program(dict(reversed(prog.blocks.items())), prog.entry, prog.exit)
         fifo = solve_forward(prog, transfer, order="fifo")
-        lifo = solve_forward(prog, transfer, order="lifo")
-        assert fifo.in_sets == lifo.in_sets
-        assert fifo.out_sets == lifo.out_sets
-        assert fifo.reachable == lifo.reachable
+        for other in (
+            solve_forward(prog, transfer, order="lifo"),
+            solve_forward(reversed_prog, transfer, order="fifo"),
+            solve_forward(reversed_prog, transfer, order="lifo"),
+        ):
+            assert fifo.in_sets == other.in_sets
+            assert fifo.out_sets == other.out_sets
+            assert fifo.reachable == other.reachable
 
 
 def test_solver_rejects_unknown_order(fig1):
@@ -201,7 +207,7 @@ def test_solution_is_a_fixpoint():
             else:
                 in_f = TOP
                 for p in preds[label]:
-                    in_f = meet(in_f, res.out_sets[p])
+                    in_f = in_f.meet(res.out_sets[p])
             assert in_f == res.in_sets[label]
             assert transfer(prog.blocks[label].stmt, in_f) == res.out_sets[label]
 

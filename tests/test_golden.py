@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from copyprop.cli import main
-from copyprop.ir import print_program
+from copyprop.ir import Program, print_program
 from copyprop.oracle import GenParams, random_program
 from conftest import FIXTURES
 
@@ -34,18 +34,18 @@ FILE_COMMANDS = {
 LOOPY_COMMANDS = ("compare", "iterate")
 
 
-def loopy_program(seed: int):
+def loopy_program(seed: int) -> Program:
     return random_program(
         GenParams(seed=seed, min_blocks=120, max_blocks=120, num_vars=26, loop_prob=0.3)
     )
 
 
-def cases() -> list[tuple[str, str, str | int | None]]:
-    """(golden file stem, FILE_COMMANDS key or "fuzz", fixture name or loopy seed or None)."""
-    out = [(f"{name}-{cmd}", cmd, name) for name in FIXTURE_NAMES for cmd in FILE_COMMANDS]
-    out += [(f"loopy{seed}-{cmd}", cmd, seed) for seed in LOOPY_SEEDS for cmd in LOOPY_COMMANDS]
-    out.append(("fuzz-seed7", "fuzz", None))
-    return out
+# (golden file stem, FILE_COMMANDS key or "fuzz", fixture name or loopy seed or None)
+CASES = (
+    [(f"{name}-{cmd}", cmd, name) for name in FIXTURE_NAMES for cmd in FILE_COMMANDS]
+    + [(f"loopy{seed}-{cmd}", cmd, seed) for seed in LOOPY_SEEDS for cmd in LOOPY_COMMANDS]
+    + [("fuzz-seed7", "fuzz", None)]
+)
 
 
 def argv_for(cmd: str, source: str | int | None, tmp_path: Path) -> list[str]:
@@ -60,12 +60,8 @@ def argv_for(cmd: str, source: str | int | None, tmp_path: Path) -> list[str]:
     return [verb, str(path), *flags]
 
 
-def run_golden(cmd: str, source: str | int | None, tmp_path: Path, capsys) -> str:
-    code = main(argv_for(cmd, source, tmp_path))
-    return f"exit: {code}\n" + capsys.readouterr().out
-
-
-@pytest.mark.parametrize(("stem", "cmd", "source"), cases(), ids=[c[0] for c in cases()])
+@pytest.mark.parametrize(("stem", "cmd", "source"), CASES, ids=[c[0] for c in CASES])
 def test_cli_output_matches_golden(stem, cmd, source, tmp_path, capsys):
-    expected = (GOLDEN / f"{stem}.txt").read_bytes()
-    assert run_golden(cmd, source, tmp_path, capsys).encode() == expected
+    code = main(argv_for(cmd, source, tmp_path))
+    actual = f"exit: {code}\n" + capsys.readouterr().out
+    assert actual.encode() == (GOLDEN / f"{stem}.txt").read_bytes()
