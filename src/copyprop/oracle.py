@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 import string
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .analysis import run_acs, transfer
 from .dataflow import (
@@ -73,21 +73,29 @@ def _assert_acyclic(prog: Program) -> None:
 
 
 def enumerate_paths(prog: Program, target: str) -> list[tuple[str, ...]]:
-    """All entry-to-target block sequences; only defined on acyclic graphs."""
+    """All entry-to-target block sequences; only defined on acyclic graphs.
+
+    Depth-first in successor order with an explicit stack, so path length is
+    not bounded by the interpreter's recursion limit.
+    """
     _assert_acyclic(prog)
     paths: list[tuple[str, ...]] = []
     path: list[str] = []
-
-    def walk(label: str) -> None:
+    # stack[i + 1] iterates the successors of path[i]; stack[0] yields the entry
+    stack: list[Iterator[str]] = [iter((prog.entry,))]
+    while stack:
+        label = next(stack[-1], None)
+        if label is None:
+            stack.pop()
+            if stack:
+                path.pop()
+            continue
         path.append(label)
         if label == target:
             paths.append(tuple(path))
+            stack.append(iter(()))
         else:
-            for succ in prog.blocks[label].succs:
-                walk(succ)
-        path.pop()
-
-    walk(prog.entry)
+            stack.append(iter(prog.blocks[label].succs))
     return paths
 
 
@@ -335,17 +343,15 @@ def _pairs_by_label(result: AnalysisResult) -> dict[str, tuple[tuple[str, Operan
     return table
 
 
-def fact_soundness_violation(
-    prog: Program, result: AnalysisResult, env0: Env, fuel: int
-) -> tuple[str, int] | None:
-    """Replay one run, checking every available pair against live values.
-
-    At each executed block, every (x, e) in its IN set must satisfy
-    value(x) == value(e) in the environment before the statement runs.
-    Returns (reason, step index) for the first violation, or None.
-    """
-    table = _pairs_by_label(result)
+def _fact_replay(
+    table: dict[str, tuple[tuple[str, Operand], ...]]
+) -> tuple[StepHook | None, list[tuple[str, int]]]:
+    """The `on_step` hook of `fact_soundness_violation` over a `_pairs_by_label`
+    table. The first violation lands in the returned list as (reason, step
+    index). The hook is None for an empty table, where nothing can fail."""
     found: list[tuple[str, int]] = []
+    if not table:
+        return None, found
     counter = [0]
 
     def check(label: str, env: Env) -> None:
@@ -362,8 +368,46 @@ def fact_soundness_violation(
                 )
                 return
 
-    interpret(prog, env0, fuel, on_step=check, record_envs=False)
+    return check, found
+
+
+def fact_soundness_violation(
+    prog: Program, result: AnalysisResult, env0: Env, fuel: int
+) -> tuple[str, int] | None:
+    """Replay one run, checking every available pair against live values.
+
+    At each executed block, every (x, e) in its IN set must satisfy
+    value(x) == value(e) in the environment before the statement runs.
+    Returns (reason, step index) for the first violation, or None.
+    """
+    hook, found = _fact_replay(_pairs_by_label(result))
+    interpret(prog, env0, fuel, on_step=hook, record_envs=False)
     return found[0] if found else None
+
+
+def _difference(t1: Trace, t2: Trace, env0: Env) -> Verdict | None:
+    """How the variant's run t2 first differs from the original's run t1, if at all."""
+    if t1.status != t2.status or t1.error != t2.error:
+        return Verdict(
+            False,
+            f"status mismatch: {t1.status}/{t1.error} vs {t2.status}/{t2.error}",
+            env0,
+        )
+    if t1.labels != t2.labels:
+        step = next(
+            (i for i, (a, b) in enumerate(zip(t1.labels, t2.labels)) if a != b),
+            min(len(t1.labels), len(t2.labels)),
+        )
+        return Verdict(False, f"trace divergence at step {step}", env0, step)
+    if t1.final_env != t2.final_env:
+        keys = set(t1.final_env) | set(t2.final_env)
+        bad = sorted(k for k in keys if t1.final_env.get(k) != t2.final_env.get(k))[0]
+        return Verdict(
+            False,
+            f"final value of {bad} differs: {t1.final_env.get(bad)} vs {t2.final_env.get(bad)}",
+            env0,
+        )
+    return None
 
 
 def differential_check(
@@ -377,39 +421,32 @@ def differential_check(
     """Compare original and transformed runs over the given inputs.
 
     Equivalence means the same termination status, the same block sequence
-    (hence the same branch decisions), and the same final environment. With
-    check_facts the original run is also replayed against the analysis.
+    (hence the same branch decisions), and the same final environment. The
+    one-pass program is always compared; with rounds > 1 so is the program
+    rewritten until a round changes nothing or `rounds` rounds are done,
+    continued from the one-pass program so the original is solved once.
+    The original runs once per input and every variant is compared against
+    that run; with check_facts the same run replays the analysis' IN sets
+    against live values. The first failure is reported in this order: the
+    one-pass program over all inputs, each input's fact violation right
+    after its comparison, then the iterated program. An iterated program
+    equal to the one-pass program is not run: runs are deterministic.
     """
-    result = run_acs(prog) if rounds <= 1 or check_facts else None
-    if rounds <= 1:
-        transformed, _ = transform(prog, result)
-    else:
-        transformed, _ = transform_to_fixpoint(prog, rounds)
+    result = run_acs(prog)
+    one, _ = transform(prog, result)
+    iterated = transform_to_fixpoint(one, rounds - 1)[0] if rounds > 1 else None
+    if iterated == one:
+        iterated = None
+    table = _pairs_by_label(result) if check_facts else {}
+    iterated_failure: Verdict | None = None
     for env0 in envs:
-        t1 = interpret(prog, env0, fuel, record_envs=False)
-        t2 = interpret(transformed, env0, fuel, record_envs=False)
-        if t1.status != t2.status or t1.error != t2.error:
-            return Verdict(
-                False,
-                f"status mismatch: {t1.status}/{t1.error} vs {t2.status}/{t2.error}",
-                env0,
-            )
-        if t1.labels != t2.labels:
-            step = next(
-                (i for i, (a, b) in enumerate(zip(t1.labels, t2.labels)) if a != b),
-                min(len(t1.labels), len(t2.labels)),
-            )
-            return Verdict(False, f"trace divergence at step {step}", env0, step)
-        if t1.final_env != t2.final_env:
-            keys = set(t1.final_env) | set(t2.final_env)
-            bad = sorted(k for k in keys if t1.final_env.get(k) != t2.final_env.get(k))[0]
-            return Verdict(
-                False,
-                f"final value of {bad} differs: {t1.final_env.get(bad)} vs {t2.final_env.get(bad)}",
-                env0,
-            )
-        if check_facts:
-            violation = fact_soundness_violation(prog, result, env0, fuel)
-            if violation is not None:
-                return Verdict(False, violation[0], env0, violation[1])
-    return Verdict(True)
+        hook, found = _fact_replay(table)
+        original = interpret(prog, env0, fuel, on_step=hook, record_envs=False)
+        verdict = _difference(original, interpret(one, env0, fuel, record_envs=False), env0)
+        if verdict is not None:
+            return verdict
+        if found:
+            return Verdict(False, found[0][0], env0, found[0][1])
+        if iterated is not None and iterated_failure is None:
+            iterated_failure = _difference(original, interpret(iterated, env0, fuel, record_envs=False), env0)
+    return iterated_failure or Verdict(True)

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from copyprop.cli import main
+from copyprop.cli import build_parser, main
 from conftest import FIXTURES
 
 FIG1 = str(FIXTURES / "fig1.tac")
@@ -185,6 +185,19 @@ def test_check_usage_errors(argv, capsys):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.err != ""
+
+
+def test_main_repeats_with_the_cached_parser(capsys):
+    build_parser.cache_clear()
+    fresh = run(capsys, "check", FIG1, "--acyclic-mop")
+    build_parser.cache_clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["check"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    again = run(capsys, "check", FIG1, "--acyclic-mop")
+    assert again[:2] == fresh[:2] == (0, "differential: PASS\nsolver-agreement: PASS\nmop: PASS\nPASS\n")
+    assert build_parser() is build_parser()
 
 
 def test_dot_plain(capsys):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import copyprop.oracle as oracle
 from copyprop import (
     EMPTY,
     Binary,
@@ -18,6 +19,7 @@ from copyprop import (
     Program,
     Var,
     differential_check,
+    parse_program,
     enumerate_paths,
     fact_soundness_violation,
     interpret,
@@ -25,6 +27,8 @@ from copyprop import (
     random_program,
     run_acs,
     solve_round_robin,
+    transform,
+    transform_to_fixpoint,
     validate,
     variables,
 )
@@ -59,6 +63,14 @@ def test_enumerate_paths_unreachable_target():
 def test_cyclic_graph_is_rejected():
     with pytest.raises(CyclicGraphError, match="cyclic-cfg"):
         enumerate_paths(looped_counter(), "B4")
+
+
+def test_deep_straight_line_has_one_path():
+    # deeper than the interpreter's default recursion limit
+    prog = straight_line(*[Binary("x", "+", Var("x"), Const(1))] * 1200)
+    paths = enumerate_paths(prog, prog.exit)
+    assert paths == [tuple(f"B{i}" for i in range(1202))]
+    assert mop_in(prog, prog.exit) == EMPTY == run_acs(prog).in_sets[prog.exit]
 
 
 def test_mop_fig1(fig1):
@@ -305,3 +317,106 @@ def test_fact_replay_halts_with_program():
     prog = straight_line(Copy("x", Var("q")))
     res = run_acs(prog)
     assert fact_soundness_violation(prog, res, {}, 10) is None
+
+
+# round 1 rewrites B3 to y = a; only round 2 sees (y, a) on both paths into B5
+TWO_ROUNDS = parse_program(
+    """
+entry: B0
+exit: B6
+B0: nop -> B1
+B1: x = a -> B2
+B2: branch p -> B3, B4
+B3: y = x -> B5
+B4: y = a -> B5
+B5: z = y + 1 -> B6
+B6: nop
+"""
+)
+
+
+def _with_stmt(prog: Program, label: str, stmt) -> Program:
+    blocks = dict(prog.blocks)
+    blocks[label] = Block(label, stmt, prog.blocks[label].succs)
+    return Program(blocks, prog.entry, prog.exit)
+
+
+def test_two_rounds_program_needs_both_rounds():
+    one, _ = transform(TWO_ROUNDS, run_acs(TWO_ROUNDS))
+    iterated, report = transform_to_fixpoint(TWO_ROUNDS, 10)
+    assert iterated != one
+    assert report.pass_count == 3
+
+
+def test_differential_runs_the_original_once_per_input(monkeypatch):
+    runs: list[Program] = []
+
+    def counting(prog, *args, **kwargs):
+        runs.append(prog)
+        return interpret(prog, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "interpret", counting)
+    envs = [{"a": 1, "p": 0}, {"a": 2, "p": 1}, {"a": -3, "p": 5}]
+    assert differential_check(TWO_ROUNDS, iter(envs), 100, rounds=10).ok
+    assert sum(prog is TWO_ROUNDS for prog in runs) == len(envs)
+    assert len(runs) == 3 * len(envs)  # original, one-pass and iterated
+
+
+def test_differential_skips_an_iterated_program_equal_to_one_pass(fig2, monkeypatch):
+    runs: list[Program] = []
+
+    def counting(prog, *args, **kwargs):
+        runs.append(prog)
+        return interpret(prog, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "interpret", counting)
+    assert differential_check(fig2, [{"a": 3}, {"a": -1}], 100, rounds=10).ok
+    assert len(runs) == 4  # original and one-pass per input
+
+
+def test_differential_catches_a_broken_iterated_program(fig2, monkeypatch):
+    def broken(prog, max_rounds):
+        rewritten, report = transform_to_fixpoint(prog, max_rounds)
+        return _with_stmt(rewritten, "B6", Copy("e", Const(99))), report
+
+    monkeypatch.setattr(oracle, "transform_to_fixpoint", broken)
+    envs = [{"a": 3}, {"a": -1}]
+    assert differential_check(fig2, envs, 100).ok  # one pass only
+    verdict = differential_check(fig2, envs, 100, rounds=10)
+    assert not verdict.ok
+    assert verdict.reason == "final value of e differs: 3 vs 99"
+    assert verdict.env == {"a": 3}
+
+
+def test_differential_reports_the_one_pass_failure_first(fig2, monkeypatch):
+    def broken_one(prog, result):
+        rewritten, report = transform(prog, result)
+        return _with_stmt(rewritten, "B6", Copy("e", Const(3))), report
+
+    def broken_iterated(prog, max_rounds):
+        rewritten, report = transform_to_fixpoint(prog, max_rounds)
+        return _with_stmt(rewritten, "B6", Copy("e", Const(99))), report
+
+    monkeypatch.setattr(oracle, "transform", broken_one)
+    monkeypatch.setattr(oracle, "transform_to_fixpoint", broken_iterated)
+    # the one-pass program is right on the first input, the iterated one is not
+    verdict = differential_check(fig2, [{"a": 3}, {"a": -1}], 100, rounds=10)
+    assert not verdict.ok
+    assert verdict.reason == "final value of e differs: -1 vs 3"
+    assert verdict.env == {"a": -1}
+
+
+def test_differential_replays_facts_on_the_original_run(fig2, monkeypatch):
+    """The planted (b, 5) lie of the replay test, reached through differential_check."""
+    res = run_acs(fig2)
+    bad_ins = dict(res.in_sets)
+    bad_ins["B2"] = FactSet.of([CopyPair("b", Const(5))])
+    bad = AnalysisResult(bad_ins, res.out_sets, res.reachable, res.iterations)
+    monkeypatch.setattr(oracle, "run_acs", lambda prog: bad)
+    # the rewrite stays honest, so only the replay can see the lie
+    monkeypatch.setattr(oracle, "transform", lambda prog, result: transform(prog, run_acs(prog)))
+    reason, step = fact_soundness_violation(fig2, bad, {"a": 3}, 100)
+    verdict = differential_check(fig2, [{"a": 3}], 100, rounds=10)
+    assert verdict == oracle.Verdict(False, reason, {"a": 3}, 2)
+    assert step == 2
+    assert differential_check(fig2, [{"a": 3}], 100, rounds=10, check_facts=False).ok
