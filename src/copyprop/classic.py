@@ -8,11 +8,16 @@ rules out a redefinition of e between the copy and the use. The replacement
 is the copy's immediate source; chains are not followed, and copy sources
 themselves are left to the chain-resolving pass, so a chain of n copies
 needs n repetitions to feed through while the unified pass needs one.
-Reaching definitions runs on the worklist solver of copy availability.
+Reaching definitions runs on the worklist solver of copy availability over
+bit vectors: each defining block owns one bit of a Python int, a block's
+transfer is `bits & ~kill | gen`, where the kill mask holds the bits of every
+definition of the same variable, and joins are bitwise or. `DefSite` sets are
+built only from the fixpoint, one frozenset per distinct vector.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .analysis import run_acs
@@ -40,15 +45,37 @@ class DefSite:
 def reaching_definitions(prog: Program) -> dict[str, frozenset[DefSite]]:
     """Forward may-analysis: definition sites that can reach each reachable
     block's input. Joins take the union and the entry starts empty."""
-
-    def step(block: Block, sites: frozenset[DefSite]) -> frozenset[DefSite]:
+    sites: list[DefSite] = []
+    kill: dict[str, int] = {}
+    for label, block in prog.blocks.items():
         d = defined_var(block.stmt)
-        if d is None:
-            return sites
-        return frozenset(s for s in sites if s.var != d) | {DefSite(block.label, d)}
+        if d is not None:
+            kill[d] = kill.get(d, 0) | 1 << len(sites)
+            sites.append(DefSite(label, d))
+    # label -> (mask of the bits that survive the block, the block's own bit)
+    transfer = {site.block: (~kill[site.var], 1 << i) for i, site in enumerate(sites)}
 
-    result = _solve(prog, step, frozenset(), frozenset(), frozenset.union)
-    return {label: result.in_sets[label] for label in result.reachable}
+    def step(block: Block, bits: int) -> int:
+        keep_gen = transfer.get(block.label)
+        if keep_gen is None:
+            return bits
+        keep, gen = keep_gen
+        return bits & keep | gen
+
+    result = _solve(prog, step, 0, 0, operator.or_)
+    memo: dict[int, frozenset[DefSite]] = {}
+
+    def to_sites(bits: int) -> frozenset[DefSite]:
+        if bits not in memo:
+            members, rest = [], bits
+            while rest:
+                low = rest & -rest  # lowest set bit
+                members.append(sites[low.bit_length() - 1])
+                rest ^= low
+            memo[bits] = frozenset(members)
+        return memo[bits]
+
+    return {label: to_sites(result.in_sets[label]) for label in result.reachable}
 
 
 def classic_transform(prog: Program) -> tuple[Program, ReplacementReport]:

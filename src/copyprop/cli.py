@@ -150,6 +150,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         args.parser.error("--programs must be at least 1")
     if args.inputs < 1:
         args.parser.error("--inputs must be at least 1")
+    if args.fuel < 1:
+        args.parser.error("--fuel must be at least 1")
     rng = random.Random(args.seed)
 
     if args.fuzz:
@@ -246,10 +248,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (ParseError, OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -20,6 +20,7 @@ from .dataflow import (
     TOP,
     AnalysisResult,
     FactSet,
+    pair_sort_key,
     predecessors,
     reachable_blocks,
 )
@@ -335,11 +336,13 @@ class Verdict:
 
 
 def _pairs_by_label(result: AnalysisResult) -> dict[str, tuple[tuple[str, Operand], ...]]:
+    """Each reachable block's IN pairs as (dst, src), in `pair_sort_key` order
+    so the first broken pair a replay names does not follow string hashing."""
     table = {}
     for label in result.reachable:
         facts = result.in_sets[label]
         if not facts.is_top and facts.pairs:
-            table[label] = tuple((p.dst, p.src) for p in facts.pairs)
+            table[label] = tuple((p.dst, p.src) for p in sorted(facts.pairs, key=pair_sort_key))
     return table
 
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import copyprop.classic as classic
 from copyprop import (
     Binary,
     Block,
@@ -23,7 +24,10 @@ from copyprop import (
     run_acs,
     transform,
 )
-from conftest import copy_chain, straight_line
+from copyprop.cli import main
+from copyprop.dataflow import _solve
+from copyprop.ir import defined_var
+from conftest import FIXTURES, copy_chain, straight_line
 
 
 def sites(report):
@@ -64,6 +68,70 @@ def test_reaching_definitions_skip_unreachable():
     assert set(rd) == {"B0", "B1", "B2"}
     assert rd["B2"] == frozenset({DefSite("B1", "x")})
     assert all(DefSite("B9", "x") not in sites for sites in rd.values())
+
+
+def set_based_reaching_definitions(prog):
+    """Reference: the same analysis over frozensets of DefSite."""
+
+    def step(block, sites):
+        d = defined_var(block.stmt)
+        if d is None:
+            return sites
+        return frozenset(s for s in sites if s.var != d) | {DefSite(block.label, d)}
+
+    result = _solve(prog, step, frozenset(), frozenset(), frozenset.union)
+    return {label: result.in_sets[label] for label in result.reachable}
+
+
+def test_reaching_definitions_match_the_set_based_reference():
+    rng = random.Random(5)
+    over_64 = 0
+    for _ in range(200):
+        params = GenParams(
+            seed=rng.randrange(2**32),
+            min_blocks=30,
+            max_blocks=120,
+            num_vars=26,
+            loop_prob=0.3,
+        )
+        prog = random_program(params)
+        defs = sum(defined_var(b.stmt) is not None for b in prog.blocks.values())
+        over_64 += defs > 64
+        assert reaching_definitions(prog) == set_based_reaching_definitions(prog), params.seed
+    assert over_64 >= 20
+
+
+def test_reaching_definitions_self_loop_and_unreachable_definition():
+    """A block that redefines x and jumps to itself reaches its own input;
+    an orphan definition of the same variable never reaches anything."""
+    blocks = {
+        "B0": Block("B0", Nop(), ("B1",)),
+        "B1": Block("B1", Copy("x", Const(0)), ("B2",)),
+        "B2": Block("B2", Binary("x", "+", Var("x"), Const(1)), ("B2",)),
+        "B3": Block("B3", Nop(), ()),
+        "B9": Block("B9", Copy("x", Const(5)), ("B2",)),
+    }
+    prog = Program(blocks, "B0", "B3")
+    rd = reaching_definitions(prog)
+    assert rd == set_based_reaching_definitions(prog)
+    assert set(rd) == {"B0", "B1", "B2"}
+    assert rd["B2"] == frozenset({DefSite("B1", "x"), DefSite("B2", "x")})
+
+
+def test_compare_calls_reaching_definitions_by_module_attribute(monkeypatch, capsys):
+    """The traced benchmark times the baseline by wrapping this attribute;
+    if the call moved off it, `classic.reaching_defs_s` would read 0."""
+    calls = []
+    original = classic.reaching_definitions
+
+    def counted(prog):
+        calls.append(prog)
+        return original(prog)
+
+    monkeypatch.setattr(classic, "reaching_definitions", counted)
+    assert main(["compare", str(FIXTURES / "fig2.tac")]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_classic_fig1_cannot_rewrite(fig1):

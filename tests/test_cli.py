@@ -187,6 +187,16 @@ def test_check_usage_errors(argv, capsys):
     assert captured.err != ""
 
 
+@pytest.mark.parametrize("fuel", ["0", "-5"])
+def test_check_fuel_must_be_positive(fuel, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--fuzz", "--programs", "1", "--fuel", fuel])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--fuel must be at least 1" in captured.err
+
+
 def test_main_repeats_with_the_cached_parser(capsys):
     build_parser.cache_clear()
     fresh = run(capsys, "check", FIG1, "--acyclic-mop")
@@ -233,6 +243,17 @@ def test_missing_file_is_a_usage_error(capsys):
     assert code == 2
     assert captured.out == ""
     assert "error:" in captured.err
+
+
+def test_undecodable_file_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "binary.tac"
+    path.write_bytes(b"\xff\xfe\x00bad")
+    code = main(["analyze", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_parse_diagnostics_go_to_stderr(tmp_path, capsys):

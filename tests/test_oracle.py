@@ -32,7 +32,7 @@ from copyprop import (
     validate,
     variables,
 )
-from copyprop.dataflow import AnalysisResult
+from copyprop.dataflow import AnalysisResult, pair_sort_key
 from conftest import load_fixture, looped_counter, straight_line
 
 
@@ -310,6 +310,26 @@ def test_fact_replay_catches_a_planted_lie(fig2):
     reason, step = violation
     assert "(b, 5)" in reason and "B2" in reason
     assert step == 2  # B0, B1, then the lie is visible entering B2
+
+
+def test_pairs_by_label_lists_pairs_in_sort_order():
+    rng = random.Random(3)
+    for _ in range(40):
+        prog = random_program(GenParams(seed=rng.randrange(2**32), num_vars=6, min_blocks=12, max_blocks=30))
+        res = run_acs(prog)
+        table = oracle._pairs_by_label(res)
+        for label, pairs in table.items():
+            expected = sorted(res.in_sets[label].pairs, key=pair_sort_key)
+            assert list(pairs) == [(p.dst, p.src) for p in expected]
+
+
+def test_fact_replay_names_the_first_broken_pair_in_sort_order(fig2):
+    res = run_acs(fig2)
+    bad_ins = dict(res.in_sets)
+    bad_ins["B2"] = FactSet.of([CopyPair("z", Const(7)), CopyPair("b", Const(5))])
+    bad = AnalysisResult(bad_ins, res.out_sets, res.reachable, res.iterations)
+    reason, _ = fact_soundness_violation(fig2, bad, {"a": 3}, 100)
+    assert "(b, 5)" in reason
 
 
 def test_fact_replay_halts_with_program():
