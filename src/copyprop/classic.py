@@ -11,17 +11,21 @@ needs n repetitions to feed through while the unified pass needs one.
 Reaching definitions runs on the worklist solver of copy availability over
 bit vectors: each defining block owns one bit of a Python int, a block's
 transfer is `bits & ~kill | gen`, where the kill mask holds the bits of every
-definition of the same variable, and joins are bitwise or. `DefSite` sets are
-built only from the fixpoint, one frozenset per distinct vector.
+definition of the same variable, and joins are bitwise or. The fixpoint stays
+in bits. The unique-definition test reads them directly: the definitions of t
+that reach a block are its vector masked with t's kill mask, and exactly one
+reaches when that leaves a single set bit. `DefSite` sets are built only when
+a block's entry is read as a set, one frozenset per distinct vector.
 """
 
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
 from .analysis import run_acs
-from .dataflow import CopyPair, _solve
+from .dataflow import AnalysisResult, CopyPair, _solve
 from .ir import (
     Binary,
     Block,
@@ -42,7 +46,49 @@ class DefSite:
     var: str
 
 
-def reaching_definitions(prog: Program) -> dict[str, frozenset[DefSite]]:
+class ReachingDefinitions(Mapping[str, frozenset[DefSite]]):
+    """Fixpoint of reaching definitions: each reachable label maps to the
+    definition sites that can reach its input.
+
+    Held as one bit vector per block over `sites`; `defs_of[var]` has the
+    bits of every definition of var. A label's frozenset is built on its
+    first lookup and shared by every label with the same vector.
+    """
+
+    def __init__(self, in_bits: dict[str, int], sites: list[DefSite], defs_of: dict[str, int]):
+        self._bits = in_bits
+        self._sites = sites
+        self._defs_of = defs_of
+        self._memo: dict[int, frozenset[DefSite]] = {}
+
+    def __getitem__(self, label: str) -> frozenset[DefSite]:
+        bits = self._bits[label]
+        found = self._memo.get(bits)
+        if found is None:
+            members, rest = [], bits
+            while rest:
+                low = rest & -rest  # lowest set bit
+                members.append(self._sites[low.bit_length() - 1])
+                rest ^= low
+            found = self._memo[bits] = frozenset(members)
+        return found
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._bits)
+
+    def __len__(self) -> int:
+        return len(self._bits)
+
+    def unique_definition(self, label: str, var: str) -> DefSite | None:
+        """The one definition of var reaching label's input, or None when
+        none or several do."""
+        hits = self._bits[label] & self._defs_of.get(var, 0)
+        if hits and not hits & (hits - 1):
+            return self._sites[hits.bit_length() - 1]
+        return None
+
+
+def reaching_definitions(prog: Program) -> ReachingDefinitions:
     """Forward may-analysis: definition sites that can reach each reachable
     block's input. Joins take the union and the entry starts empty."""
     sites: list[DefSite] = []
@@ -63,25 +109,15 @@ def reaching_definitions(prog: Program) -> dict[str, frozenset[DefSite]]:
         return bits & keep | gen
 
     result = _solve(prog, step, 0, 0, operator.or_)
-    memo: dict[int, frozenset[DefSite]] = {}
-
-    def to_sites(bits: int) -> frozenset[DefSite]:
-        if bits not in memo:
-            members, rest = [], bits
-            while rest:
-                low = rest & -rest  # lowest set bit
-                members.append(sites[low.bit_length() - 1])
-                rest ^= low
-            memo[bits] = frozenset(members)
-        return memo[bits]
-
-    return {label: to_sites(result.in_sets[label]) for label in result.reachable}
+    return ReachingDefinitions({label: result.in_sets[label] for label in result.reachable}, sites, kill)
 
 
-def classic_transform(prog: Program) -> tuple[Program, ReplacementReport]:
-    """One pass of the baseline over the reachable blocks."""
+def classic_transform(prog: Program, acs: AnalysisResult | None = None) -> tuple[Program, ReplacementReport]:
+    """One pass of the baseline over the reachable blocks. `acs` is the
+    program's availability solution when the caller already has it."""
     rd = reaching_definitions(prog)
-    acs = run_acs(prog)
+    if acs is None:
+        acs = run_acs(prog)
     new_blocks: dict[str, Block] = {}
     replacements: list[Replacement] = []
     for label in sorted_labels(prog):
@@ -90,16 +126,15 @@ def classic_transform(prog: Program) -> tuple[Program, ReplacementReport]:
             new_blocks[label] = block
             continue
         facts = acs.in_sets[label]
-        sites = rd[label]
 
         def attempt(operand: Operand, position: str) -> Operand:
             if not isinstance(operand, Var):
                 return operand
             name = operand.name
-            own = [s for s in sites if s.var == name]
-            if len(own) != 1:
+            site = rd.unique_definition(label, name)
+            if site is None:
                 return operand
-            def_stmt = prog.blocks[own[0].block].stmt
+            def_stmt = prog.blocks[site.block].stmt
             if not isinstance(def_stmt, Copy):
                 return operand
             src = def_stmt.src

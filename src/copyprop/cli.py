@@ -40,7 +40,11 @@ from .propagate import SLOT_ORDER, Replacement, resolve, transform, transform_to
 
 
 def _load(path: str) -> Program:
-    return parse_program(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path}: {err}") from None
+    return parse_program(text)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -73,7 +77,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     prog = _load(args.file)
     result = run_acs(prog)
-    classic_reps = classic_transform(prog)[1].replacements
+    classic_reps = classic_transform(prog, result)[1].replacements
     unified_reps = transform(prog, result)[1].replacements
     print(f"classic={len(classic_reps)} unified={len(unified_reps)}")
     by_site: dict[tuple[str, str], dict[str, Replacement]] = {}
@@ -133,7 +137,7 @@ def _check_one(
     prog: Program, result: AnalysisResult, envs: list[dict[str, int]], args: argparse.Namespace
 ) -> tuple[str, Verdict] | None:
     """Returns (check name, verdict) for the first failure, else None."""
-    verdict = differential_check(prog, envs, args.fuel, rounds=10)
+    verdict = differential_check(prog, envs, args.fuel, rounds=10, result=result)
     if not verdict.ok:
         return "differential", verdict
     if not _same_solution(result, solve_round_robin(prog)):
@@ -248,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, OSError, UnicodeDecodeError) as err:
+    except (ParseError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -420,6 +420,7 @@ def differential_check(
     *,
     rounds: int = 1,
     check_facts: bool = True,
+    result: AnalysisResult | None = None,
 ) -> Verdict:
     """Compare original and transformed runs over the given inputs.
 
@@ -434,8 +435,11 @@ def differential_check(
     one-pass program over all inputs, each input's fact violation right
     after its comparison, then the iterated program. An iterated program
     equal to the one-pass program is not run: runs are deterministic.
+    `result` is the availability solution of prog when the caller already
+    has it; otherwise it is solved here.
     """
-    result = run_acs(prog)
+    if result is None:
+        result = run_acs(prog)
     one, _ = transform(prog, result)
     iterated = transform_to_fixpoint(one, rounds - 1)[0] if rounds > 1 else None
     if iterated == one:

@@ -25,8 +25,9 @@ from copyprop import (
     transform,
 )
 from copyprop.cli import main
-from copyprop.dataflow import _solve
-from copyprop.ir import defined_var
+from copyprop.dataflow import CopyPair, _solve
+from copyprop.ir import defined_var, sorted_labels
+from copyprop.propagate import Replacement
 from conftest import FIXTURES, copy_chain, straight_line
 
 
@@ -132,6 +133,87 @@ def test_compare_calls_reaching_definitions_by_module_attribute(monkeypatch, cap
     assert main(["compare", str(FIXTURES / "fig2.tac")]) == 0
     capsys.readouterr()
     assert len(calls) == 1
+
+
+def test_unique_definition(fig1):
+    """None for a variable nobody defines and for two reaching definitions;
+    an unreachable definition does not count against the one that reaches;
+    a self-looping definition reaches its own block."""
+    rd = reaching_definitions(fig1)
+    assert rd.unique_definition("B4", "w") is None
+    assert rd.unique_definition("B4", "y") is None  # B2 and B3 both reach
+    assert rd.unique_definition("B5", "z") == DefSite("B4", "z")
+
+    blocks = {
+        "B0": Block("B0", Nop(), ("B1",)),
+        "B1": Block("B1", Copy("x", Const(1)), ("B2",)),
+        "B2": Block("B2", Binary("y", "+", Var("x"), Const(1)), ("B2",)),
+        "B3": Block("B3", Nop(), ()),
+        "B9": Block("B9", Copy("x", Const(2)), ("B2",)),
+    }
+    rd = reaching_definitions(Program(blocks, "B0", "B3"))
+    assert rd.unique_definition("B2", "x") == DefSite("B1", "x")
+    assert rd.unique_definition("B2", "y") == DefSite("B2", "y")
+    assert rd.unique_definition("B1", "y") is None
+
+
+def set_based_classic_transform(prog):
+    """Reference: the unique-definition rule read from the DefSite sets."""
+    rd = reaching_definitions(prog)
+    acs = run_acs(prog)
+    new_blocks = {}
+    replacements = []
+    for label in sorted_labels(prog):
+        block = prog.blocks[label]
+        if label not in acs.reachable:
+            new_blocks[label] = block
+            continue
+
+        def attempt(operand, position):
+            if not isinstance(operand, Var):
+                return operand
+            own = [s for s in rd[label] if s.var == operand.name]
+            if len(own) != 1:
+                return operand
+            def_stmt = prog.blocks[own[0].block].stmt
+            if not isinstance(def_stmt, Copy) or def_stmt.src == operand:
+                return operand
+            if CopyPair(operand.name, def_stmt.src) not in acs.in_sets[label]:
+                return operand
+            replacements.append(Replacement(label, position, operand.name, def_stmt.src, 1))
+            return def_stmt.src
+
+        stmt = block.stmt
+        if isinstance(stmt, Binary):
+            stmt = Binary(stmt.dst, stmt.op, attempt(stmt.lhs, "binary-lhs"), attempt(stmt.rhs, "binary-rhs"))
+        elif isinstance(stmt, Branch):
+            stmt = Branch(attempt(stmt.cond, "branch-cond"))
+        new_blocks[label] = Block(label, stmt, block.succs)
+    return Program(new_blocks, prog.entry, prog.exit), tuple(replacements)
+
+
+def test_classic_transform_matches_the_set_based_rule():
+    rng = random.Random(23)
+    over_64 = 0
+    rewrote = 0
+    for _ in range(200):
+        params = GenParams(
+            seed=rng.randrange(2**32),
+            min_blocks=30,
+            max_blocks=120,
+            num_vars=26,
+            loop_prob=0.3,
+        )
+        prog = random_program(params)
+        defs = sum(defined_var(b.stmt) is not None for b in prog.blocks.values())
+        over_64 += defs > 64
+        out, report = classic_transform(prog)
+        expected_prog, expected_reps = set_based_classic_transform(prog)
+        assert out == expected_prog, params.seed
+        assert report.replacements == expected_reps, params.seed
+        rewrote += bool(expected_reps)
+    assert over_64 >= 20
+    assert rewrote >= 100
 
 
 def test_classic_fig1_cannot_rewrite(fig1):

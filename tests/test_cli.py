@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+import copyprop.analysis as analysis
 from copyprop.cli import build_parser, main
 from conftest import FIXTURES
 
@@ -254,6 +255,36 @@ def test_undecodable_file_is_a_usage_error(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+def test_undecodable_file_error_names_the_file(tmp_path, capsys):
+    path = tmp_path / "binary.tac"
+    path.write_bytes(b"\xff\xfe\x00bad")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {path}: ")
+    assert "utf-8" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, solves",
+    [(["compare", FIG2], 1), (["check", FIG2, "--acyclic-mop"], 2)],
+)
+def test_commands_solve_the_original_once(argv, solves, monkeypatch, capsys):
+    """compare hands its solution to the baseline and check hands it to the
+    differential check; only check's iterated rewrite solves again."""
+    calls = []
+    original = analysis.solve_forward
+
+    def counted(prog, *args, **kwargs):
+        calls.append(prog)
+        return original(prog, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "solve_forward", counted)
+    assert run(capsys, *argv)[0] == 0
+    assert len(calls) == solves
 
 
 def test_parse_diagnostics_go_to_stderr(tmp_path, capsys):
