@@ -25,6 +25,8 @@ from .dataflow import (
     reachable_blocks,
 )
 from .ir import (
+    INT64_MAX,
+    INT64_MIN,
     Binary,
     Block,
     Branch,
@@ -35,7 +37,6 @@ from .ir import (
     Program,
     Statement,
     Var,
-    format_operand,
     natural_key,
     validate,
 )
@@ -150,102 +151,148 @@ def solve_round_robin(prog: Program) -> AnalysisResult:
 @dataclass(frozen=True)
 class Trace:
     labels: tuple[str, ...]
-    envs: tuple[Env, ...] | None
     final_env: Env
     status: str  # "exit" | "fuel-exhausted" | "runtime-error"
     error: str | None = None
-
-    def steps(self) -> list[tuple[str, Env]]:
-        if self.envs is None:
-            raise ValueError("environments were not recorded")
-        return list(zip(self.labels, self.envs))
-
-
-class _Stop(Exception):
-    def __init__(self, code: str):
-        self.code = code
 
 
 def _wrap(value: int) -> int:
     return ((value + (1 << 63)) & INT64_MASK) - (1 << 63)
 
 
-def _value(op: Operand, env: Env) -> int:
-    if isinstance(op, Const):
-        return op.value
-    try:
-        return env[op.name]
-    except KeyError:
-        raise _Stop(f"unbound-variable {op.name}") from None
+# kind, dst, first operand, second operand, next label, branch-not-taken label
+Decoded = tuple[str, str | None, int | str | None, int | str | None, str, str | None]
 
 
-def _apply(op: str, a: int, b: int) -> int:
-    if op == "+":
-        return _wrap(a + b)
-    if op == "-":
-        return _wrap(a - b)
-    if op == "*":
-        return _wrap(a * b)
-    if b == 0:
-        raise _Stop("div-by-zero")
-    quot = abs(a) // abs(b)
-    if (a < 0) != (b < 0):
-        quot = -quot
-    return _wrap(quot)
+def _decode(prog: Program) -> dict[str, Decoded]:
+    """Each block as a tuple the interpreter dispatches on. The kind is "=" for
+    a copy, the operator for a binary, "?" for a branch and "" for a nop; an
+    operand is its int if constant, else its name (inline: a call per operand
+    is a noticeable share of a short run)."""
+    code: dict[str, Decoded] = {}
+    for label, block in prog.blocks.items():
+        stmt, succs = block.stmt, block.succs
+        nxt = succs[0] if succs else ""
+        kind = stmt.__class__
+        if kind is Copy:
+            src = stmt.src
+            code[label] = ("=", stmt.dst, src.value if src.__class__ is Const else src.name, None, nxt, None)
+        elif kind is Binary:
+            lhs, rhs = stmt.lhs, stmt.rhs
+            code[label] = (
+                stmt.op,
+                stmt.dst,
+                lhs.value if lhs.__class__ is Const else lhs.name,
+                rhs.value if rhs.__class__ is Const else rhs.name,
+                nxt,
+                None,
+            )
+        elif kind is Branch:
+            cond = stmt.cond
+            code[label] = ("?", None, cond.value if cond.__class__ is Const else cond.name, None, nxt, succs[1])
+        else:
+            code[label] = ("", None, None, None, nxt, None)
+    return code
 
 
 StepHook = Callable[[str, Env], None]
 
 
-def interpret(
-    prog: Program,
-    env0: Env,
-    fuel: int,
-    *,
-    on_step: StepHook | None = None,
-    record_envs: bool = True,
-) -> Trace:
+def _run(
+    code: dict[str, Decoded],
+    exit_label: str,
+    label: str,
+    env: Env,
+    labels: list[str],
+    steps: int,
+    on_step: StepHook | None,
+    watch: bool,
+) -> tuple[str, str, str | None, int]:
+    """Execute at most `steps` blocks from `label`, updating `env` and
+    appending each executed label. Returns (next label, status, error, period).
+
+    With `watch`, Brent's cycle detection runs on the (label, env) state: one
+    state is saved, and replaced whenever the steps since it reach the next
+    power of two, starting from the block count so that a run shorter than
+    the program copies nothing. A run that meets its saved state again stops
+    there with the steps since it as `period`, the length of the loop it is
+    caught in; otherwise `period` is 0.
+    """
+    append = labels.append
+    saved_label = saved_env = None
+    power, period = len(code), 1
+    for _ in range(steps):
+        kind, dst, a, b, nxt, alt = code[label]
+        if on_step is not None:
+            on_step(label, env)
+        try:
+            if kind == "=":
+                env[dst] = a if type(a) is int else env[a]
+            elif kind == "?":
+                if (a if type(a) is int else env[a]) == 0:
+                    nxt = alt
+            elif kind:
+                x = a if type(a) is int else env[a]
+                y = b if type(b) is int else env[b]
+                if kind == "+":
+                    value = x + y
+                elif kind == "-":
+                    value = x - y
+                elif kind == "*":
+                    value = x * y
+                elif y == 0:
+                    return label, "runtime-error", "div-by-zero", 0
+                else:
+                    value = abs(x) // abs(y)
+                    if (x < 0) != (y < 0):
+                        value = -value
+                if not INT64_MIN <= value <= INT64_MAX:
+                    value = _wrap(value)
+                env[dst] = value
+        except KeyError as err:
+            return label, "runtime-error", f"unbound-variable {err.args[0]}", 0
+        append(label)
+        if label == exit_label:
+            return label, "exit", None, 0
+        label = nxt
+        if watch:
+            if label == saved_label and env == saved_env:
+                return label, "fuel-exhausted", None, period
+            if period == power:
+                saved_label, saved_env = label, dict(env)
+                power *= 2
+                period = 0
+            period += 1
+    return label, "fuel-exhausted", None, 0
+
+
+def interpret(prog: Program, env0: Env, fuel: int, *, on_step: StepHook | None = None) -> Trace:
     """Run the program concretely, at most `fuel` block executions.
 
     Arithmetic wraps around 64 signed bits and division truncates toward
     zero. A nonzero branch condition takes the first successor. Division by
     zero and reads of unbound variables end the run as a runtime error.
     `on_step` sees each block label with the environment before its
-    statement runs.
+    statement runs, on every one of the `fuel` steps.
+
+    Without `on_step`, the run is fast-forwarded once it reaches a
+    (label, environment) state it was in `period` steps before (Brent's cycle
+    detection, see `_run`). Runs are deterministic, so from there it repeats
+    those blocks until the fuel runs out, and that loop holds neither the
+    exit nor a runtime error, or the run would have ended. Their labels are
+    appended once per whole lap the fuel leaves and the last few steps run
+    as usual: the trace is exactly that of a run executing every step, at a
+    cost in steps of the loop's start plus its length instead of `fuel`.
     """
+    code = _decode(prog)
     env = dict(env0)
     labels: list[str] = []
-    envs: list[Env] | None = [] if record_envs else None
-    status = "fuel-exhausted"
-    error = None
-    label = prog.entry
-    for _ in range(fuel):
-        block = prog.blocks[label]
-        stmt = block.stmt
-        if on_step is not None:
-            on_step(label, env)
-        try:
-            if isinstance(stmt, Copy):
-                env[stmt.dst] = _value(stmt.src, env)
-                nxt = block.succs[0]
-            elif isinstance(stmt, Binary):
-                env[stmt.dst] = _apply(stmt.op, _value(stmt.lhs, env), _value(stmt.rhs, env))
-                nxt = block.succs[0]
-            elif isinstance(stmt, Branch):
-                nxt = block.succs[0] if _value(stmt.cond, env) != 0 else block.succs[1]
-            else:
-                nxt = block.succs[0] if block.succs else ""
-        except _Stop as stop:
-            status, error = "runtime-error", stop.code
-            break
-        labels.append(label)
-        if envs is not None:
-            envs.append(dict(env))
-        if label == prog.exit:
-            status = "exit"
-            break
-        label = nxt
-    return Trace(tuple(labels), tuple(envs) if envs is not None else None, dict(env), status, error)
+    label, status, error, period = _run(code, prog.exit, prog.entry, env, labels, fuel, on_step, on_step is None)
+    if period:
+        laps, rest = divmod(fuel - len(labels), period)
+        labels.extend(labels[-period:] * laps)
+        label, status, error, _ = _run(code, prog.exit, label, env, labels, rest, None, False)
+    return Trace(tuple(labels), dict(env), status, error)
 
 
 @dataclass(frozen=True)
@@ -346,29 +393,40 @@ def _pairs_by_label(result: AnalysisResult) -> dict[str, tuple[tuple[str, Operan
     return table
 
 
-def _fact_replay(
-    table: dict[str, tuple[tuple[str, Operand], ...]]
-) -> tuple[StepHook | None, list[tuple[str, int]]]:
-    """The `on_step` hook of `fact_soundness_violation` over a `_pairs_by_label`
-    table. The first violation lands in the returned list as (reason, step
-    index). The hook is None for an empty table, where nothing can fail."""
+ReplayPlan = dict[str, tuple[tuple[str, int | str], ...]]
+
+
+def _replay_plan(result: AnalysisResult) -> ReplayPlan:
+    """The `_pairs_by_label` table with each source decoded as `_decode`
+    decodes operands: a constant as its int, a variable as its name."""
+    return {
+        label: tuple((dst, src.value if isinstance(src, Const) else src.name) for dst, src in pairs)
+        for label, pairs in _pairs_by_label(result).items()
+    }
+
+
+def _fact_replay(plan: ReplayPlan) -> tuple[StepHook | None, list[tuple[str, int]]]:
+    """The `on_step` hook of `fact_soundness_violation` over a `_replay_plan`.
+    The first violation lands in the returned list as (reason, step index).
+    The hook is None for an empty plan, where nothing can fail."""
     found: list[tuple[str, int]] = []
-    if not table:
+    if not plan:
         return None, found
-    counter = [0]
+    get = plan.get
+    step = -1
 
     def check(label: str, env: Env) -> None:
-        step = counter[0]
-        counter[0] += 1
-        if found:
+        nonlocal step
+        step += 1
+        pairs = get(label)
+        if pairs is None or found:
             return
-        for dst, src in table.get(label, ()):
-            have = env.get(dst)
-            want = src.value if isinstance(src, Const) else env.get(src.name)
-            if have is None or want is None or have != want:
-                found.append(
-                    (f"fact ({dst}, {format_operand(src)}) broken at {label}: {have} vs {want}", step)
-                )
+        for dst, src in pairs:
+            # env is keyed by names only: env.get(src, src) is a constant
+            # itself, and a name read unbound stays a str, which no value equals
+            if env.get(dst) != env.get(src, src):
+                want = env.get(src) if isinstance(src, str) else src
+                found.append((f"fact ({dst}, {src}) broken at {label}: {env.get(dst)} vs {want}", step))
                 return
 
     return check, found
@@ -383,8 +441,8 @@ def fact_soundness_violation(
     value(x) == value(e) in the environment before the statement runs.
     Returns (reason, step index) for the first violation, or None.
     """
-    hook, found = _fact_replay(_pairs_by_label(result))
-    interpret(prog, env0, fuel, on_step=hook, record_envs=False)
+    hook, found = _fact_replay(_replay_plan(result))
+    interpret(prog, env0, fuel, on_step=hook)
     return found[0] if found else None
 
 
@@ -444,16 +502,16 @@ def differential_check(
     iterated = transform_to_fixpoint(one, rounds - 1)[0] if rounds > 1 else None
     if iterated == one:
         iterated = None
-    table = _pairs_by_label(result) if check_facts else {}
+    plan = _replay_plan(result) if check_facts else {}
     iterated_failure: Verdict | None = None
     for env0 in envs:
-        hook, found = _fact_replay(table)
-        original = interpret(prog, env0, fuel, on_step=hook, record_envs=False)
-        verdict = _difference(original, interpret(one, env0, fuel, record_envs=False), env0)
+        hook, found = _fact_replay(plan)
+        original = interpret(prog, env0, fuel, on_step=hook)
+        verdict = _difference(original, interpret(one, env0, fuel), env0)
         if verdict is not None:
             return verdict
         if found:
             return Verdict(False, found[0][0], env0, found[0][1])
         if iterated is not None and iterated_failure is None:
-            iterated_failure = _difference(original, interpret(iterated, env0, fuel, record_envs=False), env0)
+            iterated_failure = _difference(original, interpret(iterated, env0, fuel), env0)
     return iterated_failure or Verdict(True)

@@ -1,0 +1,101 @@
+"""Planted faults that `check --fuzz` must catch (mutation analysis).
+
+Each mutant is patched into the package for one `check --fuzz --programs 200
+--acyclic-mop` run at a fixed seed, which must end in a FAIL dump and exit
+code 1. A mutant replaces the faulty function wherever the package looks it
+up, as a fault in its source would, so the oracles that share that code share
+the fault. A mutant that survives marks a weak oracle: strengthen the oracle,
+do not drop the mutant.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+import copyprop.analysis as analysis
+import copyprop.oracle as oracle
+import copyprop.propagate as propagate
+from copyprop import Const, Copy, CopyPair, FactSet, Var
+from copyprop.cli import main
+from copyprop.ir import defined_var
+
+
+def _first_operand_meet(self, other):
+    return other if self.pairs is None else self
+
+
+def meet_returns_its_first_operand(mp: pytest.MonkeyPatch) -> None:
+    mp.setattr(FactSet, "meet", _first_operand_meet)
+
+
+def _off_by_one_after(min_hops: int):
+    resolve_chain = propagate.resolve_chain
+
+    def resolve(var, facts):
+        target, hops = resolve_chain(var, facts)
+        if hops >= min_hops and isinstance(target, Const):
+            target = Const(target.value + 1)
+        return target, hops
+
+    return resolve
+
+
+def chain_endpoint_off_by_one_after_three_hops(mp: pytest.MonkeyPatch) -> None:
+    mp.setattr(propagate, "resolve_chain", _off_by_one_after(3))
+
+
+def _transfer_without_use_kill(stmt, facts):
+    if facts.pairs is None:
+        return facts
+    dst = defined_var(stmt)
+    if dst is None:
+        return facts
+    kept = [p for p in facts.pairs if p.dst != dst]
+    if isinstance(stmt, Copy) and stmt.src != Var(dst):
+        kept.append(CopyPair(dst, stmt.src))
+    return FactSet(frozenset(kept))
+
+
+def no_kill_of_uses_of_the_defined_variable(mp: pytest.MonkeyPatch) -> None:
+    # (*, x) survives a definition of x, in the solver and in the oracles
+    mp.setattr(analysis, "transfer", _transfer_without_use_kill)
+    mp.setattr(oracle, "transfer", _transfer_without_use_kill)
+
+
+def fault_only_in_rounds_after_the_first(mp: pytest.MonkeyPatch) -> None:
+    # `check` makes its first round through `oracle.transform`; every later
+    # round goes through `propagate.transform`, and only those go wrong
+    transform = propagate.transform
+    off_by_one = _off_by_one_after(1)
+
+    def later_round(prog, result):
+        with pytest.MonkeyPatch.context() as inner:
+            inner.setattr(propagate, "resolve_chain", off_by_one)
+            return transform(prog, result)
+
+    mp.setattr(propagate, "transform", later_round)
+
+
+# mutant -> `check --fuzz --seed` value. The default generator rarely builds
+# a chain of three copies ending in a constant, so 200 programs catch the
+# off-by-one endpoint at only 8 of the seeds 0-19, 3 the first of them.
+MUTANTS = {
+    meet_returns_its_first_operand: 0,
+    chain_endpoint_off_by_one_after_three_hops: 3,
+    no_kill_of_uses_of_the_defined_variable: 0,
+    fault_only_in_rounds_after_the_first: 0,
+}
+
+
+def run_check_with(mutant, seed: int) -> int:
+    with pytest.MonkeyPatch.context() as mp:
+        mutant(mp)
+        return main(["check", "--fuzz", "--programs", "200", "--acyclic-mop", "--seed", str(seed)])
+
+
+@pytest.mark.parametrize("mutant", list(MUTANTS), ids=lambda mutant: mutant.__name__)
+def test_check_catches_the_mutant(mutant, capsys):
+    assert run_check_with(mutant, MUTANTS[mutant]) == 1
+    out = capsys.readouterr().out
+    assert out.endswith("FAIL\n")
+    assert "PASS" not in out

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import copyprop.oracle as oracle
 from copyprop import (
     EMPTY,
     Binary,
     Block,
+    Branch,
     Const,
     Copy,
     CopyPair,
@@ -34,6 +38,7 @@ from copyprop import (
 )
 from copyprop.dataflow import AnalysisResult, pair_sort_key
 from conftest import load_fixture, looped_counter, straight_line
+from strategies import environments, programs
 
 
 # ---------------------------------------------------------------- paths / mop
@@ -176,8 +181,12 @@ def test_arithmetic_wraps_64_bits():
 
 def test_trace_records_env_after_each_step():
     prog = straight_line(Copy("x", Const(5)), Binary("x", "+", Var("x"), Const(1)))
-    trace = interpret(prog, {}, 10)
-    assert trace.steps() == [
+    seen = []
+    trace = interpret(prog, {}, 10, on_step=lambda label, env: seen.append((label, dict(env))))
+    # the environment after step i is the one step i + 1 sees, and after the last is final_env
+    after = [env for _, env in seen[1:]] + [trace.final_env]
+    assert [label for label, _ in seen] == list(trace.labels)
+    assert list(zip(trace.labels, after)) == [
         ("B0", {}),
         ("B1", {"x": 5}),
         ("B2", {"x": 6}),
@@ -185,18 +194,223 @@ def test_trace_records_env_after_each_step():
     ]
 
 
-def test_interpret_without_env_recording():
-    trace = interpret(load_fixture("minimal.tac"), {}, 10, record_envs=False)
-    assert trace.envs is None
-    with pytest.raises(ValueError):
-        trace.steps()
-
-
 def test_on_step_sees_env_before_statement():
     prog = straight_line(Copy("x", Const(5)))
     seen = []
     interpret(prog, {}, 10, on_step=lambda label, env: seen.append((label, dict(env))))
     assert seen == [("B0", {}), ("B1", {}), ("B2", {"x": 5})]
+
+
+# A copy of the step-by-step interpreter that `interpret` replaced: it neither
+# decodes the program nor fast-forwards a loop, so every step runs here.
+
+class _RefStop(Exception):
+    def __init__(self, code: str):
+        self.code = code
+
+
+def _ref_wrap(value: int) -> int:
+    return ((value + (1 << 63)) & ((1 << 64) - 1)) - (1 << 63)
+
+
+def _ref_value(op, env):
+    if isinstance(op, Const):
+        return op.value
+    try:
+        return env[op.name]
+    except KeyError:
+        raise _RefStop(f"unbound-variable {op.name}") from None
+
+
+def _ref_apply(op: str, a: int, b: int) -> int:
+    if op == "+":
+        return _ref_wrap(a + b)
+    if op == "-":
+        return _ref_wrap(a - b)
+    if op == "*":
+        return _ref_wrap(a * b)
+    if b == 0:
+        raise _RefStop("div-by-zero")
+    quot = abs(a) // abs(b)
+    if (a < 0) != (b < 0):
+        quot = -quot
+    return _ref_wrap(quot)
+
+
+def reference_interpret(prog: Program, env0: dict, fuel: int, on_step=None) -> tuple:
+    """(labels, final_env, status, error) of a run, one block per step."""
+    env = dict(env0)
+    labels = []
+    status = "fuel-exhausted"
+    error = None
+    label = prog.entry
+    for _ in range(fuel):
+        block = prog.blocks[label]
+        stmt = block.stmt
+        if on_step is not None:
+            on_step(label, env)
+        try:
+            if isinstance(stmt, Copy):
+                env[stmt.dst] = _ref_value(stmt.src, env)
+                nxt = block.succs[0]
+            elif isinstance(stmt, Binary):
+                env[stmt.dst] = _ref_apply(stmt.op, _ref_value(stmt.lhs, env), _ref_value(stmt.rhs, env))
+                nxt = block.succs[0]
+            elif isinstance(stmt, Branch):
+                nxt = block.succs[0] if _ref_value(stmt.cond, env) != 0 else block.succs[1]
+            else:
+                nxt = block.succs[0] if block.succs else ""
+        except _RefStop as stop:
+            status, error = "runtime-error", stop.code
+            break
+        labels.append(label)
+        if label == prog.exit:
+            status = "exit"
+            break
+        label = nxt
+    return tuple(labels), env, status, error
+
+
+def _observed(trace) -> tuple:
+    return trace.labels, trace.final_env, trace.status, trace.error
+
+
+def _uninitialised(prog: Program, var: str) -> Program:
+    """prog with the generator's constant assignment to var made a nop, so
+    var is read from the input environment."""
+    blocks = dict(prog.blocks)
+    for label, block in prog.blocks.items():
+        if isinstance(block.stmt, Copy) and block.stmt.dst == var and isinstance(block.stmt.src, Const):
+            blocks[label] = Block(label, Nop(), block.succs)
+            break
+    return Program(blocks, prog.entry, prog.exit)
+
+
+FUELS = (1, 7, 100, 10000)
+
+
+def test_interpret_matches_the_step_by_step_reference():
+    outcomes: Counter = Counter()
+    for seed in range(3000):
+        params = GenParams(seed=seed, branch_prob=0.4, loop_prob=0.5, allow_div=seed % 2 == 1)
+        prog = random_program(params)
+        rng = random.Random(seed)
+        if seed % 3 == 0:
+            prog = _uninitialised(prog, "a")
+        env = {name: rng.randint(-64, 64) for name in sorted(variables(prog))}
+        if seed % 6 == 0:
+            env.pop("a", None)
+        for fuel in FUELS:
+            expected = reference_interpret(prog, env, fuel)
+            assert _observed(interpret(prog, env, fuel)) == expected, (seed, fuel)
+            outcomes[fuel, expected[2], expected[3]] += 1
+    assert sum(n for (_, status, _), n in outcomes.items() if status == "fuel-exhausted") >= 1000
+    assert outcomes[10000, "fuel-exhausted", None] >= 150
+    assert outcomes[10000, "runtime-error", "unbound-variable a"] >= 100
+    assert outcomes[10000, "runtime-error", "div-by-zero"] >= 20
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(prog=programs(), env=environments, fuel=st.sampled_from(FUELS))
+def test_interpret_matches_the_reference_on_any_program(prog, env, fuel):
+    expected_seen, seen = [], []
+    expected = reference_interpret(prog, env, fuel, on_step=lambda label, env: expected_seen.append(label))
+    assert _observed(interpret(prog, env, fuel)) == expected
+    hooked = interpret(prog, env, fuel, on_step=lambda label, env: seen.append(label))
+    assert _observed(hooked) == expected
+    assert seen == expected_seen
+
+
+def _executed_step_by_step(monkeypatch) -> list[int]:
+    """Records how many blocks each `_run` call executes."""
+    counts: list[int] = []
+    run = oracle._run
+
+    def counting(code, exit_label, label, env, labels, *args):
+        before = len(labels)
+        try:
+            return run(code, exit_label, label, env, labels, *args)
+        finally:
+            counts.append(len(labels) - before)
+
+    monkeypatch.setattr(oracle, "_run", counting)
+    return counts
+
+
+SELF_LOOP = parse_program(
+    """
+entry: B0
+exit: B3
+B0: nop -> B1
+B1: x = 5 -> B2
+B2: branch p -> B2, B3
+B3: nop
+"""
+)
+
+
+def test_self_loop_is_fast_forwarded(monkeypatch):
+    executed = _executed_step_by_step(monkeypatch)
+    trace = interpret(SELF_LOOP, {"p": 1}, 10**6)
+    assert trace.labels == ("B0", "B1") + ("B2",) * (10**6 - 2)
+    assert trace.status == "fuel-exhausted"
+    assert trace.final_env == {"p": 1, "x": 5}
+    assert sum(executed) < 20
+    assert _observed(interpret(SELF_LOOP, {"p": 1}, 1000)) == reference_interpret(SELF_LOOP, {"p": 1}, 1000)
+
+
+# a loop of period 3 after a two-block lead-in: B1, B2, B3, B1, ...
+THREE_CYCLE = parse_program(
+    """
+entry: B0
+exit: B5
+B0: nop -> B1
+B1: x = 1 -> B2
+B2: y = x + 1 -> B3
+B3: branch p -> B1, B4
+B4: x = 0 -> B5
+B5: nop
+"""
+)
+
+
+@pytest.mark.parametrize("fuel", [10, 11, 12, 100, 1000, 10001, 10002])
+def test_fuel_not_a_multiple_of_the_period(fuel):
+    trace = interpret(THREE_CYCLE, {"p": 7}, fuel)
+    assert _observed(trace) == reference_interpret(THREE_CYCLE, {"p": 7}, fuel)
+    assert len(trace.labels) == fuel
+    assert trace.labels[-1] == ("B1", "B2", "B3")[(fuel - 2) % 3]
+
+
+def test_a_state_that_never_repeats_runs_every_step(monkeypatch):
+    executed = _executed_step_by_step(monkeypatch)
+    prog = looped_counter()
+    trace = interpret(prog, {"p": 1}, 10000)
+    assert _observed(trace) == reference_interpret(prog, {"p": 1}, 10000)
+    assert trace.final_env["x"] == 4999
+    assert sum(executed) == 10000
+
+
+def test_int64_wrap_inside_a_loop_repeats_after_four_laps(monkeypatch):
+    # x = x + 2**62 wraps to its start value after four laps of B2, B3
+    blocks = dict(looped_counter().blocks)
+    blocks["B2"] = Block("B2", Binary("x", "+", Var("x"), Const(2**62)), ("B3",))
+    prog = Program(blocks, "B0", "B4")
+    executed = _executed_step_by_step(monkeypatch)
+    for fuel in (2, 9, 10, 13, 10000, 10003):
+        assert _observed(interpret(prog, {"p": 1}, fuel)) == reference_interpret(prog, {"p": 1}, fuel)
+    assert all(step_count < 40 for step_count in executed)
+    # B0, B1, B2, B3, B2: two additions of 2**62 wrap
+    assert interpret(prog, {"p": 1}, 5).final_env["x"] == -(2**63)
+
+
+def test_a_hooked_looping_run_sees_every_step():
+    seen = []
+    trace = interpret(SELF_LOOP, {"p": 1}, 10000, on_step=lambda label, env: seen.append((label, dict(env))))
+    assert trace.status == "fuel-exhausted"
+    assert len(seen) == 10000
+    assert [label for label, _ in seen] == list(trace.labels)
+    assert seen[-1] == ("B2", {"p": 1, "x": 5})
 
 
 # ------------------------------------------------------------------ generator
