@@ -7,7 +7,9 @@ the copy t = e, and the pair (t, e) is available at the block input, which
 rules out a redefinition of e between the copy and the use. The replacement
 is the copy's immediate source; chains are not followed, and copy sources
 themselves are left to the chain-resolving pass, so a chain of n copies
-needs n repetitions to feed through while the unified pass needs one.
+needs n repetitions to feed through while the unified pass needs one. The
+rule is all this module adds: the walk over the blocks and their use slots is
+the unified pass's own (`propagate._rewrite_program`).
 Reaching definitions runs on the worklist solver of copy availability over
 bit vectors: each defining block owns one bit of a Python int, a block's
 transfer is `bits & ~kill | gen`, where the kill mask holds the bits of every
@@ -15,7 +17,7 @@ definition of the same variable, and joins are bitwise or. The fixpoint stays
 in bits. The unique-definition test reads them directly: the definitions of t
 that reach a block are its vector masked with t's kill mask, and exactly one
 reaches when that leaves a single set bit. `DefSite` sets are built only when
-a block's entry is read as a set, one frozenset per distinct vector.
+a block's entry is read as a set.
 """
 
 from __future__ import annotations
@@ -26,18 +28,8 @@ from dataclasses import dataclass
 
 from .analysis import run_acs
 from .dataflow import AnalysisResult, CopyPair, _solve
-from .ir import (
-    Binary,
-    Block,
-    Branch,
-    Copy,
-    Operand,
-    Program,
-    Var,
-    defined_var,
-    sorted_labels,
-)
-from .propagate import Replacement, ReplacementReport, _to_fixpoint
+from .ir import Block, Copy, Operand, Program, Statement, Var, defined_var
+from .propagate import Replacement, ReplacementReport, _rewrite_program, _rewrite_slots
 
 
 @dataclass(frozen=True)
@@ -51,27 +43,22 @@ class ReachingDefinitions(Mapping[str, frozenset[DefSite]]):
     definition sites that can reach its input.
 
     Held as one bit vector per block over `sites`; `defs_of[var]` has the
-    bits of every definition of var. A label's frozenset is built on its
-    first lookup and shared by every label with the same vector.
+    bits of every definition of var. A label's frozenset is built on each
+    lookup.
     """
 
     def __init__(self, in_bits: dict[str, int], sites: list[DefSite], defs_of: dict[str, int]):
         self._bits = in_bits
         self._sites = sites
         self._defs_of = defs_of
-        self._memo: dict[int, frozenset[DefSite]] = {}
 
     def __getitem__(self, label: str) -> frozenset[DefSite]:
-        bits = self._bits[label]
-        found = self._memo.get(bits)
-        if found is None:
-            members, rest = [], bits
-            while rest:
-                low = rest & -rest  # lowest set bit
-                members.append(self._sites[low.bit_length() - 1])
-                rest ^= low
-            found = self._memo[bits] = frozenset(members)
-        return found
+        members, rest = [], self._bits[label]
+        while rest:
+            low = rest & -rest  # lowest set bit
+            members.append(self._sites[low.bit_length() - 1])
+            rest ^= low
+        return frozenset(members)
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._bits)
@@ -118,42 +105,23 @@ def classic_transform(prog: Program, acs: AnalysisResult | None = None) -> tuple
     rd = reaching_definitions(prog)
     if acs is None:
         acs = run_acs(prog)
-    new_blocks: dict[str, Block] = {}
-    replacements: list[Replacement] = []
-    for label in sorted_labels(prog):
-        block = prog.blocks[label]
-        if label not in acs.reachable:
-            new_blocks[label] = block
-            continue
+
+    def rewrite(stmt: Statement, label: str) -> tuple[Statement, list[Replacement]]:
         facts = acs.in_sets[label]
 
-        def attempt(operand: Operand, position: str) -> Operand:
-            if not isinstance(operand, Var):
-                return operand
-            name = operand.name
+        def immediate_source(name: str, position: str) -> tuple[Operand, int] | None:
+            if position == "copy-src":
+                return None
             site = rd.unique_definition(label, name)
             if site is None:
-                return operand
+                return None
             def_stmt = prog.blocks[site.block].stmt
-            if not isinstance(def_stmt, Copy):
-                return operand
-            src = def_stmt.src
-            if src == operand:
-                return operand
-            if CopyPair(name, src) not in facts:
-                return operand
-            replacements.append(Replacement(label, position, name, src, 1))
-            return src
+            if not isinstance(def_stmt, Copy) or def_stmt.src == Var(name):
+                return None
+            if CopyPair(name, def_stmt.src) not in facts:
+                return None
+            return def_stmt.src, 1
 
-        stmt = block.stmt
-        if isinstance(stmt, Binary):
-            stmt = Binary(stmt.dst, stmt.op, attempt(stmt.lhs, "binary-lhs"), attempt(stmt.rhs, "binary-rhs"))
-        elif isinstance(stmt, Branch):
-            stmt = Branch(attempt(stmt.cond, "branch-cond"))
-        new_blocks[label] = Block(label, stmt, block.succs)
-    return Program(new_blocks, prog.entry, prog.exit), ReplacementReport(tuple(replacements), pass_count=1)
+        return _rewrite_slots(stmt, label, immediate_source)
 
-
-def classic_to_fixpoint(prog: Program, max_rounds: int) -> tuple[Program, ReplacementReport]:
-    """Repeat the baseline with reanalysis until a round changes nothing."""
-    return _to_fixpoint(prog, max_rounds, classic_transform)
+    return _rewrite_program(prog, acs.reachable, rewrite)

@@ -133,16 +133,31 @@ def _dump_failure(kind: str, prog: Program, verdict: Verdict) -> None:
     print("FAIL")
 
 
-def _check_one(
-    prog: Program, result: AnalysisResult, envs: list[dict[str, int]], args: argparse.Namespace
-) -> tuple[str, Verdict] | None:
-    """Returns (check name, verdict) for the first failure, else None."""
-    verdict = differential_check(prog, envs, args.fuel, rounds=10, result=result)
-    if not verdict.ok:
-        return "differential", verdict
-    if not _same_solution(result, solve_round_robin(prog)):
-        return "solver-agreement", Verdict(False, "worklist and round-robin fixpoints differ")
-    return None
+def _check_one(prog: Program, envs: list[dict[str, int]], args: argparse.Namespace) -> tuple[str, Verdict]:
+    """Runs the checks on one program in order and returns the last one run
+    with its verdict: the first failure, else "mop" when meet-over-paths was
+    checked and "solver-agreement" when it was not. A ValueError, such as a
+    fact set breaking its invariants, fails the check that raised it; a cyclic
+    graph only leaves meet-over-paths unchecked."""
+    check = "differential"
+    try:
+        result = run_acs(prog)
+        verdict = differential_check(prog, envs, args.fuel, rounds=10, result=result)
+        if not verdict.ok:
+            return check, verdict
+        check = "solver-agreement"
+        if not _same_solution(result, solve_round_robin(prog)):
+            return check, Verdict(False, "worklist and round-robin fixpoints differ")
+        if not args.acyclic_mop:
+            return check, Verdict(True)
+        check = "mop"
+        try:
+            agrees = _mop_agrees(prog, result)
+        except CyclicGraphError:
+            return "solver-agreement", Verdict(True)
+        return check, Verdict(True) if agrees else Verdict(False, "path meet differs from fixpoint")
+    except ValueError as err:
+        return check, Verdict(False, str(err))
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -166,21 +181,11 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     mop_checked = 0
     for prog in programs:
-        envs = _random_envs(rng, prog, args.inputs)
-        result = run_acs(prog)
-        failure = _check_one(prog, result, envs, args)
-        if failure is not None:
-            _dump_failure(failure[0], prog, failure[1])
+        check, verdict = _check_one(prog, _random_envs(rng, prog, args.inputs), args)
+        if not verdict.ok:
+            _dump_failure(check, prog, verdict)
             return 1
-        if args.acyclic_mop:
-            try:
-                agrees = _mop_agrees(prog, result)
-            except CyclicGraphError:
-                continue
-            mop_checked += 1
-            if not agrees:
-                _dump_failure("mop", prog, Verdict(False, "path meet differs from fixpoint"))
-                return 1
+        mop_checked += check == "mop"
     print("differential: PASS")
     print("solver-agreement: PASS")
     if args.acyclic_mop:

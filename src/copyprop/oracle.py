@@ -382,27 +382,23 @@ class Verdict:
     step: int | None = None
 
 
-def _pairs_by_label(result: AnalysisResult) -> dict[str, tuple[tuple[str, Operand], ...]]:
-    """Each reachable block's IN pairs as (dst, src), in `pair_sort_key` order
-    so the first broken pair a replay names does not follow string hashing."""
-    table = {}
-    for label in result.reachable:
-        facts = result.in_sets[label]
-        if not facts.is_top and facts.pairs:
-            table[label] = tuple((p.dst, p.src) for p in sorted(facts.pairs, key=pair_sort_key))
-    return table
-
-
 ReplayPlan = dict[str, tuple[tuple[str, int | str], ...]]
 
 
 def _replay_plan(result: AnalysisResult) -> ReplayPlan:
-    """The `_pairs_by_label` table with each source decoded as `_decode`
-    decodes operands: a constant as its int, a variable as its name."""
-    return {
-        label: tuple((dst, src.value if isinstance(src, Const) else src.name) for dst, src in pairs)
-        for label, pairs in _pairs_by_label(result).items()
-    }
+    """Each reachable block's IN pairs as (dst, src), in `pair_sort_key` order
+    so the first broken pair a replay names does not follow string hashing.
+    A source is decoded as `_decode` decodes operands: a constant as its int,
+    a variable as its name."""
+    plan = {}
+    for label in result.reachable:
+        facts = result.in_sets[label]
+        if not facts.is_top and facts.pairs:
+            plan[label] = tuple(
+                (p.dst, p.src.value if isinstance(p.src, Const) else p.src.name)
+                for p in sorted(facts.pairs, key=pair_sort_key)
+            )
+    return plan
 
 
 def _fact_replay(plan: ReplayPlan) -> tuple[StepHook | None, list[tuple[str, int]]]:

@@ -57,22 +57,23 @@ def resolve(var: str, facts: FactSet) -> Operand:
     return resolve_chain(var, facts)[0]
 
 
-def rewrite_statement(
-    stmt: Statement, facts: FactSet, block: str = ""
-) -> tuple[Statement, list[Replacement]]:
-    """Rewrite every variable use in one statement against one fact set."""
-    if facts.is_top:
-        return stmt, []
+# A per-use rule: (variable, slot) -> (replacement, chain length), or None to keep the use.
+UseRule = Callable[[str, str], tuple[Operand, int] | None]
+
+
+def _rewrite_slots(stmt: Statement, block: str, target_of: UseRule) -> tuple[Statement, list[Replacement]]:
+    """Rewrite each variable use of one statement to `target_of(name, slot)`.
+    The one place that knows which operand of which statement is which slot."""
     replacements: list[Replacement] = []
 
     def slot(operand: Operand, position: str) -> Operand:
         if not isinstance(operand, Var):
             return operand
-        target, hops = resolve_chain(operand.name, facts)
-        if hops == 0:
+        found = target_of(operand.name, position)
+        if found is None:
             return operand
-        replacements.append(Replacement(block, position, operand.name, target, hops))
-        return target
+        replacements.append(Replacement(block, position, operand.name, *found))
+        return found[0]
 
     if isinstance(stmt, Copy):
         stmt = Copy(stmt.dst, slot(stmt.src, "copy-src"))
@@ -83,43 +84,59 @@ def rewrite_statement(
     return stmt, replacements
 
 
-def transform(prog: Program, result: AnalysisResult) -> tuple[Program, ReplacementReport]:
-    """One rewrite pass over the reachable blocks; unreachable blocks are kept as is."""
+def rewrite_statement(
+    stmt: Statement, facts: FactSet, block: str = ""
+) -> tuple[Statement, list[Replacement]]:
+    """Rewrite every variable use in one statement to the endpoint of its pair chain."""
+    if facts.is_top:
+        return stmt, []
+
+    def chain_endpoint(name: str, position: str) -> tuple[Operand, int] | None:
+        found = resolve_chain(name, facts)
+        return found if found[1] else None
+
+    return _rewrite_slots(stmt, block, chain_endpoint)
+
+
+def _rewrite_program(
+    prog: Program,
+    reachable: frozenset[str],
+    rewrite: Callable[[Statement, str], tuple[Statement, list[Replacement]]],
+) -> tuple[Program, ReplacementReport]:
+    """One pass in label order: each reachable block's statement becomes
+    `rewrite(stmt, label)`, and unreachable blocks are kept as is. Both
+    propagations walk the program here and differ only in their per-use rule."""
     new_blocks: dict[str, Block] = {}
     replacements: list[Replacement] = []
     for label in sorted_labels(prog):
         block = prog.blocks[label]
-        facts = result.in_sets[label]
-        if label in result.reachable and not facts.is_top:
-            stmt, reps = rewrite_statement(block.stmt, facts, block=label)
-            new_blocks[label] = Block(label, stmt, block.succs)
+        if label in reachable:
+            stmt, reps = rewrite(block.stmt, label)
+            block = Block(label, stmt, block.succs)
             replacements.extend(reps)
-        else:
-            new_blocks[label] = block
-    report = ReplacementReport(tuple(replacements), pass_count=1)
-    return Program(new_blocks, prog.entry, prog.exit), report
+        new_blocks[label] = block
+    return Program(new_blocks, prog.entry, prog.exit), ReplacementReport(tuple(replacements), pass_count=1)
 
 
-def _to_fixpoint(
-    prog: Program, max_rounds: int, one_pass: Callable[[Program], tuple[Program, ReplacementReport]]
-) -> tuple[Program, ReplacementReport]:
-    """Repeat an analyse-and-rewrite pass until a round replaces nothing (that
-    round counts) or max_rounds is hit; non-convergence is reported, never raised."""
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be at least 1")
-    replacements: list[Replacement] = []
-    for rounds in range(1, max_rounds + 1):
-        prog, report = one_pass(prog)
-        replacements.extend(report.replacements)
-        if not report.replacements:
-            return prog, ReplacementReport(tuple(replacements), rounds, True)
-    return prog, ReplacementReport(tuple(replacements), max_rounds, False)
+def transform(prog: Program, result: AnalysisResult) -> tuple[Program, ReplacementReport]:
+    """One rewrite pass over the reachable blocks; unreachable blocks are kept as is."""
+    in_sets = result.in_sets
+    return _rewrite_program(prog, result.reachable, lambda stmt, label: rewrite_statement(stmt, in_sets[label], label))
 
 
 def transform_to_fixpoint(prog: Program, max_rounds: int) -> tuple[Program, ReplacementReport]:
-    """Reanalyze and rewrite until a round changes nothing or max_rounds is hit.
+    """Reanalyze and rewrite until a round replaces nothing (that round
+    counts) or max_rounds is hit; non-convergence is reported, never raised.
 
     A rewritten copy can introduce pairs a later round resolves further, so a
     single pass is not always idempotent.
     """
-    return _to_fixpoint(prog, max_rounds, lambda p: transform(p, run_acs(p)))
+    if max_rounds < 1:
+        raise ValueError("max_rounds must be at least 1")
+    replacements: list[Replacement] = []
+    for rounds in range(1, max_rounds + 1):
+        prog, report = transform(prog, run_acs(prog))
+        replacements.extend(report.replacements)
+        if not report.replacements:
+            return prog, ReplacementReport(tuple(replacements), rounds, True)
+    return prog, ReplacementReport(tuple(replacements), max_rounds, False)

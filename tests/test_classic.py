@@ -16,7 +16,6 @@ from copyprop import (
     Nop,
     Program,
     Var,
-    classic_to_fixpoint,
     classic_transform,
     random_program,
     reaching_definitions,
@@ -300,19 +299,27 @@ def test_classic_chain_needs_n_rounds(n):
     assert prog.blocks[use_label].stmt == Binary("u", "+", Var("x0"), Const(0))
 
 
-def test_classic_to_fixpoint_counts_the_quiet_round():
-    prog, _ = copy_chain(3)
-    _, report = classic_to_fixpoint(prog, 10)
-    assert report.pass_count == 4
-    assert report.converged
-    assert len(report.replacements) == 3
-
-
-def test_classic_to_fixpoint_budget():
-    prog, _ = copy_chain(4)
-    _, report = classic_to_fixpoint(prog, 2)
-    assert report.pass_count == 2
-    assert not report.converged
+@pytest.mark.parametrize(
+    "one_pass", [lambda p: transform(p, run_acs(p)), classic_transform], ids=["unified", "classic"]
+)
+def test_unreachable_block_is_kept_as_is(one_pass):
+    """B4 is never reached, though the one definition of the x it reads is an
+    available copy: both passes leave it alone and rewrite the reachable use."""
+    prog = Program(
+        {
+            "B0": Block("B0", Nop(), ("B1",)),
+            "B1": Block("B1", Copy("x", Const(5)), ("B2",)),
+            "B2": Block("B2", Binary("y", "+", Var("x"), Const(1)), ("B3",)),
+            "B3": Block("B3", Nop(), ()),
+            "B4": Block("B4", Binary("z", "+", Var("x"), Const(2)), ("B3",)),
+        },
+        "B0",
+        "B3",
+    )
+    out, report = one_pass(prog)
+    assert out.blocks["B4"] == prog.blocks["B4"]
+    assert all(r.block != "B4" for r in report.replacements)
+    assert out.blocks["B2"].stmt == Binary("y", "+", Const(5), Const(1))
 
 
 def test_classic_never_beats_unified():

@@ -99,3 +99,12 @@ def test_check_catches_the_mutant(mutant, capsys):
     out = capsys.readouterr().out
     assert out.endswith("FAIL\n")
     assert "PASS" not in out
+
+
+def test_check_reports_a_broken_fact_set_invariant_as_a_fail(capsys):
+    """At this seed the mutant transfer builds a cyclic pair set inside the
+    meet-over-paths oracle: `check` must print a FAIL dump, not a traceback."""
+    assert run_check_with(no_kill_of_uses_of_the_defined_variable, 2) == 1
+    out = capsys.readouterr().out
+    assert out.endswith("FAIL\n")
+    assert "cyclic pair set" in out

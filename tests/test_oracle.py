@@ -526,15 +526,15 @@ def test_fact_replay_catches_a_planted_lie(fig2):
     assert step == 2  # B0, B1, then the lie is visible entering B2
 
 
-def test_pairs_by_label_lists_pairs_in_sort_order():
+def test_replay_plan_lists_pairs_in_sort_order():
     rng = random.Random(3)
     for _ in range(40):
         prog = random_program(GenParams(seed=rng.randrange(2**32), num_vars=6, min_blocks=12, max_blocks=30))
         res = run_acs(prog)
-        table = oracle._pairs_by_label(res)
-        for label, pairs in table.items():
+        plan = oracle._replay_plan(res)
+        for label, pairs in plan.items():
             expected = sorted(res.in_sets[label].pairs, key=pair_sort_key)
-            assert list(pairs) == [(p.dst, p.src) for p in expected]
+            assert list(pairs) == [(p.dst, p.src.value if isinstance(p.src, Const) else p.src.name) for p in expected]
 
 
 def test_fact_replay_names_the_first_broken_pair_in_sort_order(fig2):
