@@ -10,6 +10,8 @@ do not drop the mutant.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 import copyprop.analysis as analysis
@@ -93,6 +95,13 @@ def run_check_with(mutant, seed: int) -> int:
         return main(["check", "--fuzz", "--programs", "200", "--acyclic-mop", "--seed", str(seed)])
 
 
+# Recorded stdout and exit code of every mutant at seeds 0-5, which hold each
+# fixed seed above, as "exit: N" and then stdout; a change to the oracles that
+# keeps its verdicts keeps these bytes, `reason:` and `step:` lines included.
+MUTANT_GOLDEN = Path(__file__).resolve().parent / "golden" / "mutants"
+GOLDEN_SEEDS = range(6)
+
+
 @pytest.mark.parametrize("mutant", list(MUTANTS), ids=lambda mutant: mutant.__name__)
 def test_check_catches_the_mutant(mutant, capsys):
     assert run_check_with(mutant, MUTANTS[mutant]) == 1
@@ -108,3 +117,11 @@ def test_check_reports_a_broken_fact_set_invariant_as_a_fail(capsys):
     out = capsys.readouterr().out
     assert out.endswith("FAIL\n")
     assert "cyclic pair set" in out
+
+
+@pytest.mark.parametrize("seed", GOLDEN_SEEDS)
+@pytest.mark.parametrize("mutant", list(MUTANTS), ids=lambda mutant: mutant.__name__)
+def test_mutant_output_matches_golden(mutant, seed, capsys):
+    code = run_check_with(mutant, seed)
+    actual = f"exit: {code}\n" + capsys.readouterr().out
+    assert actual.encode() == (MUTANT_GOLDEN / f"{mutant.__name__}-seed{seed}.txt").read_bytes()
