@@ -47,6 +47,7 @@ from .oracle import (
     CyclicGraphError,
     Env,
     GenParams,
+    PathBudgetError,
     Trace,
     Verdict,
     differential_check,

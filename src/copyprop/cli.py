@@ -30,6 +30,7 @@ from .ir import (
 from .oracle import (
     CyclicGraphError,
     GenParams,
+    PathBudgetError,
     Verdict,
     differential_check,
     mop_in,
@@ -115,7 +116,10 @@ def _same_solution(a: AnalysisResult, b: AnalysisResult) -> bool:
 
 
 def _mop_agrees(prog: Program, result: AnalysisResult) -> bool:
-    return all(mop_in(prog, label) == result.in_sets[label] for label in result.reachable)
+    # every path of an acyclic program ends at the exit, so no block has more
+    # paths: checked first, it meets the path budget before any other block
+    labels = sorted(result.reachable, key=lambda label: label != prog.exit)
+    return all(mop_in(prog, label) == result.in_sets[label] for label in labels)
 
 
 def _dump_failure(kind: str, prog: Program, verdict: Verdict) -> None:
@@ -138,7 +142,8 @@ def _check_one(prog: Program, envs: list[dict[str, int]], args: argparse.Namespa
     with its verdict: the first failure, else "mop" when meet-over-paths was
     checked and "solver-agreement" when it was not. A ValueError, such as a
     fact set breaking its invariants, fails the check that raised it; a cyclic
-    graph only leaves meet-over-paths unchecked."""
+    graph or one with too many paths only leaves meet-over-paths unchecked,
+    and the passing verdict's reason then says which."""
     check = "differential"
     try:
         result = run_acs(prog)
@@ -154,7 +159,9 @@ def _check_one(prog: Program, envs: list[dict[str, int]], args: argparse.Namespa
         try:
             agrees = _mop_agrees(prog, result)
         except CyclicGraphError:
-            return "solver-agreement", Verdict(True)
+            return "solver-agreement", Verdict(True, "cyclic-cfg")
+        except PathBudgetError:
+            return "solver-agreement", Verdict(True, "budget")
         return check, Verdict(True) if agrees else Verdict(False, "path meet differs from fixpoint")
     except ValueError as err:
         return check, Verdict(False, str(err))
@@ -194,7 +201,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         elif mop_checked:
             print("mop: PASS")
         else:
-            print("mop: SKIP (cyclic-cfg)")
+            print(f"mop: SKIP ({verdict.reason})")
     print("PASS")
     return 0
 

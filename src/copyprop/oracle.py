@@ -50,6 +50,14 @@ class CyclicGraphError(ValueError):
     pass
 
 
+class PathBudgetError(ValueError):
+    pass
+
+
+# most entry paths `enumerate_paths` walks for one target
+PATH_BUDGET = 4096
+
+
 def _assert_acyclic(prog: Program) -> None:
     colors: dict[str, int] = {}
     for root in prog.blocks:
@@ -78,10 +86,15 @@ def enumerate_paths(prog: Program, target: str) -> list[tuple[str, ...]]:
     """All entry-to-target block sequences; only defined on acyclic graphs.
 
     Depth-first in successor order with an explicit stack, so path length is
-    not bounded by the interpreter's recursion limit.
+    not bounded by the interpreter's recursion limit. The number of paths
+    grows exponentially with sequential branches, so the walk raises
+    `PathBudgetError` once it has followed more than `PATH_BUDGET` paths
+    from the entry, counting those that reach the target and those that end
+    at the exit without it.
     """
     _assert_acyclic(prog)
     paths: list[tuple[str, ...]] = []
+    walked = 0
     path: list[str] = []
     # stack[i + 1] iterates the successors of path[i]; stack[0] yields the entry
     stack: list[Iterator[str]] = [iter((prog.entry,))]
@@ -93,11 +106,14 @@ def enumerate_paths(prog: Program, target: str) -> list[tuple[str, ...]]:
                 path.pop()
             continue
         path.append(label)
-        if label == target:
-            paths.append(tuple(path))
-            stack.append(iter(()))
-        else:
-            stack.append(iter(prog.blocks[label].succs))
+        succs = () if label == target else prog.blocks[label].succs
+        if not succs:
+            walked += 1
+            if walked > PATH_BUDGET:
+                raise PathBudgetError(f"more than {PATH_BUDGET} paths toward {target}")
+            if label == target:
+                paths.append(tuple(path))
+        stack.append(iter(succs))
     return paths
 
 
@@ -266,28 +282,35 @@ def _run(
     return label, "fuel-exhausted", None, 0
 
 
-def interpret(prog: Program, env0: Env, fuel: int, *, on_step: StepHook | None = None) -> Trace:
+def interpret(
+    prog: Program, env0: Env, fuel: int, *, on_step: StepHook | None = None, fast_forward: bool = False
+) -> Trace:
     """Run the program concretely, at most `fuel` block executions.
 
     Arithmetic wraps around 64 signed bits and division truncates toward
     zero. A nonzero branch condition takes the first successor. Division by
     zero and reads of unbound variables end the run as a runtime error.
     `on_step` sees each block label with the environment before its
-    statement runs, on every one of the `fuel` steps.
+    statement runs, on every one of the `fuel` steps, unless `fast_forward`.
 
-    Without `on_step`, the run is fast-forwarded once it reaches a
-    (label, environment) state it was in `period` steps before (Brent's cycle
-    detection, see `_run`). Runs are deterministic, so from there it repeats
-    those blocks until the fuel runs out, and that loop holds neither the
-    exit nor a runtime error, or the run would have ended. Their labels are
-    appended once per whole lap the fuel leaves and the last few steps run
-    as usual: the trace is exactly that of a run executing every step, at a
-    cost in steps of the loop's start plus its length instead of `fuel`.
+    Without `on_step`, or with `fast_forward`, the run is fast-forwarded once
+    it reaches a (label, environment) state it was in `period` steps before
+    (Brent's cycle detection, see `_run`). Runs are deterministic, so from
+    there it repeats those blocks until the fuel runs out, and that loop holds
+    neither the exit nor a runtime error, or the run would have ended. Their
+    labels are appended once per whole lap the fuel leaves and the last few
+    steps run as usual: the trace is exactly that of a run executing every
+    step, at a cost in steps of the loop's start plus its length instead of
+    `fuel`. A hook then sees every step up to the first repeated state and
+    none after, so pass `fast_forward` only for a hook whose effect at a step
+    depends on that step's state alone, such as a check of the state that
+    keeps its first finding: every later state is one it has already seen.
     """
     code = _decode(prog)
     env = dict(env0)
     labels: list[str] = []
-    label, status, error, period = _run(code, prog.exit, prog.entry, env, labels, fuel, on_step, on_step is None)
+    watch = on_step is None or fast_forward
+    label, status, error, period = _run(code, prog.exit, prog.entry, env, labels, fuel, on_step, watch)
     if period:
         laps, rest = divmod(fuel - len(labels), period)
         labels.extend(labels[-period:] * laps)
@@ -404,7 +427,9 @@ def _replay_plan(result: AnalysisResult) -> ReplayPlan:
 def _fact_replay(plan: ReplayPlan) -> tuple[StepHook | None, list[tuple[str, int]]]:
     """The `on_step` hook of `fact_soundness_violation` over a `_replay_plan`.
     The first violation lands in the returned list as (reason, step index).
-    The hook is None for an empty plan, where nothing can fail."""
+    The hook is None for an empty plan, where nothing can fail. A step's
+    verdict depends on its (label, env) state alone and only the first
+    finding is kept, so the hook may run under `interpret`'s `fast_forward`."""
     found: list[tuple[str, int]] = []
     if not plan:
         return None, found
@@ -435,10 +460,12 @@ def fact_soundness_violation(
 
     At each executed block, every (x, e) in its IN set must satisfy
     value(x) == value(e) in the environment before the statement runs.
-    Returns (reason, step index) for the first violation, or None.
+    Returns (reason, step index) for the first violation, or None. The run
+    is fast-forwarded once its (label, env) state repeats: every later step
+    is in a state already checked, so the first violation comes before.
     """
     hook, found = _fact_replay(_replay_plan(result))
-    interpret(prog, env0, fuel, on_step=hook)
+    interpret(prog, env0, fuel, on_step=hook, fast_forward=True)
     return found[0] if found else None
 
 
@@ -485,7 +512,8 @@ def differential_check(
     continued from the one-pass program so the original is solved once.
     The original runs once per input and every variant is compared against
     that run; with check_facts the same run replays the analysis' IN sets
-    against live values. The first failure is reported in this order: the
+    against live values, fast-forwarded as in `fact_soundness_violation`
+    once its state repeats. The first failure is reported in this order: the
     one-pass program over all inputs, each input's fact violation right
     after its comparison, then the iterated program. An iterated program
     equal to the one-pass program is not run: runs are deterministic.
@@ -502,7 +530,7 @@ def differential_check(
     iterated_failure: Verdict | None = None
     for env0 in envs:
         hook, found = _fact_replay(plan)
-        original = interpret(prog, env0, fuel, on_step=hook)
+        original = interpret(prog, env0, fuel, on_step=hook, fast_forward=True)
         verdict = _difference(original, interpret(one, env0, fuel), env0)
         if verdict is not None:
             return verdict

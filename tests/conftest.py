@@ -50,3 +50,19 @@ def looped_counter() -> Program:
         "B4": Block("B4", Nop(), ()),
     }
     return Program(blocks, "B0", "B4")
+
+
+def sequential_diamonds(k: int) -> Program:
+    """x = 1, then k diamonds in a row, each `branch p` to y = x or y = 2
+    joined by z = y + 1: 2**k paths from the entry to the exit."""
+    lines = ["entry: B0", "exit: X", "B0: nop -> B1", "B1: x = 1 -> D0"]
+    for i in range(k):
+        join = f"D{i + 1}" if i + 1 < k else "X"
+        lines += [
+            f"D{i}: branch p -> L{i}, R{i}",
+            f"L{i}: y = x -> J{i}",
+            f"R{i}: y = 2 -> J{i}",
+            f"J{i}: z = y + 1 -> {join}",
+        ]
+    lines.append("X: nop")
+    return parse_program("\n".join(lines) + "\n")

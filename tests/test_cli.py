@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
 import copyprop.analysis as analysis
+import copyprop.oracle as oracle
 from copyprop.cli import build_parser, main
-from conftest import FIXTURES
+from copyprop.ir import print_program
+from conftest import FIXTURES, sequential_diamonds
 
 FIG1 = str(FIXTURES / "fig1.tac")
 FIG2 = str(FIXTURES / "fig2.tac")
@@ -147,6 +151,24 @@ def test_check_mop_skips_cyclic(tmp_path, capsys):
     code, out, _ = run(capsys, "check", str(path), "--acyclic-mop")
     assert code == 0
     assert "mop: SKIP (cyclic-cfg)" in out.splitlines()
+
+
+def test_check_mop_skips_a_program_past_the_path_budget(tmp_path, capsys):
+    # 2**20 paths; the walk toward the exit stops after the budget's 4096
+    path = tmp_path / "diamonds.tac"
+    path.write_text(print_program(sequential_diamonds(20)))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "check", str(path), "--acyclic-mop")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert out.splitlines()[-2:] == ["mop: SKIP (budget)", "PASS"]
+
+
+def test_check_fuzz_does_not_count_programs_past_the_path_budget(monkeypatch, capsys):
+    monkeypatch.setattr(oracle, "PATH_BUDGET", 0)
+    code, out, _ = run(capsys, "check", "--fuzz", "--programs", "20", "--seed", "42", "--acyclic-mop")
+    assert code == 0
+    assert out.splitlines()[-2:] == ["mop: PASS (checked=0)", "PASS"]
 
 
 def test_check_fuzz(capsys):

@@ -20,6 +20,7 @@ from copyprop import (
     FactSet,
     GenParams,
     Nop,
+    PathBudgetError,
     Program,
     Var,
     differential_check,
@@ -37,8 +38,8 @@ from copyprop import (
     variables,
 )
 from copyprop.dataflow import AnalysisResult, pair_sort_key
-from conftest import load_fixture, looped_counter, straight_line
-from strategies import environments, programs
+from conftest import load_fixture, looped_counter, sequential_diamonds, straight_line
+from strategies import VARIABLES, environments, programs
 
 
 # ---------------------------------------------------------------- paths / mop
@@ -76,6 +77,23 @@ def test_deep_straight_line_has_one_path():
     paths = enumerate_paths(prog, prog.exit)
     assert paths == [tuple(f"B{i}" for i in range(1202))]
     assert mop_in(prog, prog.exit) == EMPTY == run_acs(prog).in_sets[prog.exit]
+
+
+def test_path_budget_admits_exactly_its_size():
+    # 12 diamonds have 2**12 == PATH_BUDGET paths to the exit, 13 twice that
+    assert oracle.PATH_BUDGET == 4096
+    assert len(enumerate_paths(sequential_diamonds(12), "X")) == 4096
+    with pytest.raises(PathBudgetError):
+        enumerate_paths(sequential_diamonds(13), "X")
+
+
+def test_path_budget_counts_paths_that_miss_the_target():
+    # one path reaches L0, but the walk toward it follows all 2**12 paths
+    # through R0; the budget bounds the walk, not only what it returns
+    prog = sequential_diamonds(13)
+    assert len(enumerate_paths(sequential_diamonds(12), "L0")) == 1
+    with pytest.raises(PathBudgetError):
+        mop_in(prog, "L0")
 
 
 def test_mop_fig1(fig1):
@@ -654,3 +672,126 @@ def test_differential_replays_facts_on_the_original_run(fig2, monkeypatch):
     assert verdict == oracle.Verdict(False, reason, {"a": 3}, 2)
     assert step == 2
     assert differential_check(fig2, [{"a": 3}], 100, rounds=10, check_facts=False).ok
+
+
+# ------------------------------------------------- fast-forwarded fact replay
+# The replay runs under `interpret(..., fast_forward=True)`: it stops checking
+# once the (label, env) state repeats. The reference below checks every pair
+# of the plan on every step of the step-by-step reference interpreter.
+
+
+def reference_replay(prog: Program, plan: dict, env0: dict, fuel: int) -> tuple:
+    """(labels, final_env, status, error) and the first (reason, step) at
+    which a live value breaks a planned pair, or None."""
+    found = []
+    steps = iter(range(fuel))
+
+    def check(label, env):
+        step = next(steps)
+        if found:
+            return
+        for dst, src in plan.get(label, ()):
+            x = env.get(dst)
+            e = src if isinstance(src, int) else env.get(src)
+            if x is None or e is None or x != e:
+                found.append((f"fact ({dst}, {src}) broken at {label}: {x} vs {e}", step))
+                return
+
+    observed = reference_interpret(prog, env0, fuel, on_step=check)
+    return observed, found[0] if found else None
+
+
+def fast_forwarded_replay(prog: Program, plan: dict, env0: dict, fuel: int) -> tuple:
+    hook, found = oracle._fact_replay(plan)
+    trace = interpret(prog, env0, fuel, on_step=hook, fast_forward=True)
+    return _observed(trace), found[0] if found else None
+
+
+def _with_lies(plan: dict, lies) -> dict:
+    """plan with each (label, dst, src) appended to its label's pairs."""
+    planted = dict(plan)
+    for label, dst, src in lies:
+        planted[label] = planted.get(label, ()) + ((dst, src),)
+    return planted
+
+
+lies = st.lists(
+    st.tuples(
+        st.integers(0, 11),
+        st.sampled_from(VARIABLES),
+        st.one_of(st.sampled_from(VARIABLES), st.integers(-8, 8)),
+    ),
+    max_size=3,
+)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(prog=programs(), env=environments, fuel=st.sampled_from(FUELS), planted=lies)
+def test_fast_forwarded_replay_matches_the_reference_on_any_program(prog, env, fuel, planted):
+    labels = list(prog.blocks)
+    lies_at = [(labels[i % len(labels)], dst, src) for i, dst, src in planted]
+    plan = _with_lies(oracle._replay_plan(run_acs(prog)), lies_at)
+    assert fast_forwarded_replay(prog, plan, env, fuel) == reference_replay(prog, plan, env, fuel)
+
+
+def test_fast_forwarded_replay_matches_the_reference_on_random_programs():
+    """3000 looping programs at fuel 1000: even seeds replay the solver's own
+    IN sets through `fact_soundness_violation`, odd seeds add a planted lie
+    at a random reachable block."""
+    outcomes: Counter = Counter()
+    for seed in range(3000):
+        prog = random_program(GenParams(seed=seed, branch_prob=0.4, loop_prob=0.5))
+        rng = random.Random(seed)
+        env = {name: rng.randint(-4, 4) for name in sorted(variables(prog))}
+        result = run_acs(prog)
+        plan = oracle._replay_plan(result)
+        if seed % 2 == 0:
+            expected = reference_replay(prog, plan, env, 1000)
+            assert fact_soundness_violation(prog, result, env, 1000) == expected[1] is None, seed
+        else:
+            label = rng.choice(sorted(result.reachable))
+            src = rng.choice([*sorted(variables(prog)), rng.randint(-4, 4)])
+            plan = _with_lies(plan, [(label, rng.choice(sorted(variables(prog))), src)])
+            expected = reference_replay(prog, plan, env, 1000)
+            assert fast_forwarded_replay(prog, plan, env, 1000) == expected, seed
+        outcomes[expected[0][2], expected[1] is not None] += 1
+    assert outcomes["fuel-exhausted", False] >= 100
+    assert outcomes["fuel-exhausted", True] >= 30
+
+
+# i counts 333 laps of B3-B5, a new state on every lap; then B6 loops on
+# itself forever, so the state first repeats only after the lie at B6 broke
+LATE_BREAK = parse_program(
+    """
+entry: B0
+exit: B7
+B0: nop -> B1
+B1: i = 0 -> B2
+B2: x = 0 -> B3
+B3: i = i + 1 -> B4
+B4: c = i - 333 -> B5
+B5: branch c -> B3, B6
+B6: branch 1 -> B6, B7
+B7: nop
+"""
+)
+
+
+def test_a_late_violation_is_found_before_the_run_is_fast_forwarded(monkeypatch):
+    plan = {"B3": (("x", 0),), "B6": (("x", "i"), ("x", 1))}
+    executed = _executed_step_by_step(monkeypatch)
+    replay = fast_forwarded_replay(LATE_BREAK, plan, {}, 10**5)
+    assert replay == reference_replay(LATE_BREAK, plan, {}, 10**5)
+    # B0, B1, B2, then 333 laps of three blocks: B6 is step 1002
+    assert replay[1] == ("fact (x, i) broken at B6: 0 vs 333", 1002)
+    assert replay[0][2] == "fuel-exhausted"
+    # Brent's saved state is at most twice as old as the repeat that ends the run
+    assert sum(executed) < 2 * 1003 + len(LATE_BREAK.blocks)
+
+
+def test_replay_of_a_self_loop_is_fast_forwarded(monkeypatch):
+    result = run_acs(SELF_LOOP)
+    assert oracle._replay_plan(result)["B2"] == (("x", 5),)
+    executed = _executed_step_by_step(monkeypatch)
+    assert fact_soundness_violation(SELF_LOOP, result, {"p": 1}, 10**6) is None
+    assert sum(executed) < 40
