@@ -7,7 +7,7 @@ interpreter, and brute-force solvers are included for cross-checking.
 """
 
 from .analysis import run_acs, transfer, universe
-from .classic import DefSite, classic_transform, reaching_definitions
+from .classic import classic_transform, reaching_definitions
 from .dataflow import (
     EMPTY,
     TOP,

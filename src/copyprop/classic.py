@@ -16,14 +16,12 @@ transfer is `bits & ~kill | gen`, where the kill mask holds the bits of every
 definition of the same variable, and joins are bitwise or. The fixpoint stays
 in bits. The unique-definition test reads them directly: the definitions of t
 that reach a block are its vector masked with t's kill mask, and exactly one
-reaches when that leaves a single set bit. `DefSite` sets are built only when
-a block's entry is read as a set.
+reaches when that leaves a single set bit.
 """
 
 from __future__ import annotations
 
 import operator
-from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
 from .analysis import run_acs
@@ -33,60 +31,33 @@ from .propagate import Replacement, ReplacementReport, _rewrite_program, _rewrit
 
 
 @dataclass(frozen=True)
-class DefSite:
-    block: str
-    var: str
+class ReachingDefinitions:
+    """Fixpoint of reaching definitions: one bit vector per reachable block
+    over the defining blocks in `sites`; `defs_of[var]` has the bits of
+    every definition of var."""
 
+    in_bits: dict[str, int]
+    sites: list[str]
+    defs_of: dict[str, int]
 
-class ReachingDefinitions(Mapping[str, frozenset[DefSite]]):
-    """Fixpoint of reaching definitions: each reachable label maps to the
-    definition sites that can reach its input.
-
-    Held as one bit vector per block over `sites`; `defs_of[var]` has the
-    bits of every definition of var. A label's frozenset is built on each
-    lookup.
-    """
-
-    def __init__(self, in_bits: dict[str, int], sites: list[DefSite], defs_of: dict[str, int]):
-        self._bits = in_bits
-        self._sites = sites
-        self._defs_of = defs_of
-
-    def __getitem__(self, label: str) -> frozenset[DefSite]:
-        members, rest = [], self._bits[label]
-        while rest:
-            low = rest & -rest  # lowest set bit
-            members.append(self._sites[low.bit_length() - 1])
-            rest ^= low
-        return frozenset(members)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._bits)
-
-    def __len__(self) -> int:
-        return len(self._bits)
-
-    def unique_definition(self, label: str, var: str) -> DefSite | None:
-        """The one definition of var reaching label's input, or None when
-        none or several do."""
-        hits = self._bits[label] & self._defs_of.get(var, 0)
+    def unique_definition(self, label: str, var: str) -> str | None:
+        """The block whose definition of var is the one reaching label's
+        input, or None when none or several do."""
+        hits = self.in_bits[label] & self.defs_of.get(var, 0)
         if hits and not hits & (hits - 1):
-            return self._sites[hits.bit_length() - 1]
+            return self.sites[hits.bit_length() - 1]
         return None
 
 
 def reaching_definitions(prog: Program) -> ReachingDefinitions:
-    """Forward may-analysis: definition sites that can reach each reachable
+    """Forward may-analysis: definitions that can reach each reachable
     block's input. Joins take the union and the entry starts empty."""
-    sites: list[DefSite] = []
+    defined = [(label, d) for label, block in prog.blocks.items() if (d := defined_var(block.stmt)) is not None]
     kill: dict[str, int] = {}
-    for label, block in prog.blocks.items():
-        d = defined_var(block.stmt)
-        if d is not None:
-            kill[d] = kill.get(d, 0) | 1 << len(sites)
-            sites.append(DefSite(label, d))
+    for i, (_, d) in enumerate(defined):
+        kill[d] = kill.get(d, 0) | 1 << i
     # label -> (mask of the bits that survive the block, the block's own bit)
-    transfer = {site.block: (~kill[site.var], 1 << i) for i, site in enumerate(sites)}
+    transfer = {label: (~kill[d], 1 << i) for i, (label, d) in enumerate(defined)}
 
     def step(block: Block, bits: int) -> int:
         keep_gen = transfer.get(block.label)
@@ -96,7 +67,8 @@ def reaching_definitions(prog: Program) -> ReachingDefinitions:
         return bits & keep | gen
 
     result = _solve(prog, step, 0, 0, operator.or_)
-    return ReachingDefinitions({label: result.in_sets[label] for label in result.reachable}, sites, kill)
+    in_bits = {label: result.in_sets[label] for label in result.reachable}
+    return ReachingDefinitions(in_bits, [label for label, _ in defined], kill)
 
 
 def classic_transform(prog: Program, acs: AnalysisResult | None = None) -> tuple[Program, ReplacementReport]:
@@ -115,7 +87,7 @@ def classic_transform(prog: Program, acs: AnalysisResult | None = None) -> tuple
             site = rd.unique_definition(label, name)
             if site is None:
                 return None
-            def_stmt = prog.blocks[site.block].stmt
+            def_stmt = prog.blocks[site].stmt
             if not isinstance(def_stmt, Copy) or def_stmt.src == Var(name):
                 return None
             if CopyPair(name, def_stmt.src) not in facts:

@@ -147,7 +147,7 @@ def _check_one(prog: Program, envs: list[dict[str, int]], args: argparse.Namespa
     check = "differential"
     try:
         result = run_acs(prog)
-        verdict = differential_check(prog, envs, args.fuel, rounds=10, result=result)
+        verdict = differential_check(prog, envs, args.fuel, result=result)
         if not verdict.ok:
             return check, verdict
         check = "solver-agreement"
@@ -178,11 +178,14 @@ def cmd_check(args: argparse.Namespace) -> int:
         args.parser.error("--inputs must be at least 1")
     if args.fuel < 1:
         args.parser.error("--fuel must be at least 1")
+    if args.fuel > 10**7:  # each run's trace holds `fuel` labels
+        args.parser.error("--fuel must be at most 10000000")
     rng = random.Random(args.seed)
 
     if args.fuzz:
         print(f"fuzz: programs={args.programs} inputs={args.inputs} seed={args.seed}")
-        programs = [random_program(GenParams(seed=rng.randrange(2**32))) for _ in range(args.programs)]
+        seeds = [rng.randrange(2**32) for _ in range(args.programs)]
+        programs = (random_program(GenParams(seed=seed)) for seed in seeds)
     else:
         programs = [_load(args.file)]
 

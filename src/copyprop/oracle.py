@@ -222,17 +222,16 @@ def _run(
     labels: list[str],
     steps: int,
     on_step: StepHook | None,
-    watch: bool,
 ) -> tuple[str, str, str | None, int]:
     """Execute at most `steps` blocks from `label`, updating `env` and
     appending each executed label. Returns (next label, status, error, period).
 
-    With `watch`, Brent's cycle detection runs on the (label, env) state: one
-    state is saved, and replaced whenever the steps since it reach the next
-    power of two, starting from the block count so that a run shorter than
-    the program copies nothing. A run that meets its saved state again stops
-    there with the steps since it as `period`, the length of the loop it is
-    caught in; otherwise `period` is 0.
+    Brent's cycle detection runs on the (label, env) state: one state is
+    saved, and replaced whenever the steps since it reach the next power of
+    two, starting from the block count so that a run shorter than the program
+    copies nothing. A run that meets its saved state again stops there with
+    the steps since it as `period`, the length of the loop it is caught in;
+    otherwise `period` is 0.
     """
     append = labels.append
     saved_label = saved_env = None
@@ -271,50 +270,44 @@ def _run(
         if label == exit_label:
             return label, "exit", None, 0
         label = nxt
-        if watch:
-            if label == saved_label and env == saved_env:
-                return label, "fuel-exhausted", None, period
-            if period == power:
-                saved_label, saved_env = label, dict(env)
-                power *= 2
-                period = 0
-            period += 1
+        if label == saved_label and env == saved_env:
+            return label, "fuel-exhausted", None, period
+        if period == power:
+            saved_label, saved_env = label, dict(env)
+            power *= 2
+            period = 0
+        period += 1
     return label, "fuel-exhausted", None, 0
 
 
-def interpret(
-    prog: Program, env0: Env, fuel: int, *, on_step: StepHook | None = None, fast_forward: bool = False
-) -> Trace:
+def interpret(prog: Program, env0: Env, fuel: int, *, on_step: StepHook | None = None) -> Trace:
     """Run the program concretely, at most `fuel` block executions.
 
     Arithmetic wraps around 64 signed bits and division truncates toward
     zero. A nonzero branch condition takes the first successor. Division by
     zero and reads of unbound variables end the run as a runtime error.
-    `on_step` sees each block label with the environment before its
-    statement runs, on every one of the `fuel` steps, unless `fast_forward`.
 
-    Without `on_step`, or with `fast_forward`, the run is fast-forwarded once
-    it reaches a (label, environment) state it was in `period` steps before
-    (Brent's cycle detection, see `_run`). Runs are deterministic, so from
-    there it repeats those blocks until the fuel runs out, and that loop holds
-    neither the exit nor a runtime error, or the run would have ended. Their
-    labels are appended once per whole lap the fuel leaves and the last few
-    steps run as usual: the trace is exactly that of a run executing every
-    step, at a cost in steps of the loop's start plus its length instead of
-    `fuel`. A hook then sees every step up to the first repeated state and
-    none after, so pass `fast_forward` only for a hook whose effect at a step
-    depends on that step's state alone, such as a check of the state that
-    keeps its first finding: every later state is one it has already seen.
+    The run is fast-forwarded once it reaches a (label, environment) state it
+    was in `period` steps before (Brent's cycle detection, see `_run`). Runs
+    are deterministic, so from there it repeats those blocks until the fuel
+    runs out, and that loop holds neither the exit nor a runtime error, or the
+    run would have ended. Their labels are appended once per whole lap the
+    fuel leaves and the last few steps run as usual: the trace is exactly that
+    of a run executing every step, at a cost in steps of the loop's start plus
+    its length instead of `fuel`. `on_step` sees each block label with the
+    environment before its statement runs, on every step until the run is
+    fast-forwarded and none after. That is never before the first repeated
+    state, so the hook sees every state of the run at least once: it suits a
+    check of the state that keeps its first finding, such as the fact replay.
     """
     code = _decode(prog)
     env = dict(env0)
     labels: list[str] = []
-    watch = on_step is None or fast_forward
-    label, status, error, period = _run(code, prog.exit, prog.entry, env, labels, fuel, on_step, watch)
+    label, status, error, period = _run(code, prog.exit, prog.entry, env, labels, fuel, on_step)
     if period:
         laps, rest = divmod(fuel - len(labels), period)
         labels.extend(labels[-period:] * laps)
-        label, status, error, _ = _run(code, prog.exit, label, env, labels, rest, None, False)
+        label, status, error, _ = _run(code, prog.exit, label, env, labels, rest, None)
     return Trace(tuple(labels), dict(env), status, error)
 
 
@@ -429,7 +422,7 @@ def _fact_replay(plan: ReplayPlan) -> tuple[StepHook | None, list[tuple[str, int
     The first violation lands in the returned list as (reason, step index).
     The hook is None for an empty plan, where nothing can fail. A step's
     verdict depends on its (label, env) state alone and only the first
-    finding is kept, so the hook may run under `interpret`'s `fast_forward`."""
+    finding is kept, so the steps `interpret` fast-forwards need no check."""
     found: list[tuple[str, int]] = []
     if not plan:
         return None, found
@@ -465,7 +458,7 @@ def fact_soundness_violation(
     is in a state already checked, so the first violation comes before.
     """
     hook, found = _fact_replay(_replay_plan(result))
-    interpret(prog, env0, fuel, on_step=hook, fast_forward=True)
+    interpret(prog, env0, fuel, on_step=hook)
     return found[0] if found else None
 
 
@@ -494,27 +487,23 @@ def _difference(t1: Trace, t2: Trace, env0: Env) -> Verdict | None:
     return None
 
 
+ROUNDS = 10
+
+
 def differential_check(
-    prog: Program,
-    envs: Iterable[Env],
-    fuel: int,
-    *,
-    rounds: int = 1,
-    check_facts: bool = True,
-    result: AnalysisResult | None = None,
+    prog: Program, envs: Iterable[Env], fuel: int, *, result: AnalysisResult | None = None
 ) -> Verdict:
     """Compare original and transformed runs over the given inputs.
 
     Equivalence means the same termination status, the same block sequence
-    (hence the same branch decisions), and the same final environment. The
-    one-pass program is always compared; with rounds > 1 so is the program
-    rewritten until a round changes nothing or `rounds` rounds are done,
-    continued from the one-pass program so the original is solved once.
-    The original runs once per input and every variant is compared against
-    that run; with check_facts the same run replays the analysis' IN sets
-    against live values, fast-forwarded as in `fact_soundness_violation`
-    once its state repeats. The first failure is reported in this order: the
-    one-pass program over all inputs, each input's fact violation right
+    (hence the same branch decisions), and the same final environment. Two
+    variants are compared: the one-pass program, and the program rewritten
+    until a round changes nothing or `ROUNDS` rounds are done, continued from
+    the one-pass program so the original is solved once. The original runs
+    once per input and every variant is compared against that run; the same
+    run replays the analysis' IN sets against live values, as in
+    `fact_soundness_violation`. The first failure is reported in this order:
+    the one-pass program over all inputs, each input's fact violation right
     after its comparison, then the iterated program. An iterated program
     equal to the one-pass program is not run: runs are deterministic.
     `result` is the availability solution of prog when the caller already
@@ -523,14 +512,14 @@ def differential_check(
     if result is None:
         result = run_acs(prog)
     one, _ = transform(prog, result)
-    iterated = transform_to_fixpoint(one, rounds - 1)[0] if rounds > 1 else None
+    iterated: Program | None = transform_to_fixpoint(one, ROUNDS - 1)[0]
     if iterated == one:
         iterated = None
-    plan = _replay_plan(result) if check_facts else {}
+    plan = _replay_plan(result)
     iterated_failure: Verdict | None = None
     for env0 in envs:
         hook, found = _fact_replay(plan)
-        original = interpret(prog, env0, fuel, on_step=hook, fast_forward=True)
+        original = interpret(prog, env0, fuel, on_step=hook)
         verdict = _difference(original, interpret(one, env0, fuel), env0)
         if verdict is not None:
             return verdict

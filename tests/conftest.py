@@ -3,10 +3,16 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from copyprop import Binary, Block, Branch, Const, Copy, Nop, Program, Statement, Var, parse_program
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+# every property replays the same examples on every run and stores none;
+# each test sets its own max_examples
+settings.register_profile("copyprop", derandomize=True, database=None, deadline=None)
+settings.load_profile("copyprop")
 
 
 def load_fixture(name: str) -> Program:

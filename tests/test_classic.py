@@ -11,7 +11,6 @@ from copyprop import (
     Branch,
     Const,
     Copy,
-    DefSite,
     GenParams,
     Nop,
     Program,
@@ -22,6 +21,7 @@ from copyprop import (
     resolve,
     run_acs,
     transform,
+    variables,
 )
 from copyprop.cli import main
 from copyprop.dataflow import CopyPair, _solve
@@ -34,25 +34,50 @@ def sites(report):
     return {(r.block, r.position) for r in report.replacements}
 
 
+def set_based_reaching_definitions(prog):
+    """Reference: the same analysis over frozensets of (block, var) sites."""
+
+    def step(block, sites):
+        d = defined_var(block.stmt)
+        if d is None:
+            return sites
+        return frozenset(s for s in sites if s[1] != d) | {(block.label, d)}
+
+    result = _solve(prog, step, frozenset(), frozenset(), frozenset.union)
+    return {label: result.in_sets[label] for label in result.reachable}
+
+
+def unique_definitions_match_the_reference(prog) -> dict:
+    """Checks `unique_definition` for every reachable label and every
+    variable, plus one nobody mentions, against the set-based reference,
+    and returns the reference."""
+    rd = reaching_definitions(prog)
+    reference = set_based_reaching_definitions(prog)
+    assert set(rd.in_bits) == set(reference)
+    for label, sites in reference.items():
+        for var in sorted(variables(prog) | {"unmentioned"}):
+            own = [block for block, v in sites if v == var]
+            assert rd.unique_definition(label, var) == (own[0] if len(own) == 1 else None), (label, var)
+    return reference
+
+
 def test_reaching_definitions_fig1(fig1):
-    rd = reaching_definitions(fig1)
-    assert rd[fig1.entry] == frozenset()
-    assert rd["B4"] == frozenset({DefSite("B2", "y"), DefSite("B3", "y")})
-    assert rd["B5"] == frozenset(
-        {DefSite("B2", "y"), DefSite("B3", "y"), DefSite("B4", "z")}
-    )
+    sites = unique_definitions_match_the_reference(fig1)
+    assert sites[fig1.entry] == frozenset()
+    assert sites["B4"] == frozenset({("B2", "y"), ("B3", "y")})
+    assert sites["B5"] == frozenset({("B2", "y"), ("B3", "y"), ("B4", "z")})
 
 
 def test_reaching_definitions_kill():
     prog = straight_line(Copy("x", Const(5)), Copy("x", Const(9)))
-    rd = reaching_definitions(prog)
-    assert rd[prog.exit] == frozenset({DefSite("B2", "x")})
+    unique_definitions_match_the_reference(prog)
+    assert reaching_definitions(prog).unique_definition(prog.exit, "x") == "B2"
 
 
 def test_reaching_definitions_loop():
     prog, _ = copy_chain(2)
-    rd = reaching_definitions(prog)
-    assert DefSite("B1", "x1") in rd["B2"]
+    unique_definitions_match_the_reference(prog)
+    assert reaching_definitions(prog).unique_definition("B2", "x1") == "B1"
 
 
 def test_reaching_definitions_skip_unreachable():
@@ -64,23 +89,11 @@ def test_reaching_definitions_skip_unreachable():
         "B2": Block("B2", Nop(), ()),
         "B9": Block("B9", Copy("x", Const(2)), ("B2",)),
     }
-    rd = reaching_definitions(Program(blocks, "B0", "B2"))
-    assert set(rd) == {"B0", "B1", "B2"}
-    assert rd["B2"] == frozenset({DefSite("B1", "x")})
-    assert all(DefSite("B9", "x") not in sites for sites in rd.values())
-
-
-def set_based_reaching_definitions(prog):
-    """Reference: the same analysis over frozensets of DefSite."""
-
-    def step(block, sites):
-        d = defined_var(block.stmt)
-        if d is None:
-            return sites
-        return frozenset(s for s in sites if s.var != d) | {DefSite(block.label, d)}
-
-    result = _solve(prog, step, frozenset(), frozenset(), frozenset.union)
-    return {label: result.in_sets[label] for label in result.reachable}
+    prog = Program(blocks, "B0", "B2")
+    unique_definitions_match_the_reference(prog)
+    rd = reaching_definitions(prog)
+    assert set(rd.in_bits) == {"B0", "B1", "B2"}
+    assert rd.unique_definition("B2", "x") == "B1"
 
 
 def test_reaching_definitions_match_the_set_based_reference():
@@ -97,7 +110,7 @@ def test_reaching_definitions_match_the_set_based_reference():
         prog = random_program(params)
         defs = sum(defined_var(b.stmt) is not None for b in prog.blocks.values())
         over_64 += defs > 64
-        assert reaching_definitions(prog) == set_based_reaching_definitions(prog), params.seed
+        unique_definitions_match_the_reference(prog)
     assert over_64 >= 20
 
 
@@ -111,11 +124,9 @@ def test_reaching_definitions_self_loop_and_unreachable_definition():
         "B3": Block("B3", Nop(), ()),
         "B9": Block("B9", Copy("x", Const(5)), ("B2",)),
     }
-    prog = Program(blocks, "B0", "B3")
-    rd = reaching_definitions(prog)
-    assert rd == set_based_reaching_definitions(prog)
-    assert set(rd) == {"B0", "B1", "B2"}
-    assert rd["B2"] == frozenset({DefSite("B1", "x"), DefSite("B2", "x")})
+    sites = unique_definitions_match_the_reference(Program(blocks, "B0", "B3"))
+    assert set(sites) == {"B0", "B1", "B2"}
+    assert sites["B2"] == frozenset({("B1", "x"), ("B2", "x")})
 
 
 def test_compare_calls_reaching_definitions_by_module_attribute(monkeypatch, capsys):
@@ -141,7 +152,7 @@ def test_unique_definition(fig1):
     rd = reaching_definitions(fig1)
     assert rd.unique_definition("B4", "w") is None
     assert rd.unique_definition("B4", "y") is None  # B2 and B3 both reach
-    assert rd.unique_definition("B5", "z") == DefSite("B4", "z")
+    assert rd.unique_definition("B5", "z") == "B4"
 
     blocks = {
         "B0": Block("B0", Nop(), ("B1",)),
@@ -151,14 +162,14 @@ def test_unique_definition(fig1):
         "B9": Block("B9", Copy("x", Const(2)), ("B2",)),
     }
     rd = reaching_definitions(Program(blocks, "B0", "B3"))
-    assert rd.unique_definition("B2", "x") == DefSite("B1", "x")
-    assert rd.unique_definition("B2", "y") == DefSite("B2", "y")
+    assert rd.unique_definition("B2", "x") == "B1"
+    assert rd.unique_definition("B2", "y") == "B2"
     assert rd.unique_definition("B1", "y") is None
 
 
 def set_based_classic_transform(prog):
-    """Reference: the unique-definition rule read from the DefSite sets."""
-    rd = reaching_definitions(prog)
+    """Reference: the unique-definition rule read from the set-based sites."""
+    rd = set_based_reaching_definitions(prog)
     acs = run_acs(prog)
     new_blocks = {}
     replacements = []
@@ -171,10 +182,10 @@ def set_based_classic_transform(prog):
         def attempt(operand, position):
             if not isinstance(operand, Var):
                 return operand
-            own = [s for s in rd[label] if s.var == operand.name]
+            own = [block for block, var in rd[label] if var == operand.name]
             if len(own) != 1:
                 return operand
-            def_stmt = prog.blocks[own[0].block].stmt
+            def_stmt = prog.blocks[own[0]].stmt
             if not isinstance(def_stmt, Copy) or def_stmt.src == operand:
                 return operand
             if CopyPair(operand.name, def_stmt.src) not in acs.in_sets[label]:

@@ -5,7 +5,9 @@ import time
 import pytest
 
 import copyprop.analysis as analysis
+import copyprop.cli as cli
 import copyprop.oracle as oracle
+from copyprop import Verdict
 from copyprop.cli import build_parser, main
 from copyprop.ir import print_program
 from conftest import FIXTURES, sequential_diamonds
@@ -218,6 +220,48 @@ def test_check_fuel_must_be_positive(fuel, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--fuel must be at least 1" in captured.err
+
+
+SELF_LOOP = "entry: B0\nexit: B2\nB0: nop -> B1\nB1: branch 1 -> B1, B2\nB2: nop\n"
+
+
+@pytest.mark.parametrize("fuel", [str(10**7 + 1), "100000000000000000000"])
+@pytest.mark.parametrize("fuzz", [False, True], ids=["file", "fuzz"])
+def test_check_fuel_above_the_ceiling_is_a_usage_error(fuel, fuzz, tmp_path, monkeypatch, capsys):
+    """Refused before any program is built or run: a trace holds `fuel`
+    labels, and 10**20 of them overflowed inside the interpreter."""
+    path = tmp_path / "loop.tac"
+    path.write_text(SELF_LOOP)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran past the fuel check")
+
+    monkeypatch.setattr(oracle, "interpret", refuse)
+    monkeypatch.setattr(cli, "random_program", refuse)
+    source = ["--fuzz", "--programs", "1"] if fuzz else [str(path)]
+    with pytest.raises(SystemExit) as exc:
+        main(["check", *source, "--fuel", fuel])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if "error" in line] == [
+        "copyprop check: error: --fuel must be at most 10000000"
+    ]
+
+
+def test_check_fuel_at_the_ceiling_is_accepted(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "loop.tac"
+    path.write_text(SELF_LOOP)
+    fuels = []
+
+    def record(prog, envs, fuel, **kwargs):
+        fuels.append(fuel)
+        return Verdict(True)
+
+    monkeypatch.setattr(cli, "differential_check", record)
+    code, out, _ = run(capsys, "check", str(path), "--fuel", str(10**7))
+    assert (code, out) == (0, "differential: PASS\nsolver-agreement: PASS\nPASS\n")
+    assert fuels == [10**7]
 
 
 def test_main_repeats_with_the_cached_parser(capsys):

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import copyprop.analysis as analysis
+import copyprop.cli as cli
 import copyprop.oracle as oracle
 import copyprop.propagate as propagate
 from copyprop import Const, Copy, CopyPair, FactSet, Var
@@ -108,6 +109,28 @@ def test_check_catches_the_mutant(mutant, capsys):
     out = capsys.readouterr().out
     assert out.endswith("FAIL\n")
     assert "PASS" not in out
+
+
+@pytest.mark.parametrize("mutant", list(MUTANTS), ids=lambda mutant: mutant.__name__)
+def test_check_builds_no_program_past_the_failing_one(mutant, monkeypatch, capsys):
+    """`check --fuzz` draws every seed first but builds each program just
+    before checking it, so a failure leaves the rest unbuilt."""
+    built, checked = [], []
+    random_program, check_one = cli.random_program, cli._check_one
+
+    def build(params):
+        built.append(params.seed)
+        return random_program(params)
+
+    def check(prog, *args):
+        checked.append(prog)
+        return check_one(prog, *args)
+
+    monkeypatch.setattr(cli, "random_program", build)
+    monkeypatch.setattr(cli, "_check_one", check)
+    assert run_check_with(mutant, MUTANTS[mutant]) == 1
+    capsys.readouterr()
+    assert len(built) == len(checked) < 200
 
 
 def test_check_reports_a_broken_fact_set_invariant_as_a_fail(capsys):
