@@ -12,6 +12,7 @@ import functools
 import random
 import sys
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .analysis import run_acs
 from .classic import classic_transform
@@ -105,19 +106,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _random_envs(rng: random.Random, prog: Program, count: int) -> list[dict[str, int]]:
+def _random_envs(rng: random.Random, prog: Program, count: int) -> Iterator[dict[str, int]]:
     names = sorted(variables(prog))
-    return [{name: rng.randint(-64, 64) for name in names} for _ in range(count)]
-
-
-def _same_solution(a: AnalysisResult, b: AnalysisResult) -> bool:
-    # iteration counters differ by construction, everything else must agree
-    return a.in_sets == b.in_sets and a.out_sets == b.out_sets and a.reachable == b.reachable
+    return ({name: rng.randint(-64, 64) for name in names} for _ in range(count))
 
 
 def _mop_agrees(prog: Program, result: AnalysisResult) -> bool:
-    # every path of an acyclic program ends at the exit, so no block has more
-    # paths: checked first, it meets the path budget before any other block
+    # the exit first: its paths cover every other label's, so an error any
+    # walk would raise is raised here, whatever order the other labels take
     labels = sorted(result.reachable, key=lambda label: label != prog.exit)
     return all(mop_in(prog, label) == result.in_sets[label] for label in labels)
 
@@ -137,7 +133,7 @@ def _dump_failure(kind: str, prog: Program, verdict: Verdict) -> None:
     print("FAIL")
 
 
-def _check_one(prog: Program, envs: list[dict[str, int]], args: argparse.Namespace) -> tuple[str, Verdict]:
+def _check_one(prog: Program, envs: Iterable[dict[str, int]], args: argparse.Namespace) -> tuple[str, Verdict]:
     """Runs the checks on one program in order and returns the last one run
     with its verdict: the first failure, else "mop" when meet-over-paths was
     checked and "solver-agreement" when it was not. A ValueError, such as a
@@ -151,7 +147,7 @@ def _check_one(prog: Program, envs: list[dict[str, int]], args: argparse.Namespa
         if not verdict.ok:
             return check, verdict
         check = "solver-agreement"
-        if not _same_solution(result, solve_round_robin(prog)):
+        if result != solve_round_robin(prog):
             return check, Verdict(False, "worklist and round-robin fixpoints differ")
         if not args.acyclic_mop:
             return check, Verdict(True)
@@ -174,6 +170,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         args.parser.error("a file or --fuzz is required")
     if args.programs < 1:
         args.parser.error("--programs must be at least 1")
+    if args.programs > 10**6:  # every seed is drawn up front
+        args.parser.error("--programs must be at most 1000000")
     if args.inputs < 1:
         args.parser.error("--inputs must be at least 1")
     if args.fuel < 1:

@@ -9,8 +9,8 @@ solver runs the baseline's reaching definitions (`classic`) on a union lattice.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Generic, Iterable, Iterator, TypeVar
+from dataclasses import dataclass, field
+from typing import Callable, Generic, Iterable, TypeVar
 
 from .ir import Block, Operand, Program, Statement, Var, format_operand
 
@@ -90,11 +90,6 @@ class FactSet:
                 return pair.src
         return None
 
-    def __iter__(self) -> Iterator[CopyPair]:
-        if self.pairs is None:
-            raise ValueError("iteration over TOP")
-        return iter(self.pairs)
-
     def __contains__(self, pair: CopyPair) -> bool:
         return self.pairs is None or pair in self.pairs
 
@@ -121,12 +116,13 @@ L = TypeVar("L")
 
 @dataclass(frozen=True)
 class AnalysisResult(Generic[L]):
-    """Fixpoint of a forward analysis over lattice L (FactSet unless stated)."""
+    """Fixpoint of a forward analysis over lattice L (FactSet unless stated).
+    Equality compares the solution, not the work it took."""
 
     in_sets: dict[str, L]
     out_sets: dict[str, L]
     reachable: frozenset[str]
-    iterations: int
+    iterations: int = field(compare=False)
 
 
 def reachable_blocks(prog: Program) -> frozenset[str]:

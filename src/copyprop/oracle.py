@@ -54,48 +54,25 @@ class PathBudgetError(ValueError):
     pass
 
 
-# most entry paths `enumerate_paths` walks for one target
+# most entry-to-exit paths `enumerate_paths` walks, whatever the target
 PATH_BUDGET = 4096
 
 
-def _assert_acyclic(prog: Program) -> None:
-    colors: dict[str, int] = {}
-    for root in prog.blocks:
-        if colors.get(root):
-            continue
-        colors[root] = 1
-        stack = [(root, iter(prog.blocks[root].succs))]
-        while stack:
-            label, succs = stack[-1]
-            advanced = False
-            for succ in succs:
-                state = colors.get(succ, 0)
-                if state == 1:
-                    raise CyclicGraphError("cyclic-cfg")
-                if state == 0:
-                    colors[succ] = 1
-                    stack.append((succ, iter(prog.blocks[succ].succs)))
-                    advanced = True
-                    break
-            if not advanced:
-                colors[label] = 2
-                stack.pop()
-
-
 def enumerate_paths(prog: Program, target: str) -> list[tuple[str, ...]]:
-    """All entry-to-target block sequences; only defined on acyclic graphs.
+    """All entry-to-target block sequences. A cycle reachable from the entry
+    makes them infinite, and the walk raises `CyclicGraphError` on it.
 
     Depth-first in successor order with an explicit stack, so path length is
-    not bounded by the interpreter's recursion limit. The number of paths
-    grows exponentially with sequential branches, so the walk raises
-    `PathBudgetError` once it has followed more than `PATH_BUDGET` paths
-    from the entry, counting those that reach the target and those that end
-    at the exit without it.
+    not bounded by the interpreter's recursion limit. The walk goes on past
+    the target, so it enters every reachable cycle, the target's included.
+    The number of paths grows exponentially with sequential branches, so it
+    raises `PathBudgetError` once it has followed more than `PATH_BUDGET`
+    whole entry-to-exit paths, whatever the target.
     """
-    _assert_acyclic(prog)
     paths: list[tuple[str, ...]] = []
     walked = 0
     path: list[str] = []
+    on_path: set[str] = set()
     # stack[i + 1] iterates the successors of path[i]; stack[0] yields the entry
     stack: list[Iterator[str]] = [iter((prog.entry,))]
     while stack:
@@ -103,23 +80,26 @@ def enumerate_paths(prog: Program, target: str) -> list[tuple[str, ...]]:
         if label is None:
             stack.pop()
             if stack:
-                path.pop()
+                on_path.discard(path.pop())
             continue
+        if label in on_path:
+            raise CyclicGraphError("cyclic-cfg")
         path.append(label)
-        succs = () if label == target else prog.blocks[label].succs
+        on_path.add(label)
+        if label == target:
+            paths.append(tuple(path))
+        succs = prog.blocks[label].succs
         if not succs:
             walked += 1
             if walked > PATH_BUDGET:
                 raise PathBudgetError(f"more than {PATH_BUDGET} paths toward {target}")
-            if label == target:
-                paths.append(tuple(path))
         stack.append(iter(succs))
     return paths
 
 
 def mop_in(prog: Program, target: str) -> FactSet:
     """Meet over all paths of the transfer composition, excluding the target's
-    own statement. Ground truth for the solver on acyclic graphs."""
+    own statement. Ground truth for the solver where the paths are finite."""
     paths = enumerate_paths(prog, target)
     if not paths:
         raise ValueError(f"no path from entry to {target}")

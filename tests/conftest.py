@@ -5,7 +5,20 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from copyprop import Binary, Block, Branch, Const, Copy, Nop, Program, Statement, Var, parse_program
+from copyprop import (
+    Binary,
+    Block,
+    Branch,
+    Const,
+    Copy,
+    CopyPair,
+    FactSet,
+    Nop,
+    Program,
+    Statement,
+    Var,
+    parse_program,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -27,6 +40,11 @@ def fig1() -> Program:
 @pytest.fixture(scope="session")
 def fig2() -> Program:
     return load_fixture("fig2.tac")
+
+
+def pairs(*specs) -> FactSet:
+    """('x', 'y') -> CopyPair('x', Var('y')); ('x', 3) -> CopyPair('x', Const(3))."""
+    return FactSet.of(CopyPair(dst, Const(src) if isinstance(src, int) else Var(src)) for dst, src in specs)
 
 
 def straight_line(*stmts: Statement) -> Program:

@@ -22,14 +22,7 @@ from copyprop import (
     transfer,
     universe,
 )
-from conftest import straight_line
-
-
-def pairs(*specs):
-    out = []
-    for dst, src in specs:
-        out.append(CopyPair(dst, Const(src) if isinstance(src, int) else Var(src)))
-    return FactSet.of(out)
+from conftest import pairs, straight_line
 
 
 def test_universe_fig2(fig2):
@@ -131,7 +124,7 @@ def test_transfer_properties_randomized():
         stmt = _random_stmt(rng)
         after = transfer(stmt, facts)
         by_dst = {}
-        for p in after:
+        for p in after.pairs:
             assert p.dst not in by_dst
             by_dst[p.dst] = p.src
         for start in by_dst:
@@ -143,7 +136,7 @@ def test_transfer_properties_randomized():
                 cur = by_dst[cur].name
         d = defined_var(stmt)
         if d is not None:
-            for p in after:
+            for p in after.pairs:
                 if p.dst == d:
                     assert isinstance(stmt, Copy) and p.src == stmt.src
                 else:
@@ -213,7 +206,7 @@ def test_const_copy_programs_agree_with_constant_analysis():
             facts = res.in_sets[label]
             assert not facts.is_top
             got = {}
-            for p in facts:
+            for p in facts.pairs:
                 assert isinstance(p.src, Const)
                 got[p.dst] = p.src.value
             assert got == expected[label], label

@@ -7,10 +7,10 @@ import pytest
 import copyprop.analysis as analysis
 import copyprop.cli as cli
 import copyprop.oracle as oracle
-from copyprop import Verdict
+from copyprop import Verdict, variables
 from copyprop.cli import build_parser, main
 from copyprop.ir import print_program
-from conftest import FIXTURES, sequential_diamonds
+from conftest import FIXTURES, load_fixture, sequential_diamonds
 
 FIG1 = str(FIXTURES / "fig1.tac")
 FIG2 = str(FIXTURES / "fig2.tac")
@@ -155,6 +155,17 @@ def test_check_mop_skips_cyclic(tmp_path, capsys):
     assert "mop: SKIP (cyclic-cfg)" in out.splitlines()
 
 
+def test_check_mop_ignores_a_cycle_among_unreachable_blocks(tmp_path, capsys):
+    # every path from the entry is finite, so meet-over-paths is defined
+    path = tmp_path / "dead-loop.tac"
+    path.write_text(
+        "entry: B0\nexit: B2\nB0: nop -> B1\nB1: x = 1 -> B2\nB2: nop\n"
+        "B8: x = x + 1 -> B9\nB9: branch p -> B8, B2\n"
+    )
+    code, out, _ = run(capsys, "check", str(path), "--acyclic-mop")
+    assert (code, out) == (0, "differential: PASS\nsolver-agreement: PASS\nmop: PASS\nPASS\n")
+
+
 def test_check_mop_skips_a_program_past_the_path_budget(tmp_path, capsys):
     # 2**20 paths; the walk toward the exit stops after the budget's 4096
     path = tmp_path / "diamonds.tac"
@@ -262,6 +273,56 @@ def test_check_fuel_at_the_ceiling_is_accepted(tmp_path, monkeypatch, capsys):
     code, out, _ = run(capsys, "check", str(path), "--fuel", str(10**7))
     assert (code, out) == (0, "differential: PASS\nsolver-agreement: PASS\nPASS\n")
     assert fuels == [10**7]
+
+
+def test_check_draws_each_input_only_when_it_is_read(monkeypatch, capsys):
+    """The inputs are drawn lazily: a check that stops at the first input
+    draws one environment, not `--inputs` of them."""
+    draws = []
+
+    class CountingRandom(cli.random.Random):
+        def randint(self, a, b):
+            draws.append((a, b))
+            return super().randint(a, b)
+
+    def fail_on_first(prog, envs, fuel, **kwargs):
+        return Verdict(False, "stop", next(iter(envs)))
+
+    monkeypatch.setattr(cli.random, "Random", CountingRandom)
+    monkeypatch.setattr(cli, "differential_check", fail_on_first)
+    code, out, _ = run(capsys, "check", FIG1, "--inputs", "100000")
+    assert code == 1
+    assert out.splitlines()[:2] == ["differential: FAIL", "reason: stop"]
+    assert len(draws) == len(variables(load_fixture("fig1.tac")))
+
+
+def test_check_programs_above_the_ceiling_is_a_usage_error(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a program past the --programs check")
+
+    monkeypatch.setattr(cli, "random_program", refuse)
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--fuzz", "--programs", str(10**6 + 1)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if "error" in line] == [
+        "copyprop check: error: --programs must be at most 1000000"
+    ]
+
+
+def test_check_programs_at_the_ceiling_is_accepted(monkeypatch, capsys):
+    checked = []
+
+    def fail_first(prog, envs, args):
+        checked.append(prog)
+        return "differential", Verdict(False, "stop")
+
+    monkeypatch.setattr(cli, "_check_one", fail_first)
+    code, out, _ = run(capsys, "check", "--fuzz", "--programs", str(10**6))
+    assert code == 1
+    assert out.splitlines()[:3] == ["fuzz: programs=1000000 inputs=5 seed=0", "differential: FAIL", "reason: stop"]
+    assert len(checked) == 1
 
 
 def test_main_repeats_with_the_cached_parser(capsys):

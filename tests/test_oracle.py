@@ -25,6 +25,7 @@ from copyprop import (
     Var,
     differential_check,
     parse_program,
+    print_program,
     enumerate_paths,
     fact_soundness_violation,
     interpret,
@@ -94,6 +95,47 @@ def test_path_budget_counts_paths_that_miss_the_target():
     assert len(enumerate_paths(sequential_diamonds(12), "L0")) == 1
     with pytest.raises(PathBudgetError):
         mop_in(prog, "L0")
+
+
+def test_cycle_through_the_target_is_rejected():
+    # a walk that stopped at B2 would see one path and return { (x, 1) }
+    prog = parse_program(
+        "entry: B0\nexit: B4\nB0: nop -> B1\nB1: x = 1 -> B2\n"
+        "B2: branch x -> B3, B4\nB3: x = 2 -> B2\nB4: nop\n"
+    )
+    for target in ("B2", "B1"):
+        with pytest.raises(CyclicGraphError, match="cyclic-cfg"):
+            mop_in(prog, target)
+
+
+def test_cycle_among_unreachable_blocks_is_not_walked():
+    prog = parse_program(
+        "entry: B0\nexit: B2\nB0: nop -> B1\nB1: x = 1 -> B2\nB2: nop\n"
+        "B8: x = x + 1 -> B9\nB9: branch p -> B8, B2\n"
+    )
+    assert enumerate_paths(prog, "B2") == [("B0", "B1", "B2")]
+    assert mop_in(prog, "B2") == FactSet.of([CopyPair("x", Const(1))])
+    assert enumerate_paths(prog, "B8") == []
+
+
+def test_path_budget_counts_whole_paths_for_an_early_target():
+    # one path reaches B1, but the walk goes on to all 2**13 paths to the exit
+    assert enumerate_paths(sequential_diamonds(12), "B1") == [("B0", "B1")]
+    with pytest.raises(PathBudgetError):
+        enumerate_paths(sequential_diamonds(13), "B1")
+
+
+def test_cycle_the_walk_reaches_past_the_budget_reports_the_budget(monkeypatch):
+    # 13 diamonds are walked before the loop on B1's second branch
+    lines = print_program(sequential_diamonds(13)).splitlines()
+    lines[lines.index("B1: x = 1 -> D0")] = "B1: branch q -> D0, C0"
+    lines += ["C0: x = x + 1 -> C1", "C1: branch p -> C0, X"]
+    prog = parse_program("\n".join(lines) + "\n")
+    with pytest.raises(PathBudgetError):
+        enumerate_paths(prog, "X")
+    monkeypatch.setattr(oracle, "PATH_BUDGET", 2**13)
+    with pytest.raises(CyclicGraphError):
+        enumerate_paths(prog, "X")
 
 
 def test_mop_fig1(fig1):

@@ -10,8 +10,6 @@ from copyprop import (
     Branch,
     Const,
     Copy,
-    CopyPair,
-    FactSet,
     GenParams,
     Nop,
     Var,
@@ -25,14 +23,7 @@ from copyprop import (
     transform,
     transform_to_fixpoint,
 )
-from conftest import copy_chain, straight_line
-
-
-def pairs(*specs):
-    out = []
-    for dst, src in specs:
-        out.append(CopyPair(dst, Const(src) if isinstance(src, int) else Var(src)))
-    return FactSet.of(out)
+from conftest import copy_chain, pairs, straight_line
 
 
 @pytest.mark.parametrize(
