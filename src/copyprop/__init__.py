@@ -17,7 +17,7 @@ from .dataflow import (
     format_facts,
     format_pair,
     predecessors,
-    reachable_blocks,
+    reverse_postorder,
     solve_forward,
 )
 from .ir import (

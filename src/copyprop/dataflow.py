@@ -1,4 +1,4 @@
-"""Must-availability lattice over copy facts and the package's one forward worklist solver.
+"""Must-availability lattice over copy facts and the package's one forward solver.
 
 Facts are (dst, src) pairs meaning dst currently holds the value of src.
 Sets of facts meet by intersection; the symbolic TOP element stands for
@@ -8,7 +8,6 @@ solver runs the baseline's reaching definitions (`classic`) on a union lattice.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Generic, Iterable, TypeVar
 
@@ -125,15 +124,23 @@ class AnalysisResult(Generic[L]):
     iterations: int = field(compare=False)
 
 
-def reachable_blocks(prog: Program) -> frozenset[str]:
+def reverse_postorder(prog: Program) -> list[str]:
+    """Blocks reachable from the entry in reverse postorder of a depth-first walk
+    that explores successors in listed order; only back edges point backwards."""
     seen = {prog.entry}
-    work = [prog.entry]
-    while work:
-        for succ in prog.blocks[work.pop()].succs:
+    post: list[str] = []
+    stack = [(prog.entry, iter(prog.blocks[prog.entry].succs))]
+    while stack:
+        label, succs = stack[-1]
+        for succ in succs:
             if succ not in seen:
                 seen.add(succ)
-                work.append(succ)
-    return frozenset(seen)
+                stack.append((succ, iter(prog.blocks[succ].succs)))
+                break
+        else:
+            stack.pop()
+            post.append(label)
+    return post[::-1]
 
 
 def predecessors(prog: Program) -> dict[str, tuple[str, ...]]:
@@ -156,65 +163,58 @@ def _solve(
     init: L,
     meet: Callable[[L, L], L],
     *,
-    order: str = "fifo",
     on_update: Callable[[str, L, L], None] | None = None,
 ) -> AnalysisResult[L]:
-    """Worklist fixpoint of a forward analysis (Kildall's monotone framework).
+    """Fixpoint of a forward analysis (Kildall's monotone framework).
 
     Every IN and OUT starts at `init`, which must be the identity of `meet`,
-    so predecessors not yet visited, and unreachable ones that never are,
-    drop out of a block's meet. The entry's IN is `entry` met with its
-    predecessors. Every reachable block is queued once, in `prog.blocks`
-    order, and a block's successors are requeued whenever its OUT changes.
-    `order` selects the extraction end ("fifo" or "lifo"); the fixpoint is
-    the same either way. `on_update(label, old, new)` fires on every OUT
-    change; `iterations` counts block visits.
+    so unvisited and unreachable predecessors drop out of a meet. The entry's
+    IN is `entry` met with its predecessors. Each pass visits the dirty
+    blocks in reverse postorder (Cooper, Harvey & Kennedy, 2004): all start
+    dirty, and an OUT change dirties the successors, for this pass or, across
+    a back edge, the next; so the work depends on the graph alone.
+    `on_update(label, old, new)` fires on every OUT change; `iterations`
+    counts block visits.
     """
-    if order not in ("fifo", "lifo"):
-        raise ValueError(f"unknown worklist order {order!r}")
     preds = predecessors(prog)
-    reach = reachable_blocks(prog)
+    rpo = reverse_postorder(prog)
     ins = dict.fromkeys(prog.blocks, init)
     outs = dict.fromkeys(prog.blocks, init)
-    work = deque(label for label in prog.blocks if label in reach)
-    queued = set(work)
+    dirty = set(rpo)
     visits = 0
-    while work:
-        label = work.popleft() if order == "fifo" else work.pop()
-        queued.discard(label)
-        visits += 1
-        in_f = entry if label == prog.entry else init
-        for pred in preds[label]:
-            in_f = meet(in_f, outs[pred])
-        ins[label] = in_f
-        block = prog.blocks[label]
-        new_out = step(block, in_f)
-        if new_out != outs[label]:
-            if on_update is not None:
-                on_update(label, outs[label], new_out)
-            outs[label] = new_out
-            for succ in block.succs:
-                if succ not in queued:
-                    work.append(succ)
-                    queued.add(succ)
-    return AnalysisResult(ins, outs, reach, visits)
+    while dirty:
+        for label in rpo:
+            if label not in dirty:
+                continue
+            dirty.remove(label)
+            visits += 1
+            in_f = entry if label == prog.entry else init
+            for pred in preds[label]:
+                in_f = meet(in_f, outs[pred])
+            ins[label] = in_f
+            block = prog.blocks[label]
+            new_out = step(block, in_f)
+            if new_out != outs[label]:
+                if on_update is not None:
+                    on_update(label, outs[label], new_out)
+                outs[label] = new_out
+                dirty.update(block.succs)
+    return AnalysisResult(ins, outs, frozenset(rpo), visits)
 
 
 def solve_forward(
     prog: Program,
     transfer: Transfer,
     *,
-    order: str = "fifo",
     on_update: UpdateHook | None = None,
 ) -> AnalysisResult:
     """Greatest-fixpoint solve of a forward must-analysis over copy facts.
 
-    Every OUT set starts at TOP and can only descend; the entry IN is the
-    empty set. Unreachable blocks are never visited and keep TOP. `order`
-    and `on_update` are passed to the worklist loop (see `_solve`).
+    Every OUT set starts at TOP and can only descend; the entry IN is empty.
+    Unreachable blocks are never visited and keep TOP; see `_solve` for `on_update`.
     """
 
     def step(block: Block, facts: FactSet) -> FactSet:
         return transfer(block.stmt, facts)
 
-    return _solve(prog, step, EMPTY, TOP, FactSet.meet, order=order, on_update=on_update)
+    return _solve(prog, step, EMPTY, TOP, FactSet.meet, on_update=on_update)

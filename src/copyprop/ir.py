@@ -121,9 +121,9 @@ def variables(prog: Program) -> frozenset[str]:
 
 
 def natural_key(label: str) -> tuple:
-    # Splitting out digit runs keeps B2 ahead of B10.
+    # Digit runs keep B2 ahead of B10; the label breaks ties like B1 and B01.
     parts = re.split(r"([0-9]+)", label)
-    return tuple(int(p) if p.isdigit() else p for p in parts)
+    return tuple(int(p) if p.isdigit() else p for p in parts), label
 
 
 def sorted_labels(prog: Program) -> list[str]:

@@ -22,7 +22,7 @@ from .dataflow import (
     FactSet,
     pair_sort_key,
     predecessors,
-    reachable_blocks,
+    reverse_postorder,
 )
 from .ir import (
     INT64_MAX,
@@ -118,7 +118,7 @@ def solve_round_robin(prog: Program) -> AnalysisResult:
     Deliberately shares no iteration logic with the worklist solver; the two
     must land on the same fixpoint.
     """
-    reach = reachable_blocks(prog)
+    reach = frozenset(reverse_postorder(prog))
     preds = predecessors(prog)
     labels = sorted(reach, key=natural_key)
     ins = {label: TOP for label in prog.blocks}
@@ -288,7 +288,12 @@ def interpret(prog: Program, env0: Env, fuel: int, *, on_step: StepHook | None =
         laps, rest = divmod(fuel - len(labels), period)
         labels.extend(labels[-period:] * laps)
         label, status, error, _ = _run(code, prog.exit, label, env, labels, rest, None)
-    return Trace(tuple(labels), dict(env), status, error)
+    return Trace(tuple(labels), env, status, error)
+
+
+# `random_program`'s constant range and share of copies among body statements
+CONST_MIN, CONST_MAX = -8, 8
+COPY_RATIO = 0.5
 
 
 @dataclass(frozen=True)
@@ -297,11 +302,8 @@ class GenParams:
     min_blocks: int = 8
     max_blocks: int = 16
     num_vars: int = 4
-    const_min: int = -8
-    const_max: int = 8
     branch_prob: float = 0.25
     loop_prob: float = 0.1
-    copy_ratio: float = 0.5
     allow_div: bool = False
     const_copy_only: bool = False
 
@@ -313,9 +315,7 @@ class GenParams:
             raise ValueError("min_blocks too small for the variable pool")
         if self.max_blocks < self.min_blocks:
             raise ValueError("max_blocks below min_blocks")
-        if self.const_min > self.const_max:
-            raise ValueError("bad constant range")
-        for p in (self.branch_prob, self.loop_prob, self.copy_ratio):
+        for p in (self.branch_prob, self.loop_prob):
             if not 0.0 <= p <= 1.0:
                 raise ValueError("probabilities must be in [0, 1]")
 
@@ -338,11 +338,11 @@ def random_program(params: GenParams) -> Program:
     def operand() -> Operand:
         if rng.random() < 0.7:
             return Var(rng.choice(pool))
-        return Const(rng.randint(params.const_min, params.const_max))
+        return Const(rng.randint(CONST_MIN, CONST_MAX))
 
     blocks[labels[0]] = Block(labels[0], Nop(), (labels[1],))
     for i, name in enumerate(pool, start=1):
-        const = Const(rng.randint(params.const_min, params.const_max))
+        const = Const(rng.randint(CONST_MIN, CONST_MAX))
         blocks[labels[i]] = Block(labels[i], Copy(name, const), (labels[i + 1],))
     for i in range(len(pool) + 1, total - 1):
         label = labels[i]
@@ -353,9 +353,9 @@ def random_program(params: GenParams) -> Program:
                 other = labels[rng.randint(i + 1, total - 1)]
             blocks[label] = Block(label, Branch(Var(rng.choice(pool))), (labels[i + 1], other))
             continue
-        if rng.random() < params.copy_ratio:
+        if rng.random() < COPY_RATIO:
             if params.const_copy_only or rng.random() < 0.4:
-                src: Operand = Const(rng.randint(params.const_min, params.const_max))
+                src: Operand = Const(rng.randint(CONST_MIN, CONST_MAX))
             else:
                 src = Var(rng.choice(pool))
             stmt: Statement = Copy(rng.choice(pool), src)

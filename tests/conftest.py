@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -45,6 +46,18 @@ def fig2() -> Program:
 def pairs(*specs) -> FactSet:
     """('x', 'y') -> CopyPair('x', Var('y')); ('x', 3) -> CopyPair('x', Const(3))."""
     return FactSet.of(CopyPair(dst, Const(src) if isinstance(src, int) else Var(src)) for dst, src in specs)
+
+
+def reversed_listing(prog: Program) -> Program:
+    """The same program with its blocks listed bottom-up."""
+    return Program(dict(reversed(prog.blocks.items())), prog.entry, prog.exit)
+
+
+def swapped_branches(prog: Program) -> Program:
+    """Every branch's successors swapped: the same edges, so the same
+    data-flow fixpoint, but a different depth-first order."""
+    blocks = {label: replace(block, succs=block.succs[::-1]) for label, block in prog.blocks.items()}
+    return Program(blocks, prog.entry, prog.exit)
 
 
 def straight_line(*stmts: Statement) -> Program:

@@ -37,7 +37,7 @@ from copyprop import (
 )
 from copyprop import CopyPair, FactSet, differential_check
 from copyprop.analysis import transfer
-from conftest import copy_chain, load_fixture
+from conftest import copy_chain, load_fixture, swapped_branches
 from strategies import environments, programs
 
 
@@ -205,13 +205,11 @@ def test_ac7_fact_soundness_and_structure():
 def test_ac8_solver_agreement():
     with criterion("AC-8"):
         for prog in dominance_corpus():
-            fifo = solve_forward(prog, transfer, order="fifo")
-            lifo = solve_forward(prog, transfer, order="lifo")
-            sweep = solve_round_robin(prog)
-            for other in (lifo, sweep):
-                assert fifo.in_sets == other.in_sets
-                assert fifo.out_sets == other.out_sets
-                assert fifo.reachable == other.reachable
+            res = solve_forward(prog, transfer)
+            for other in (solve_round_robin(prog), solve_forward(swapped_branches(prog), transfer)):
+                assert res.in_sets == other.in_sets
+                assert res.out_sets == other.out_sets
+                assert res.reachable == other.reachable
 
 
 @settings(max_examples=200)
@@ -219,5 +217,5 @@ def test_ac8_solver_agreement():
 def test_ac6_and_ac8_hold_on_any_program(prog, envs):
     verdict = differential_check(prog, envs, 10000)
     assert verdict.ok, verdict.reason
-    fifo, sweep = run_acs(prog), solve_round_robin(prog)
-    assert (fifo.in_sets, fifo.out_sets, fifo.reachable) == (sweep.in_sets, sweep.out_sets, sweep.reachable)
+    res, sweep = run_acs(prog), solve_round_robin(prog)
+    assert (res.in_sets, res.out_sets, res.reachable) == (sweep.in_sets, sweep.out_sets, sweep.reachable)

@@ -17,7 +17,7 @@ from copyprop import (
     defined_var,
     predecessors,
     random_program,
-    reachable_blocks,
+    reverse_postorder,
     run_acs,
     transfer,
     universe,
@@ -146,7 +146,7 @@ def test_transfer_properties_randomized():
 
 def _const_in_sets(prog):
     """Round-robin must-constant analysis; facts are var -> int maps."""
-    reach = reachable_blocks(prog)
+    reach = frozenset(reverse_postorder(prog))
     preds = predecessors(prog)
     ins = {l: None for l in reach}
     outs = {l: None for l in reach}

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import replace
 
 import pytest
@@ -19,13 +20,15 @@ from copyprop import (
     format_facts,
     predecessors,
     random_program,
-    reachable_blocks,
+    reaching_definitions,
+    reverse_postorder,
     run_acs,
     solve_forward,
     solve_round_robin,
     transfer,
 )
-from conftest import looped_counter, pairs, straight_line
+from copyprop import classic
+from conftest import looped_counter, pairs, reversed_listing, straight_line, swapped_branches
 
 
 def test_copy_pair_rejects_self_copy():
@@ -90,7 +93,7 @@ def test_format_facts():
 
 
 def test_reachable_blocks_fig1(fig1):
-    assert reachable_blocks(fig1) == frozenset({"B0", "B1", "B2", "B3", "B4", "B5"})
+    assert reverse_postorder(fig1) == ["B0", "B1", "B3", "B2", "B4", "B5"]
 
 
 def test_reachable_excludes_orphan():
@@ -100,7 +103,42 @@ def test_reachable_excludes_orphan():
         "B9": Block("B9", Copy("x", Const(1)), ("B1",)),
     }
     prog = Program(blocks, "B0", "B1")
-    assert reachable_blocks(prog) == frozenset({"B0", "B1"})
+    assert reverse_postorder(prog) == ["B0", "B1"]
+
+
+def _reachable_reference(prog):
+    """Breadth-first reachability from the entry, independent of the solver's walk."""
+    seen = {prog.entry}
+    work = deque([prog.entry])
+    while work:
+        for succ in prog.blocks[work.popleft()].succs:
+            if succ not in seen:
+                seen.add(succ)
+                work.append(succ)
+    return seen
+
+
+def test_reverse_postorder_is_a_topological_order_of_acyclic_graphs(fig1, fig2):
+    """On an acyclic graph every edge between reachable blocks goes forward."""
+    for prog in [fig1, fig2, *_corpus(60, loop_prob=0.0)]:
+        rpo = reverse_postorder(prog)
+        assert len(rpo) == len(set(rpo))
+        assert set(rpo) == _reachable_reference(prog)
+        index = {label: i for i, label in enumerate(rpo)}
+        for label in rpo:
+            for succ in prog.blocks[label].succs:
+                assert index[label] < index[succ]
+
+
+def test_reverse_postorder_puts_a_predecessor_before_each_block():
+    for prog in _corpus(60, loop_prob=0.5):
+        rpo = reverse_postorder(prog)
+        assert set(rpo) == _reachable_reference(prog)
+        assert rpo[0] == prog.entry
+        preds = predecessors(prog)
+        index = {label: i for i, label in enumerate(rpo)}
+        for label in rpo[1:]:
+            assert min(index[p] for p in preds[label] if p in index) < index[label]
 
 
 def test_predecessors_fig1(fig1):
@@ -168,24 +206,56 @@ def test_solver_updates_only_descend():
 
 
 def test_solver_order_does_not_matter():
-    """Neither the extraction end nor the block listing order, which seeds
-    the worklist, moves the fixpoint."""
+    """Neither the block listing nor a different reverse postorder, from
+    swapped branch successors, moves the fixpoint; round robin agrees."""
     for prog in _corpus(40):
-        reversed_prog = Program(dict(reversed(prog.blocks.items())), prog.entry, prog.exit)
-        fifo = solve_forward(prog, transfer, order="fifo")
+        res = solve_forward(prog, transfer)
         for other in (
-            solve_forward(prog, transfer, order="lifo"),
-            solve_forward(reversed_prog, transfer, order="fifo"),
-            solve_forward(reversed_prog, transfer, order="lifo"),
+            solve_forward(reversed_listing(prog), transfer),
+            solve_forward(swapped_branches(prog), transfer),
+            solve_round_robin(prog),
         ):
-            assert fifo.in_sets == other.in_sets
-            assert fifo.out_sets == other.out_sets
-            assert fifo.reachable == other.reachable
+            assert res == other
 
 
-def test_solver_rejects_unknown_order(fig1):
-    with pytest.raises(ValueError):
-        solve_forward(fig1, transfer, order="random")
+def _reaching_definitions_visits(prog):
+    """The defining blocks reaching each block, and the solver's visits."""
+    visits = []
+    solve = classic._solve
+
+    def counting(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        visits.append(result.iterations)
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classic, "_solve", counting)
+        rd = reaching_definitions(prog)
+    # bits follow the listing, so compare the defining blocks they stand for
+    sites = {
+        label: {site for i, site in enumerate(rd.sites) if bits >> i & 1} for label, bits in rd.in_bits.items()
+    }
+    return sites, visits[0]
+
+
+def test_work_does_not_depend_on_the_block_listing():
+    for prog in _corpus(40):
+        flipped = reversed_listing(prog)
+        res, res_flipped = run_acs(prog), run_acs(flipped)
+        assert res == res_flipped
+        assert res.iterations == res_flipped.iterations
+        rd, visits = _reaching_definitions_visits(prog)
+        rd_flipped, visits_flipped = _reaching_definitions_visits(flipped)
+        assert rd == rd_flipped
+        assert visits == visits_flipped
+
+
+def test_reaching_definitions_visit_each_block_a_few_times():
+    """Passes in reverse postorder settle a 1000-block loopy program in at
+    most six visits per block."""
+    prog = random_program(GenParams(seed=0, min_blocks=1000, max_blocks=1000, num_vars=26, loop_prob=0.3))
+    _, visits = _reaching_definitions_visits(prog)
+    assert visits <= 6 * len(prog.blocks)
 
 
 def test_solution_is_a_fixpoint():

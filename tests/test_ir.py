@@ -26,7 +26,7 @@ from copyprop import (
     validate,
     variables,
 )
-from conftest import load_fixture, straight_line
+from conftest import load_fixture, reversed_listing, straight_line
 
 
 def test_parse_fig1_structure(fig1):
@@ -234,6 +234,16 @@ def test_print_orders_labels_naturally():
     lines = [ln for ln in text.splitlines() if not ln.endswith(("B0", "B12"))]
     # B2 must come before B10 despite lexicographic order saying otherwise
     assert lines.index("B2: v1 = 1 -> B3") < lines.index("B10: v9 = 9 -> B11")
+
+
+def test_print_breaks_natural_key_ties_by_label():
+    """B1 and B01 share a numeric part; the listing order must not decide
+    which comes first."""
+    prog = parse_program("entry: B0\nexit: B9\nB0: nop -> B01\nB01: x = 1 -> B1\nB1: y = x -> B9\nB9: nop\n")
+    flipped = reversed_listing(prog)
+    assert flipped == prog
+    assert print_program(flipped) == print_program(prog)
+    assert to_dot(flipped) == to_dot(prog)
 
 
 @pytest.mark.parametrize("name", ["minimal.tac", "fig1.tac", "fig2.tac"])
