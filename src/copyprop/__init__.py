@@ -10,7 +10,6 @@ from .analysis import run_acs, transfer, universe
 from .classic import classic_transform, reaching_definitions
 from .dataflow import (
     EMPTY,
-    TOP,
     AnalysisResult,
     CopyPair,
     FactSet,

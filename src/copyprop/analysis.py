@@ -28,10 +28,8 @@ def transfer(stmt: Statement, facts: FactSet) -> FactSet:
     A definition of x removes pairs (x, *) and (*, x), where (*, x) only
     matches x used as a variable source; a copy x = e with e distinct from x
     then contributes (x, e). Statements that define nothing pass the set
-    through, and TOP stays TOP.
+    through.
     """
-    if facts.pairs is None:
-        return facts
     dst = defined_var(stmt)
     if dst is None:
         return facts

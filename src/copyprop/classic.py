@@ -66,9 +66,8 @@ def reaching_definitions(prog: Program) -> ReachingDefinitions:
         keep, gen = keep_gen
         return bits & keep | gen
 
-    result = _solve(prog, step, 0, 0, operator.or_)
-    in_bits = {label: result.in_sets[label] for label in result.reachable}
-    return ReachingDefinitions(in_bits, [label for label, _ in defined], kill)
+    result = _solve(prog, step, 0, operator.or_)
+    return ReachingDefinitions(result.in_sets, [label for label, _ in defined], kill)
 
 
 def classic_transform(prog: Program, acs: AnalysisResult | None = None) -> tuple[Program, ReplacementReport]:

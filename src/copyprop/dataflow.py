@@ -1,9 +1,10 @@
 """Must-availability lattice over copy facts and the package's one forward solver.
 
 Facts are (dst, src) pairs meaning dst currently holds the value of src.
-Sets of facts meet by intersection; the symbolic TOP element stands for
-"every fact" and only appears before a block has been visited. The same
-solver runs the baseline's reaching definitions (`classic`) on a union lattice.
+Sets of facts meet by intersection. The lattice needs no symbolic top: the
+solver meets only the OUTs a block's predecessors already have, so every fact
+set is a finite set of pairs. The same solver runs the baseline's reaching
+definitions (`classic`) on a union lattice.
 """
 
 from __future__ import annotations
@@ -36,18 +37,16 @@ def pair_sort_key(pair: CopyPair) -> tuple[str, str]:
 
 @dataclass(frozen=True)
 class FactSet:
-    """Either TOP (pairs is None) or a finite set of copy pairs.
-
-    Finite sets are functional (at most one pair per destination) and
-    acyclic (following src variables never loops); the constructor rejects
-    anything else.
+    """A finite set of copy pairs, functional (at most one pair per
+    destination) and acyclic (following src variables never loops); the
+    constructor rejects anything else.
     """
 
-    pairs: frozenset[CopyPair] | None
+    pairs: frozenset[CopyPair]
+    # every fact set is a real pair set; the benchmark's trace still reads this
+    is_top = False
 
     def __post_init__(self) -> None:
-        if self.pairs is None:
-            return
         by_dst: dict[str, Operand] = {}
         for pair in self.pairs:
             if pair.dst in by_dst:
@@ -69,42 +68,27 @@ class FactSet:
     def of(cls, pairs: Iterable[CopyPair]) -> FactSet:
         return cls(frozenset(pairs))
 
-    @property
-    def is_top(self) -> bool:
-        return self.pairs is None
-
     def meet(self, other: FactSet) -> FactSet:
-        if self.pairs is None:
-            return other
-        if other.pairs is None:
-            return self
         return FactSet(self.pairs & other.pairs)
 
     def lookup(self, var: str) -> Operand | None:
         """Source paired with var, or None; unique when present."""
-        if self.pairs is None:
-            raise ValueError("lookup on TOP")
         for pair in self.pairs:
             if pair.dst == var:
                 return pair.src
         return None
 
     def __contains__(self, pair: CopyPair) -> bool:
-        return self.pairs is None or pair in self.pairs
+        return pair in self.pairs
 
     def __len__(self) -> int:
-        if self.pairs is None:
-            raise ValueError("len of TOP")
         return len(self.pairs)
 
 
-TOP = FactSet(None)
 EMPTY = FactSet(frozenset())
 
 
 def format_facts(facts: FactSet) -> str:
-    if facts.pairs is None:
-        return "TOP"
     if not facts.pairs:
         return "{ }"
     return "{ " + ", ".join(format_pair(p) for p in sorted(facts.pairs, key=pair_sort_key)) + " }"
@@ -115,12 +99,13 @@ L = TypeVar("L")
 
 @dataclass(frozen=True)
 class AnalysisResult(Generic[L]):
-    """Fixpoint of a forward analysis over lattice L (FactSet unless stated).
+    """Fixpoint of a forward analysis over lattice L (FactSet unless stated):
+    the IN and OUT of each block reachable from the entry, and of no other.
     Equality compares the solution, not the work it took."""
 
     in_sets: dict[str, L]
     out_sets: dict[str, L]
-    reachable: frozenset[str]
+    reachable: frozenset[str]  # the keys of both maps
     iterations: int = field(compare=False)
 
 
@@ -153,33 +138,35 @@ def predecessors(prog: Program) -> dict[str, tuple[str, ...]]:
 
 
 Transfer = Callable[[Statement, FactSet], FactSet]
-UpdateHook = Callable[[str, FactSet, FactSet], None]
+UpdateHook = Callable[[str, FactSet | None, FactSet], None]
 
 
 def _solve(
     prog: Program,
     step: Callable[[Block, L], L],
     entry: L,
-    init: L,
     meet: Callable[[L, L], L],
     *,
-    on_update: Callable[[str, L, L], None] | None = None,
+    on_update: Callable[[str, L | None, L], None] | None = None,
 ) -> AnalysisResult[L]:
-    """Fixpoint of a forward analysis (Kildall's monotone framework).
+    """Fixpoint of a forward analysis (Kildall's monotone framework) over the
+    blocks reachable from the entry.
 
-    Every IN and OUT starts at `init`, which must be the identity of `meet`,
-    so unvisited and unreachable predecessors drop out of a meet. The entry's
-    IN is `entry` met with its predecessors. Each pass visits the dirty
-    blocks in reverse postorder (Cooper, Harvey & Kennedy, 2004): all start
-    dirty, and an OUT change dirties the successors, for this pass or, across
-    a back edge, the next; so the work depends on the graph alone.
-    `on_update(label, old, new)` fires on every OUT change; `iterations`
-    counts block visits.
+    The entry's IN is `entry` met with its predecessors' OUTs; any other
+    block's IN is the meet of the OUTs its predecessors have so far. A
+    predecessor without one, unreachable or behind a back edge not yet
+    crossed, is left out, as the meet's identity would be. Each pass visits
+    the dirty blocks in reverse postorder (Cooper, Harvey & Kennedy, 2004):
+    all start dirty, and an OUT change dirties the successors, for this pass
+    or, across a back edge, the next; so the work depends on the graph alone,
+    and each block after the entry meets at least its parent in the walk.
+    `on_update(label, old, new)` fires on every OUT change, with `old` None
+    for a block's first OUT; `iterations` counts block visits.
     """
     preds = predecessors(prog)
     rpo = reverse_postorder(prog)
-    ins = dict.fromkeys(prog.blocks, init)
-    outs = dict.fromkeys(prog.blocks, init)
+    ins: dict[str, L] = {}
+    outs: dict[str, L] = {}
     dirty = set(rpo)
     visits = 0
     while dirty:
@@ -188,15 +175,18 @@ def _solve(
                 continue
             dirty.remove(label)
             visits += 1
-            in_f = entry if label == prog.entry else init
+            in_f = entry if label == prog.entry else None
             for pred in preds[label]:
-                in_f = meet(in_f, outs[pred])
+                out = outs.get(pred)
+                if out is not None:
+                    in_f = out if in_f is None else meet(in_f, out)
             ins[label] = in_f
             block = prog.blocks[label]
             new_out = step(block, in_f)
-            if new_out != outs[label]:
+            old = outs.get(label)
+            if new_out != old:
                 if on_update is not None:
-                    on_update(label, outs[label], new_out)
+                    on_update(label, old, new_out)
                 outs[label] = new_out
                 dirty.update(block.succs)
     return AnalysisResult(ins, outs, frozenset(rpo), visits)
@@ -210,11 +200,12 @@ def solve_forward(
 ) -> AnalysisResult:
     """Greatest-fixpoint solve of a forward must-analysis over copy facts.
 
-    Every OUT set starts at TOP and can only descend; the entry IN is empty.
-    Unreachable blocks are never visited and keep TOP; see `_solve` for `on_update`.
+    The entry IN is empty, and each OUT set only descends from its first
+    value. Unreachable blocks are never visited and have no IN or OUT; see
+    `_solve` for `on_update`.
     """
 
     def step(block: Block, facts: FactSet) -> FactSet:
         return transfer(block.stmt, facts)
 
-    return _solve(prog, step, EMPTY, TOP, FactSet.meet, on_update=on_update)
+    return _solve(prog, step, EMPTY, FactSet.meet, on_update=on_update)

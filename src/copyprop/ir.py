@@ -22,11 +22,13 @@ none, and every other block exactly one.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 INT_RE = re.compile(r"[+-]?[0-9]+\Z")
+DIGITS_RE = re.compile(r"([0-9]+)")
 RESERVED = frozenset({"nop", "branch", "entry", "exit"})
 BINARY_OPS = ("+", "-", "*", "/")
 INT64_MIN = -(1 << 63)
@@ -120,9 +122,11 @@ def variables(prog: Program) -> frozenset[str]:
     return frozenset(names)
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def natural_key(label: str) -> tuple:
     # Digit runs keep B2 ahead of B10; the label breaks ties like B1 and B01.
-    parts = re.split(r"([0-9]+)", label)
+    # Cached: each rewrite pass and `validate` sort every label again.
+    parts = DIGITS_RE.split(label)
     return tuple(int(p) if p.isdigit() else p for p in parts), label
 
 
@@ -227,11 +231,17 @@ def _parse_block(line: tuple[int, str], blocks: dict[str, Block]) -> Block:
         tail = toks[arrow + 1:]
         if not tail:
             raise ParseError("expected successor labels after '->'", lineno, toks[arrow][1] + 1)
-        names = " ".join(t for t, _ in tail).split(",")
+        # one (name, column) token per comma-separated name, at the name's own
+        # column; an empty name's column is where it ends
+        names = []
         col = tail[0][1]
-        if any(not n.strip() for n in names):
-            raise ParseError("empty successor label", lineno, col + 1)
-        succs = tuple(_parse_name((n.strip(), col), lineno, "label") for n in names)
+        for piece in text[col:].split(","):
+            names.append((" ".join(piece.split()), col + len(piece) - len(piece.lstrip())))
+            col += len(piece) + 1
+        for name, name_col in names:
+            if not name:
+                raise ParseError("empty successor label", lineno, name_col + 1)
+        succs = tuple(_parse_name(tok, lineno, "label") for tok in names)
         toks = toks[:arrow]
     return Block(label, _parse_statement(toks, lineno), succs)
 

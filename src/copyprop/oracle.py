@@ -17,7 +17,6 @@ from typing import Callable, Iterable, Iterator
 from .analysis import run_acs, transfer
 from .dataflow import (
     EMPTY,
-    TOP,
     AnalysisResult,
     FactSet,
     pair_sort_key,
@@ -115,15 +114,16 @@ def mop_in(prog: Program, target: str) -> FactSet:
 def solve_round_robin(prog: Program) -> AnalysisResult:
     """Sweep the reachable blocks in label order until nothing changes.
 
+    The entry's IN is empty; any other block's IN is the meet of the OUTs its
+    predecessors have, and a sweep skips the block while none has one.
     Deliberately shares no iteration logic with the worklist solver; the two
     must land on the same fixpoint.
     """
     reach = frozenset(reverse_postorder(prog))
     preds = predecessors(prog)
     labels = sorted(reach, key=natural_key)
-    ins = {label: TOP for label in prog.blocks}
-    outs = {label: TOP for label in prog.blocks}
-    ins[prog.entry] = EMPTY
+    ins: dict[str, FactSet] = {}
+    outs: dict[str, FactSet] = {}
     sweeps = 0
     changed = True
     while changed:
@@ -133,11 +133,14 @@ def solve_round_robin(prog: Program) -> AnalysisResult:
             if label == prog.entry:
                 in_f = EMPTY
             else:
-                in_f = TOP
-                for pred in preds[label]:
-                    in_f = in_f.meet(outs[pred])
+                solved = [outs[pred] for pred in preds[label] if pred in outs]
+                if not solved:
+                    continue
+                in_f = solved[0]
+                for out in solved[1:]:
+                    in_f = in_f.meet(out)
             out_f = transfer(prog.blocks[label].stmt, in_f)
-            if in_f != ins[label] or out_f != outs[label]:
+            if in_f != ins.get(label) or out_f != outs.get(label):
                 ins[label] = in_f
                 outs[label] = out_f
                 changed = True
@@ -389,7 +392,7 @@ def _replay_plan(result: AnalysisResult) -> ReplayPlan:
     plan = {}
     for label in result.reachable:
         facts = result.in_sets[label]
-        if not facts.is_top and facts.pairs:
+        if facts.pairs:
             plan[label] = tuple(
                 (p.dst, p.src.value if isinstance(p.src, Const) else p.src.name)
                 for p in sorted(facts.pairs, key=pair_sort_key)
@@ -412,10 +415,9 @@ def _fact_replay(plan: ReplayPlan) -> tuple[StepHook | None, list[tuple[str, int
     def check(label: str, env: Env) -> None:
         nonlocal step
         step += 1
-        pairs = get(label)
-        if pairs is None or found:
+        if found:
             return
-        for dst, src in pairs:
+        for dst, src in get(label, ()):
             # env is keyed by names only: env.get(src, src) is a constant
             # itself, and a name read unbound stays a str, which no value equals
             if env.get(dst) != env.get(src, src):

@@ -88,8 +88,6 @@ def rewrite_statement(
     stmt: Statement, facts: FactSet, block: str = ""
 ) -> tuple[Statement, list[Replacement]]:
     """Rewrite every variable use in one statement to the endpoint of its pair chain."""
-    if facts.is_top:
-        return stmt, []
 
     def chain_endpoint(name: str, position: str) -> tuple[Operand, int] | None:
         found = resolve_chain(name, facts)

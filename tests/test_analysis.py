@@ -4,7 +4,6 @@ import random
 
 from copyprop import (
     EMPTY,
-    TOP,
     Binary,
     Branch,
     Const,
@@ -64,10 +63,6 @@ def test_transfer_identity_statements():
     before = pairs(("y", "x"))
     assert transfer(Nop(), before) == before
     assert transfer(Branch(Var("y")), before) == before
-
-
-def test_transfer_top_passthrough():
-    assert transfer(Copy("x", Const(1)), TOP).is_top
 
 
 def test_redefinition_of_source_invalidates():
@@ -204,7 +199,6 @@ def test_const_copy_programs_agree_with_constant_analysis():
         expected = _const_in_sets(prog)
         for label in res.reachable:
             facts = res.in_sets[label]
-            assert not facts.is_top
             got = {}
             for p in facts.pairs:
                 assert isinstance(p.src, Const)

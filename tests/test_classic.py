@@ -43,8 +43,7 @@ def set_based_reaching_definitions(prog):
             return sites
         return frozenset(s for s in sites if s[1] != d) | {(block.label, d)}
 
-    result = _solve(prog, step, frozenset(), frozenset(), frozenset.union)
-    return {label: result.in_sets[label] for label in result.reachable}
+    return _solve(prog, step, frozenset(), frozenset.union).in_sets
 
 
 def unique_definitions_match_the_reference(prog) -> dict:

@@ -3,16 +3,17 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import replace
+from functools import reduce
 
 import pytest
 
 from copyprop import (
     EMPTY,
-    TOP,
     Block,
     Const,
     Copy,
     CopyPair,
+    FactSet,
     GenParams,
     Nop,
     Program,
@@ -48,13 +49,6 @@ def test_fact_set_rejects_cycles():
         pairs(("a", "b"), ("b", "c"), ("c", "a"))
 
 
-def test_meet_top_is_identity():
-    fs = pairs(("y", "x"))
-    assert TOP.meet(fs) == fs
-    assert fs.meet(TOP) == fs
-    assert TOP.meet(TOP).is_top
-
-
 def test_meet_is_intersection():
     a = pairs(("y", "x"), ("z", 1))
     b = pairs(("y", "x"), ("w", "v"))
@@ -73,8 +67,6 @@ def test_lookup():
     assert fs.lookup("y") == Var("x")
     assert fs.lookup("z") == Const(4)
     assert fs.lookup("q") is None
-    with pytest.raises(ValueError):
-        TOP.lookup("y")
 
 
 def test_membership_and_len():
@@ -82,11 +74,9 @@ def test_membership_and_len():
     assert CopyPair("y", Var("x")) in fs
     assert CopyPair("y", Var("z")) not in fs
     assert len(fs) == 1
-    assert CopyPair("a", Const(1)) in TOP  # TOP contains everything
 
 
 def test_format_facts():
-    assert format_facts(TOP) == "TOP"
     assert format_facts(EMPTY) == "{ }"
     fs = pairs(("z", 4), ("y", "x"), ("b", "a"))
     assert format_facts(fs) == "{ (b, a), (y, x), (z, 4) }"
@@ -172,6 +162,7 @@ def test_solve_loop_kills_on_back_edge():
 
 
 def test_unreachable_block_stays_top():
+    """An orphan block is never solved: it has no IN or OUT."""
     blocks = {
         "B0": Block("B0", Nop(), ("B1",)),
         "B1": Block("B1", Nop(), ()),
@@ -179,10 +170,10 @@ def test_unreachable_block_stays_top():
     }
     prog = Program(blocks, "B0", "B1")
     res = run_acs(prog)
-    assert res.in_sets["B9"].is_top
-    assert res.out_sets["B9"].is_top
+    assert "B9" not in res.in_sets
+    assert "B9" not in res.out_sets
     assert "B9" not in res.reachable
-    # the orphan's TOP out must not pollute B1
+    # the orphan's statement must not pollute B1
     assert res.in_sets["B1"] == EMPTY
 
 
@@ -196,13 +187,57 @@ def _corpus(n, **overrides):
 
 
 def test_solver_updates_only_descend():
-    """Every OUT update moves down the lattice, so the solver finds the
-    greatest fixpoint without oscillating."""
+    """After a block's first OUT every update moves down the lattice, so the
+    solver finds the greatest fixpoint without oscillating."""
     for prog in _corpus(40):
+        solved = set()
+
         def check(label, old, new):
-            assert old.is_top or new.pairs <= old.pairs
+            if old is None:
+                assert label not in solved
+                solved.add(label)
+                return
+            assert label in solved
+            assert new.pairs <= old.pairs
             assert new != old
+
         solve_forward(prog, transfer, on_update=check)
+
+
+def _with_orphan(prog):
+    """prog plus an unreachable block that defines a variable and jumps to the exit."""
+    orphan = Block("Z9", Copy("x", Const(1)), (prog.exit,))
+    return Program({**prog.blocks, "Z9": orphan}, prog.entry, prog.exit)
+
+
+def test_results_hold_exactly_the_reachable_blocks():
+    """Availability, round robin and reaching definitions solve each block
+    reachable from the entry and no other, and each first OUT reaches
+    `on_update` once, as the update from None."""
+    solve = classic._solve
+    for base in _corpus(40):
+        for prog in (base, _with_orphan(base)):
+            reach = _reachable_reference(prog)
+            firsts = {"acs": [], "rd": []}
+
+            def hook(kind):
+                def on_update(label, old, new):
+                    if old is None:
+                        firsts[kind].append(label)
+
+                return on_update
+
+            def hooked(*args, **kwargs):
+                return solve(*args, on_update=hook("rd"), **kwargs)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(classic, "_solve", hooked)
+                rd = reaching_definitions(prog)
+            assert set(rd.in_bits) == reach
+            for result in (solve_forward(prog, transfer, on_update=hook("acs")), solve_round_robin(prog)):
+                assert set(result.in_sets) == set(result.out_sets) == result.reachable == reach
+            for labels in firsts.values():
+                assert sorted(labels) == sorted(reach)
 
 
 def test_solver_order_does_not_matter():
@@ -259,7 +294,9 @@ def test_reaching_definitions_visit_each_block_a_few_times():
 
 
 def test_solution_is_a_fixpoint():
-    """Re-applying meet and transfer at every reachable block changes nothing."""
+    """Re-applying meet and transfer at every reachable block changes
+    nothing; a block meets the OUTs of its solved, that is reachable,
+    predecessors."""
     for prog in _corpus(30):
         res = run_acs(prog)
         preds = predecessors(prog)
@@ -267,9 +304,7 @@ def test_solution_is_a_fixpoint():
             if label == prog.entry:
                 in_f = EMPTY
             else:
-                in_f = TOP
-                for p in preds[label]:
-                    in_f = in_f.meet(res.out_sets[p])
+                in_f = reduce(FactSet.meet, [res.out_sets[p] for p in preds[label] if p in res.reachable])
             assert in_f == res.in_sets[label]
             assert transfer(prog.blocks[label].stmt, in_f) == res.out_sets[label]
 

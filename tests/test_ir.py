@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -92,6 +93,25 @@ def test_parse_error_reports_position():
         parse_program(text)
     assert exc.value.line == 4
     assert exc.value.col > 0
+
+
+@pytest.mark.parametrize(
+    "succs, message, col",
+    [
+        ("B2, $x", "bad label '$x'", 21),
+        ("B2,  nop", "reserved word 'nop'", 22),
+        ("B2, ,B3", "empty successor label", 21),
+        ("B2,", "empty successor label", 20),
+        ("$x, B2", "bad label '$x'", 17),
+    ],
+)
+def test_parse_error_names_the_successor_column(succs, message, col):
+    """Each successor label is reported at its own column, not the first
+    one's; a missing one where it ends, at the next comma or the line end."""
+    text = f"entry: B0\nexit: B3\nB0: nop -> B1\nB1: branch p -> {succs}\nB2: nop -> B3\nB3: nop\n"
+    with pytest.raises(ParseError, match=re.escape(message)) as exc:
+        parse_program(text)
+    assert (exc.value.line, exc.value.col) == (4, col)
 
 
 def test_parse_duplicate_label():

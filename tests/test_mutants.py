@@ -24,7 +24,7 @@ from copyprop.ir import defined_var
 
 
 def _first_operand_meet(self, other):
-    return other if self.pairs is None else self
+    return self
 
 
 def meet_returns_its_first_operand(mp: pytest.MonkeyPatch) -> None:
@@ -48,8 +48,6 @@ def chain_endpoint_off_by_one_after_three_hops(mp: pytest.MonkeyPatch) -> None:
 
 
 def _transfer_without_use_kill(stmt, facts):
-    if facts.pairs is None:
-        return facts
     dst = defined_var(stmt)
     if dst is None:
         return facts

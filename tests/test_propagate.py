@@ -5,7 +5,6 @@ import random
 import pytest
 
 from copyprop import (
-    TOP,
     Binary,
     Branch,
     Const,
@@ -77,11 +76,6 @@ def test_rewrite_branch_condition():
     stmt, reps = rewrite_statement(Branch(Var("p")), pairs(("p", "q")))
     assert stmt == Branch(Var("q"))
     assert reps[0].position == "branch-cond"
-
-
-def test_rewrite_with_top_is_identity():
-    stmt = Copy("e", Var("c"))
-    assert rewrite_statement(stmt, TOP) == (stmt, [])
 
 
 def test_rewrite_without_facts_is_identity():
