@@ -6,15 +6,13 @@ chains in a single sweep. A classic single-definition baseline, a concrete
 interpreter, and brute-force solvers are included for cross-checking.
 """
 
-from .analysis import run_acs, transfer, universe
+from .analysis import run_acs, transfer
 from .classic import classic_transform, reaching_definitions
 from .dataflow import (
     EMPTY,
     AnalysisResult,
-    CopyPair,
     FactSet,
     format_facts,
-    format_pair,
     predecessors,
     reverse_postorder,
     solve_forward,

@@ -3,23 +3,15 @@
 A pair (x, e) is available at a point when every path to it executes x = e
 after the last change to either side. Constants and variables are handled by
 the same rule, so constant availability falls out as the src-is-constant
-special case.
+special case. The pairs available at a point form a map x -> e (`FactSet`):
+a definition of x drops x's entry and every entry whose source is x, and a
+copy x = e then adds x -> e.
 """
 
 from __future__ import annotations
 
-from .dataflow import AnalysisResult, CopyPair, FactSet, solve_forward
+from .dataflow import AnalysisResult, FactSet, solve_forward
 from .ir import Copy, Program, Statement, Var, defined_var
-
-
-def universe(prog: Program) -> frozenset[CopyPair]:
-    """Every pair any copy statement in the program can generate."""
-    pairs = set()
-    for block in prog.blocks.values():
-        stmt = block.stmt
-        if isinstance(stmt, Copy) and stmt.src != Var(stmt.dst):
-            pairs.add(CopyPair(stmt.dst, stmt.src))
-    return frozenset(pairs)
 
 
 def transfer(stmt: Statement, facts: FactSet) -> FactSet:
@@ -34,10 +26,10 @@ def transfer(stmt: Statement, facts: FactSet) -> FactSet:
     if dst is None:
         return facts
     killed_src = Var(dst)
-    kept = [p for p in facts.pairs if p.dst != dst and p.src != killed_src]
+    kept = {d: src for d, src in facts.items() if d != dst and src != killed_src}
     if isinstance(stmt, Copy) and stmt.src != killed_src:
-        kept.append(CopyPair(dst, stmt.src))
-    return FactSet(frozenset(kept))
+        kept[dst] = stmt.src
+    return FactSet(kept)
 
 
 def run_acs(prog: Program) -> AnalysisResult:

@@ -25,7 +25,7 @@ import operator
 from dataclasses import dataclass
 
 from .analysis import run_acs
-from .dataflow import AnalysisResult, CopyPair, _solve
+from .dataflow import AnalysisResult, _solve
 from .ir import Block, Copy, Operand, Program, Statement, Var, defined_var
 from .propagate import Replacement, ReplacementReport, _rewrite_program, _rewrite_slots
 
@@ -89,10 +89,10 @@ def classic_transform(prog: Program, acs: AnalysisResult | None = None) -> tuple
             def_stmt = prog.blocks[site].stmt
             if not isinstance(def_stmt, Copy) or def_stmt.src == Var(name):
                 return None
-            if CopyPair(name, def_stmt.src) not in facts:
+            if facts.get(name) != def_stmt.src:
                 return None
             return def_stmt.src, 1
 
         return _rewrite_slots(stmt, label, immediate_source)
 
-    return _rewrite_program(prog, acs.reachable, rewrite)
+    return _rewrite_program(prog, acs.in_sets, rewrite)

@@ -51,7 +51,7 @@ def _load(path: str) -> Program:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     result = run_acs(_load(args.file))
-    for label in sorted(result.reachable, key=natural_key):
+    for label in sorted(result.in_sets, key=natural_key):
         print(f"{label}: IN = {format_facts(result.in_sets[label])}")
         if args.out_sets:
             print(f"{label}: OUT = {format_facts(result.out_sets[label])}")
@@ -114,7 +114,7 @@ def _random_envs(rng: random.Random, prog: Program, count: int) -> Iterator[dict
 def _mop_agrees(prog: Program, result: AnalysisResult) -> bool:
     # the exit first: its paths cover every other label's, so an error any
     # walk would raise is raised here, whatever order the other labels take
-    labels = sorted(result.reachable, key=lambda label: label != prog.exit)
+    labels = sorted(result.in_sets, key=lambda label: label != prog.exit)
     return all(mop_in(prog, label) == result.in_sets[label] for label in labels)
 
 
@@ -214,7 +214,7 @@ def cmd_dot(args: argparse.Namespace) -> int:
     annotations = None
     if args.annotate:
         result = run_acs(prog)
-        annotations = {label: format_facts(result.in_sets[label]) for label in result.reachable}
+        annotations = {label: format_facts(facts) for label, facts in result.in_sets.items()}
     sys.stdout.write(to_dot(prog, annotations))
     return 0
 

@@ -1,57 +1,35 @@
 """Must-availability lattice over copy facts and the package's one forward solver.
 
-Facts are (dst, src) pairs meaning dst currently holds the value of src.
-Sets of facts meet by intersection. The lattice needs no symbolic top: the
-solver meets only the OUTs a block's predecessors already have, so every fact
-set is a finite set of pairs. The same solver runs the baseline's reaching
-definitions (`classic`) on a union lattice.
+A fact (dst, src) means dst currently holds the value of src. At most one
+source is available per destination, so a fact set is a map from destination
+to source, the available-copies table of Aho et al., *Compilers* 2e, §9.
+Sets of facts meet by intersection: a pair survives where both maps hold it.
+The lattice needs no symbolic top: the solver meets only the OUTs a block's
+predecessors already have, so every fact set is a finite map. The same solver
+runs the baseline's reaching definitions (`classic`) on a union lattice.
 """
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Iterator, KeysView, Mapping
 from dataclasses import dataclass, field
-from typing import Callable, Generic, Iterable, TypeVar
+from typing import Callable, Generic, TypeVar
 
 from .ir import Block, Operand, Program, Statement, Var, format_operand
 
 
-@dataclass(frozen=True)
-class CopyPair:
-    """dst was last assigned src and neither has been redefined since."""
-    dst: str
-    src: Operand
-
-    def __post_init__(self) -> None:
-        # x = x carries no information and would make the pair graph cyclic.
-        if isinstance(self.src, Var) and self.src.name == self.dst:
-            raise ValueError(f"self pair ({self.dst}, {self.dst})")
-
-
-def format_pair(pair: CopyPair) -> str:
-    return f"({pair.dst}, {format_operand(pair.src)})"
-
-
-def pair_sort_key(pair: CopyPair) -> tuple[str, str]:
-    return (pair.dst, format_operand(pair.src))
-
-
-@dataclass(frozen=True)
-class FactSet:
-    """A finite set of copy pairs, functional (at most one pair per
-    destination) and acyclic (following src variables never loops); the
-    constructor rejects anything else.
+class FactSet(Mapping[str, Operand]):
+    """A finite set of copy facts as a read-only map from destination to
+    source, so at most one source per destination. The constructor rejects
+    a cyclic map (following src variables loops), which includes x -> x.
     """
 
-    pairs: frozenset[CopyPair]
+    __slots__ = ("_by_dst",)
     # every fact set is a real pair set; the benchmark's trace still reads this
     is_top = False
 
-    def __post_init__(self) -> None:
-        by_dst: dict[str, Operand] = {}
-        for pair in self.pairs:
-            if pair.dst in by_dst:
-                raise ValueError(f"two pairs for destination {pair.dst}")
-            by_dst[pair.dst] = pair.src
+    def __init__(self, by_dst: Mapping[str, Operand]) -> None:
+        by_dst = dict(by_dst)
         for start in by_dst:
             seen = set()
             cur = start
@@ -63,35 +41,47 @@ class FactSet:
                 if not isinstance(nxt, Var):
                     break
                 cur = nxt.name
+        self._by_dst = by_dst
 
-    @classmethod
-    def of(cls, pairs: Iterable[CopyPair]) -> FactSet:
-        return cls(frozenset(pairs))
+    def __getitem__(self, dst: str) -> Operand:
+        return self._by_dst[dst]
 
-    def meet(self, other: FactSet) -> FactSet:
-        return FactSet(self.pairs & other.pairs)
-
-    def lookup(self, var: str) -> Operand | None:
-        """Source paired with var, or None; unique when present."""
-        for pair in self.pairs:
-            if pair.dst == var:
-                return pair.src
-        return None
-
-    def __contains__(self, pair: CopyPair) -> bool:
-        return pair in self.pairs
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._by_dst)
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self._by_dst)
+
+    # the dict's own get and items: Mapping's generic ones call __getitem__
+    # per key, which slows `check --fuzz` by about a third
+    def get(self, dst: str, default: Operand | None = None) -> Operand | None:
+        return self._by_dst.get(dst, default)
+
+    def items(self) -> ItemsView[str, Operand]:
+        return self._by_dst.items()
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, FactSet):
+            return self._by_dst == other._by_dst
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"FactSet({self._by_dst!r})"
+
+    def meet(self, other: FactSet) -> FactSet:
+        """The pairs both sets hold."""
+        theirs = other._by_dst
+        return FactSet({dst: src for dst, src in self._by_dst.items() if theirs.get(dst) == src})
 
 
-EMPTY = FactSet(frozenset())
+EMPTY = FactSet({})
 
 
 def format_facts(facts: FactSet) -> str:
-    if not facts.pairs:
+    """The pairs as (dst, src) in destination order."""
+    if not facts:
         return "{ }"
-    return "{ " + ", ".join(format_pair(p) for p in sorted(facts.pairs, key=pair_sort_key)) + " }"
+    return "{ " + ", ".join(f"({dst}, {format_operand(facts[dst])})" for dst in sorted(facts)) + " }"
 
 
 L = TypeVar("L")
@@ -105,8 +95,13 @@ class AnalysisResult(Generic[L]):
 
     in_sets: dict[str, L]
     out_sets: dict[str, L]
-    reachable: frozenset[str]  # the keys of both maps
     iterations: int = field(compare=False)
+
+    @property
+    def reachable(self) -> KeysView[str]:
+        # the program reads `in_sets`; only the benchmark's trace
+        # (perfbench/bench_trace.py) still reads this
+        return self.in_sets.keys()
 
 
 def reverse_postorder(prog: Program) -> list[str]:
@@ -189,7 +184,7 @@ def _solve(
                     on_update(label, old, new_out)
                 outs[label] = new_out
                 dirty.update(block.succs)
-    return AnalysisResult(ins, outs, frozenset(rpo), visits)
+    return AnalysisResult(ins, outs, visits)
 
 
 def solve_forward(

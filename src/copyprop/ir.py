@@ -124,10 +124,14 @@ def variables(prog: Program) -> frozenset[str]:
 
 @functools.lru_cache(maxsize=1 << 16)
 def natural_key(label: str) -> tuple:
-    # Digit runs keep B2 ahead of B10; the label breaks ties like B1 and B01.
-    # Cached: each rewrite pass and `validate` sort every label again.
-    parts = DIGITS_RE.split(label)
-    return tuple(int(p) if p.isdigit() else p for p in parts), label
+    # Digit runs (the odd parts) keep B2 ahead of B10: without leading zeros,
+    # a longer run is a larger number, and runs of one length compare digit
+    # by digit, so no int() is needed, which refuses over 4300 digits. The
+    # label breaks ties like B1 and B01. Cached: each rewrite pass and
+    # `validate` sort every label again.
+    parts: list = DIGITS_RE.split(label)
+    parts[1::2] = [(len(run), run) for run in (p.lstrip("0") for p in parts[1::2])]
+    return tuple(parts), label
 
 
 def sorted_labels(prog: Program) -> list[str]:
@@ -174,10 +178,14 @@ def _parse_name(tok: tuple[str, int], lineno: int, kind: str) -> str:
 def _parse_operand(tok: tuple[str, int], lineno: int) -> Operand:
     text, col = tok
     if INT_RE.match(text):
-        value = int(text)
-        if not INT64_MIN <= value <= INT64_MAX:
-            raise ParseError(f"constant {text} out of 64-bit range", lineno, col + 1)
-        return Const(value)
+        # 64 bits hold at most 19 digits; counting them without leading zeros
+        # keeps int() off a run of over 4300 digits, which it refuses
+        digits = text.lstrip("+-").lstrip("0") or "0"
+        if len(digits) <= 19:
+            value = -int(digits) if text[0] == "-" else int(digits)
+            if INT64_MIN <= value <= INT64_MAX:
+                return Const(value)
+        raise ParseError(f"constant {text} out of 64-bit range", lineno, col + 1)
     if IDENT_RE.match(text) and text not in RESERVED:
         return Var(text)
     raise ParseError(f"expected operand, got '{text}'", lineno, col + 1)

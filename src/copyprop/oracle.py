@@ -19,7 +19,6 @@ from .dataflow import (
     EMPTY,
     AnalysisResult,
     FactSet,
-    pair_sort_key,
     predecessors,
     reverse_postorder,
 )
@@ -119,9 +118,8 @@ def solve_round_robin(prog: Program) -> AnalysisResult:
     Deliberately shares no iteration logic with the worklist solver; the two
     must land on the same fixpoint.
     """
-    reach = frozenset(reverse_postorder(prog))
     preds = predecessors(prog)
-    labels = sorted(reach, key=natural_key)
+    labels = sorted(reverse_postorder(prog), key=natural_key)
     ins: dict[str, FactSet] = {}
     outs: dict[str, FactSet] = {}
     sweeps = 0
@@ -144,7 +142,7 @@ def solve_round_robin(prog: Program) -> AnalysisResult:
                 ins[label] = in_f
                 outs[label] = out_f
                 changed = True
-    return AnalysisResult(ins, outs, reach, sweeps)
+    return AnalysisResult(ins, outs, sweeps)
 
 
 @dataclass(frozen=True)
@@ -385,17 +383,16 @@ ReplayPlan = dict[str, tuple[tuple[str, int | str], ...]]
 
 
 def _replay_plan(result: AnalysisResult) -> ReplayPlan:
-    """Each reachable block's IN pairs as (dst, src), in `pair_sort_key` order
+    """Each reachable block's IN pairs as (dst, src), in destination order
     so the first broken pair a replay names does not follow string hashing.
     A source is decoded as `_decode` decodes operands: a constant as its int,
     a variable as its name."""
     plan = {}
-    for label in result.reachable:
-        facts = result.in_sets[label]
-        if facts.pairs:
+    for label, facts in result.in_sets.items():
+        if facts:
             plan[label] = tuple(
-                (p.dst, p.src.value if isinstance(p.src, Const) else p.src.name)
-                for p in sorted(facts.pairs, key=pair_sort_key)
+                (dst, src.value if isinstance(src, Const) else src.name)
+                for dst, src in sorted(facts.items())  # by dst alone: dsts are unique
             )
     return plan
 

@@ -44,7 +44,7 @@ def resolve_chain(var: str, facts: FactSet) -> tuple[Operand, int]:
     name = var
     hops = 0
     while True:
-        src = facts.lookup(name)
+        src = facts.get(name)
         if src is None:
             return Var(name), hops
         hops += 1
@@ -98,17 +98,18 @@ def rewrite_statement(
 
 def _rewrite_program(
     prog: Program,
-    reachable: frozenset[str],
+    in_sets: dict[str, FactSet],
     rewrite: Callable[[Statement, str], tuple[Statement, list[Replacement]]],
 ) -> tuple[Program, ReplacementReport]:
-    """One pass in label order: each reachable block's statement becomes
-    `rewrite(stmt, label)`, and unreachable blocks are kept as is. Both
-    propagations walk the program here and differ only in their per-use rule."""
+    """One pass in label order: each block with an IN set, that is each
+    reachable one, has its statement become `rewrite(stmt, label)`, and
+    unreachable blocks are kept as is. Both propagations walk the program
+    here and differ only in their per-use rule."""
     new_blocks: dict[str, Block] = {}
     replacements: list[Replacement] = []
     for label in sorted_labels(prog):
         block = prog.blocks[label]
-        if label in reachable:
+        if label in in_sets:
             stmt, reps = rewrite(block.stmt, label)
             block = Block(label, stmt, block.succs)
             replacements.extend(reps)
@@ -119,7 +120,7 @@ def _rewrite_program(
 def transform(prog: Program, result: AnalysisResult) -> tuple[Program, ReplacementReport]:
     """One rewrite pass over the reachable blocks; unreachable blocks are kept as is."""
     in_sets = result.in_sets
-    return _rewrite_program(prog, result.reachable, lambda stmt, label: rewrite_statement(stmt, in_sets[label], label))
+    return _rewrite_program(prog, in_sets, lambda stmt, label: rewrite_statement(stmt, in_sets[label], label))
 
 
 def transform_to_fixpoint(prog: Program, max_rounds: int) -> tuple[Program, ReplacementReport]:

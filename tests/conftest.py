@@ -12,7 +12,6 @@ from copyprop import (
     Branch,
     Const,
     Copy,
-    CopyPair,
     FactSet,
     Nop,
     Program,
@@ -44,8 +43,8 @@ def fig2() -> Program:
 
 
 def pairs(*specs) -> FactSet:
-    """('x', 'y') -> CopyPair('x', Var('y')); ('x', 3) -> CopyPair('x', Const(3))."""
-    return FactSet.of(CopyPair(dst, Const(src) if isinstance(src, int) else Var(src)) for dst, src in specs)
+    """('x', 'y') -> x: Var('y'); ('x', 3) -> x: Const(3)."""
+    return FactSet({dst: Const(src) if isinstance(src, int) else Var(src) for dst, src in specs})
 
 
 def reversed_listing(prog: Program) -> Program:

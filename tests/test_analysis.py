@@ -2,13 +2,15 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from copyprop import (
     EMPTY,
     Binary,
     Branch,
     Const,
     Copy,
-    CopyPair,
     FactSet,
     GenParams,
     Nop,
@@ -19,19 +21,8 @@ from copyprop import (
     reverse_postorder,
     run_acs,
     transfer,
-    universe,
 )
 from conftest import pairs, straight_line
-
-
-def test_universe_fig2(fig2):
-    assert universe(fig2) == frozenset(
-        {CopyPair("b", Var("a")), CopyPair("c", Var("b")), CopyPair("e", Var("c"))}
-    )
-
-
-def test_universe_ignores_non_copies(fig1):
-    assert universe(fig1) == frozenset({CopyPair("y", Var("x"))})
 
 
 def test_transfer_kills_both_columns():
@@ -80,16 +71,16 @@ def test_redefinition_of_source_invalidates():
 
 def _random_facts(rng):
     names = rng.sample("abcdefgh", rng.randint(0, 6))
-    out = []
+    out = {}
     for i, n in enumerate(names):
         if rng.random() < 0.3:
             continue
         later = names[i + 1 :]
         if later and rng.random() < 0.6:
-            out.append(CopyPair(n, Var(rng.choice(later))))
+            out[n] = Var(rng.choice(later))
         else:
-            out.append(CopyPair(n, Const(rng.randint(-5, 5))))
-    return FactSet.of(out)
+            out[n] = Const(rng.randint(-5, 5))
+    return FactSet(out)
 
 
 def _random_stmt(rng):
@@ -111,17 +102,14 @@ def _random_stmt(rng):
 
 
 def test_transfer_properties_randomized():
-    """Output stays functional and acyclic, the defined variable appears only
-    in the generated pair, and transfer is idempotent per statement."""
+    """Output stays acyclic, the defined variable appears only in the
+    generated pair, and transfer is idempotent per statement."""
     rng = random.Random(99)
     for _ in range(500):
         facts = _random_facts(rng)
         stmt = _random_stmt(rng)
         after = transfer(stmt, facts)
-        by_dst = {}
-        for p in after.pairs:
-            assert p.dst not in by_dst
-            by_dst[p.dst] = p.src
+        by_dst = dict(after.items())
         for start in by_dst:
             seen = set()
             cur = start
@@ -131,12 +119,61 @@ def test_transfer_properties_randomized():
                 cur = by_dst[cur].name
         d = defined_var(stmt)
         if d is not None:
-            for p in after.pairs:
-                if p.dst == d:
-                    assert isinstance(stmt, Copy) and p.src == stmt.src
+            for dst, src in after.items():
+                if dst == d:
+                    assert isinstance(stmt, Copy) and src == stmt.src
                 else:
-                    assert p.src != Var(d)
+                    assert src != Var(d)
         assert transfer(stmt, after) == after
+
+
+NAMES = "abcdefgh"
+
+
+@st.composite
+def fact_maps(draw) -> dict:
+    """A random functional, acyclic fact map: every variable source comes
+    later in a random order of the names, so following sources never loops."""
+    names = draw(st.permutations(NAMES))[: draw(st.integers(0, len(NAMES)))]
+    facts = {}
+    for i, name in enumerate(names):
+        later = names[i + 1 :]
+        choices = [st.none(), st.integers(-3, 3).map(Const)] + ([st.sampled_from(later).map(Var)] if later else [])
+        src = draw(st.one_of(*choices))
+        if src is not None:
+            facts[name] = src
+    return facts
+
+
+model_operands = st.one_of(st.sampled_from(NAMES).map(Var), st.integers(-3, 3).map(Const))
+model_statements = st.one_of(
+    st.just(Nop()),
+    model_operands.map(Branch),
+    st.builds(Copy, st.sampled_from(NAMES), model_operands),
+    st.builds(Binary, st.sampled_from(NAMES), st.sampled_from("+-*"), model_operands, model_operands),
+)
+
+
+def _model_transfer(stmt, pairs):
+    """Transfer on a frozenset of (dst, src) pairs: kill (d, *) and (*, d)
+    for the defined d, then gen the copy's own pair unless it is d = d."""
+    d = defined_var(stmt)
+    if d is None:
+        return pairs
+    kept = {(dst, src) for dst, src in pairs if dst != d and src != Var(d)}
+    if isinstance(stmt, Copy) and stmt.src != Var(d):
+        kept.add((d, stmt.src))
+    return frozenset(kept)
+
+
+@settings(max_examples=400)
+@given(fact_maps(), fact_maps(), model_statements)
+def test_meet_and_transfer_match_a_pair_set_model(a, b, stmt):
+    """Meet is pair-set intersection and transfer is kill-then-gen on pairs."""
+    model_a, model_b = frozenset(a.items()), frozenset(b.items())
+    facts_a = FactSet(a)
+    assert frozenset(facts_a.meet(FactSet(b)).items()) == model_a & model_b
+    assert frozenset(transfer(stmt, facts_a).items()) == _model_transfer(stmt, model_a)
 
 
 def _const_in_sets(prog):
@@ -197,10 +234,9 @@ def test_const_copy_programs_agree_with_constant_analysis():
         )
         res = run_acs(prog)
         expected = _const_in_sets(prog)
-        for label in res.reachable:
-            facts = res.in_sets[label]
+        for label, facts in res.in_sets.items():
             got = {}
-            for p in facts.pairs:
-                assert isinstance(p.src, Const)
-                got[p.dst] = p.src.value
+            for dst, src in facts.items():
+                assert isinstance(src, Const)
+                got[dst] = src.value
             assert got == expected[label], label

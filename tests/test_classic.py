@@ -24,7 +24,7 @@ from copyprop import (
     variables,
 )
 from copyprop.cli import main
-from copyprop.dataflow import CopyPair, _solve
+from copyprop.dataflow import _solve
 from copyprop.ir import defined_var, sorted_labels
 from copyprop.propagate import Replacement
 from conftest import FIXTURES, copy_chain, straight_line
@@ -174,7 +174,7 @@ def set_based_classic_transform(prog):
     replacements = []
     for label in sorted_labels(prog):
         block = prog.blocks[label]
-        if label not in acs.reachable:
+        if label not in acs.in_sets:
             new_blocks[label] = block
             continue
 
@@ -187,7 +187,7 @@ def set_based_classic_transform(prog):
             def_stmt = prog.blocks[own[0]].stmt
             if not isinstance(def_stmt, Copy) or def_stmt.src == operand:
                 return operand
-            if CopyPair(operand.name, def_stmt.src) not in acs.in_sets[label]:
+            if acs.in_sets[label].get(operand.name) != def_stmt.src:
                 return operand
             replacements.append(Replacement(label, position, operand.name, def_stmt.src, 1))
             return def_stmt.src

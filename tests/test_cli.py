@@ -424,6 +424,33 @@ def test_parse_diagnostics_go_to_stderr(tmp_path, capsys):
     assert "unknown-successor B9" in captured.err
 
 
+# past the 4300 digits that int() converts
+LONG_DIGITS = "9" * 5000
+COMMANDS = [["analyze"], ["transform"], ["compare"], ["check"], ["dot", "--annotate"]]
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda command: command[0])
+def test_a_constant_too_long_for_int_is_a_parse_error(command, tmp_path, capsys):
+    path = tmp_path / "long_constant.tac"
+    path.write_text(f"entry: B0\nexit: B2\nB0: nop -> B1\nB1: x = -{LONG_DIGITS} -> B2\nB2: nop\n")
+    code, out, err = run(capsys, command[0], str(path), *command[1:])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: line 4, col 9: constant -{LONG_DIGITS} out of 64-bit range\n"
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda command: command[0])
+def test_a_label_with_a_long_digit_run_is_accepted(command, tmp_path, capsys):
+    label = "L" + LONG_DIGITS
+    path = tmp_path / "long_label.tac"
+    path.write_text(f"entry: B0\nexit: B2\nB0: nop -> {label}\n{label}: x = 1 -> B2\nB2: nop\n")
+    code, out, err = run(capsys, command[0], str(path), *command[1:])
+    assert code == 0
+    assert err == ""
+    if command[0] in ("analyze", "transform", "dot"):
+        assert label in out
+
+
 def test_unknown_command(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

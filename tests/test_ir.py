@@ -4,6 +4,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from copyprop import (
     Binary,
@@ -27,6 +29,7 @@ from copyprop import (
     validate,
     variables,
 )
+from copyprop.ir import DIGITS_RE, natural_key
 from conftest import load_fixture, reversed_listing, straight_line
 
 
@@ -78,6 +81,12 @@ def test_parse_constant_out_of_range():
         parse_program(text)
 
 
+def test_parse_constant_with_leading_zeros_past_the_int_limit():
+    zeros = "0" * 5000
+    prog = parse_program(f"entry: B0\nexit: B2\nB0: nop -> B1\nB1: x = -{zeros}5 -> B2\nB2: nop\n")
+    assert prog.blocks["B1"].stmt == Copy("x", Const(-5))
+
+
 def test_validate_constant_range():
     blocks = {
         "B0": Block("B0", Nop(), ("B1",)),
@@ -118,6 +127,53 @@ def test_parse_duplicate_label():
     text = "entry: B0\nexit: B1\nB0: nop -> B1\nB1: nop\nB1: nop\n"
     with pytest.raises(ParseError, match="duplicate label"):
         parse_program(text)
+
+
+# digit runs and labels past the 4300 digits that int() converts
+LONG_DIGITS = "9" * 5000
+LONG_LABEL = "L" + "7" * 5000
+labels = st.sampled_from(("B0", "B1", "B2", "B01", LONG_LABEL, "nop", "$", ""))
+operand_texts = st.sampled_from(("x", "y", "0", "-3", LONG_DIGITS, "-" + LONG_DIGITS, "0" * 5000 + "1", "branch", "$"))
+tokens = st.one_of(labels, operand_texts, st.sampled_from(("entry:", "exit:", ":", "=", "+", "/", "%", "->", ",", "#")))
+soups = st.lists(tokens, max_size=6).map(" ".join)
+statement_texts = st.one_of(
+    st.just("nop"),
+    st.builds("branch {}".format, operand_texts),
+    st.builds("x = {}".format, operand_texts),
+    st.builds("y = {} {} {}".format, operand_texts, st.sampled_from(("+", "*", "%")), operand_texts),
+    soups,
+)
+successor_texts = st.one_of(st.just(""), st.lists(labels, max_size=3).map(lambda names: " -> " + ", ".join(names)))
+block_lines = st.builds("{}: {}{}".format, labels, statement_texts, successor_texts)
+program_texts = st.builds(
+    lambda head, lines: head + "\n".join(lines) + "\n",
+    st.sampled_from(("entry: B0\nexit: B2\n", f"entry: {LONG_LABEL}\nexit: B2\n", "entry: B0\n", "")),
+    st.lists(st.one_of(block_lines, soups), max_size=6),
+)
+
+
+@settings(max_examples=500)
+@given(program_texts)
+def test_malformed_text_raises_only_parse_errors(text):
+    """Whatever the text, parsing returns a program or raises ParseError,
+    never another exception, long digit runs and labels included."""
+    try:
+        parse_program(text)
+    except ParseError:
+        pass
+
+
+def _int_natural_key(label):
+    parts = DIGITS_RE.split(label)
+    return tuple(int(p) if i % 2 else p for i, p in enumerate(parts)), label
+
+
+@settings(max_examples=300)
+@given(st.lists(st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,6}", fullmatch=True), min_size=2, max_size=8))
+def test_natural_key_orders_digit_runs_by_value(names):
+    """Keying digit runs by length and digits sorts labels as keying them
+    by their int value does, ties like B1 and B01 included."""
+    assert sorted(names, key=natural_key) == sorted(names, key=_int_natural_key)
 
 
 def test_parse_missing_entry_directive():

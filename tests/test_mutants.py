@@ -18,7 +18,7 @@ import copyprop.analysis as analysis
 import copyprop.cli as cli
 import copyprop.oracle as oracle
 import copyprop.propagate as propagate
-from copyprop import Const, Copy, CopyPair, FactSet, Var
+from copyprop import Const, Copy, FactSet, Var
 from copyprop.cli import main
 from copyprop.ir import defined_var
 
@@ -51,10 +51,10 @@ def _transfer_without_use_kill(stmt, facts):
     dst = defined_var(stmt)
     if dst is None:
         return facts
-    kept = [p for p in facts.pairs if p.dst != dst]
+    kept = {d: src for d, src in facts.items() if d != dst}
     if isinstance(stmt, Copy) and stmt.src != Var(dst):
-        kept.append(CopyPair(dst, stmt.src))
-    return FactSet(frozenset(kept))
+        kept[dst] = stmt.src
+    return FactSet(kept)
 
 
 def no_kill_of_uses_of_the_defined_variable(mp: pytest.MonkeyPatch) -> None:

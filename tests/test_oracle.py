@@ -15,7 +15,6 @@ from copyprop import (
     Branch,
     Const,
     Copy,
-    CopyPair,
     CyclicGraphError,
     FactSet,
     GenParams,
@@ -38,7 +37,7 @@ from copyprop import (
     validate,
     variables,
 )
-from copyprop.dataflow import AnalysisResult, pair_sort_key
+from copyprop.dataflow import AnalysisResult
 from conftest import load_fixture, looped_counter, sequential_diamonds, straight_line
 from strategies import VARIABLES, environments, programs
 
@@ -114,7 +113,7 @@ def test_cycle_among_unreachable_blocks_is_not_walked():
         "B8: x = x + 1 -> B9\nB9: branch p -> B8, B2\n"
     )
     assert enumerate_paths(prog, "B2") == [("B0", "B1", "B2")]
-    assert mop_in(prog, "B2") == FactSet.of([CopyPair("x", Const(1))])
+    assert mop_in(prog, "B2") == FactSet({"x": Const(1)})
     assert enumerate_paths(prog, "B8") == []
 
 
@@ -139,9 +138,9 @@ def test_cycle_the_walk_reaches_past_the_budget_reports_the_budget(monkeypatch):
 
 
 def test_mop_fig1(fig1):
-    assert mop_in(fig1, "B4") == FactSet.of([CopyPair("y", Var("x"))])
+    assert mop_in(fig1, "B4") == FactSet({"y": Var("x")})
     assert mop_in(fig1, "B2") == EMPTY
-    assert mop_in(fig1, "B5") == FactSet.of([CopyPair("y", Var("x"))])
+    assert mop_in(fig1, "B5") == FactSet({"y": Var("x")})
 
 
 def test_mop_matches_solver_on_acyclic_corpus():
@@ -157,7 +156,7 @@ def test_mop_matches_solver_on_acyclic_corpus():
             )
         )
         res = run_acs(prog)
-        for label in res.reachable:
+        for label in res.in_sets:
             assert mop_in(prog, label) == res.in_sets[label], label
 
 
@@ -173,7 +172,6 @@ def test_round_robin_matches_worklist():
         b = solve_round_robin(prog)
         assert a.in_sets == b.in_sets
         assert a.out_sets == b.out_sets
-        assert a.reachable == b.reachable
 
 
 # ---------------------------------------------------------------- interpreter
@@ -584,8 +582,8 @@ def test_fact_replay_catches_a_planted_lie(fig2):
     """A deliberately corrupted IN set must be flagged by the replay."""
     res = run_acs(fig2)
     bad_ins = dict(res.in_sets)
-    bad_ins["B2"] = FactSet.of([CopyPair("b", Const(5))])
-    bad = AnalysisResult(bad_ins, res.out_sets, res.reachable, res.iterations)
+    bad_ins["B2"] = FactSet({"b": Const(5)})
+    bad = AnalysisResult(bad_ins, res.out_sets, res.iterations)
     violation = fact_soundness_violation(fig2, bad, {"a": 3}, 100)
     assert violation is not None
     reason, step = violation
@@ -599,16 +597,18 @@ def test_replay_plan_lists_pairs_in_sort_order():
         prog = random_program(GenParams(seed=rng.randrange(2**32), num_vars=6, min_blocks=12, max_blocks=30))
         res = run_acs(prog)
         plan = oracle._replay_plan(res)
+        assert set(plan) == {label for label, facts in res.in_sets.items() if facts}
         for label, pairs in plan.items():
-            expected = sorted(res.in_sets[label].pairs, key=pair_sort_key)
-            assert list(pairs) == [(p.dst, p.src.value if isinstance(p.src, Const) else p.src.name) for p in expected]
+            facts = res.in_sets[label]
+            assert [dst for dst, _ in pairs] == sorted(facts)
+            assert all(src == (facts[dst].value if isinstance(facts[dst], Const) else facts[dst].name) for dst, src in pairs)
 
 
 def test_fact_replay_names_the_first_broken_pair_in_sort_order(fig2):
     res = run_acs(fig2)
     bad_ins = dict(res.in_sets)
-    bad_ins["B2"] = FactSet.of([CopyPair("z", Const(7)), CopyPair("b", Const(5))])
-    bad = AnalysisResult(bad_ins, res.out_sets, res.reachable, res.iterations)
+    bad_ins["B2"] = FactSet({"z": Const(7), "b": Const(5)})
+    bad = AnalysisResult(bad_ins, res.out_sets, res.iterations)
     reason, _ = fact_soundness_violation(fig2, bad, {"a": 3}, 100)
     assert "(b, 5)" in reason
 
@@ -709,8 +709,8 @@ def test_differential_replays_facts_on_the_original_run(fig2, monkeypatch):
     """The planted (b, 5) lie of the replay test, reached through differential_check."""
     res = run_acs(fig2)
     bad_ins = dict(res.in_sets)
-    bad_ins["B2"] = FactSet.of([CopyPair("b", Const(5))])
-    bad = AnalysisResult(bad_ins, res.out_sets, res.reachable, res.iterations)
+    bad_ins["B2"] = FactSet({"b": Const(5)})
+    bad = AnalysisResult(bad_ins, res.out_sets, res.iterations)
     monkeypatch.setattr(oracle, "run_acs", lambda prog: bad)
     # the rewrite stays honest, so only the replay can see the lie
     monkeypatch.setattr(oracle, "transform", lambda prog, result: transform(prog, run_acs(prog)))
@@ -795,7 +795,7 @@ def test_fast_forwarded_replay_matches_the_reference_on_random_programs():
             expected = reference_replay(prog, plan, env, 1000)
             assert fact_soundness_violation(prog, result, env, 1000) == expected[1] is None, seed
         else:
-            label = rng.choice(sorted(result.reachable))
+            label = rng.choice(sorted(result.in_sets))
             src = rng.choice([*sorted(variables(prog)), rng.randint(-4, 4)])
             plan = _with_lies(plan, [(label, rng.choice(sorted(variables(prog))), src)])
             expected = reference_replay(prog, plan, env, 1000)
