@@ -16,7 +16,7 @@ from typing import Iterable, Iterator
 
 from .analysis import run_acs
 from .classic import classic_transform
-from .dataflow import AnalysisResult, format_facts
+from .dataflow import format_facts
 from .ir import (
     ParseError,
     Program,
@@ -111,13 +111,6 @@ def _random_envs(rng: random.Random, prog: Program, count: int) -> Iterator[dict
     return ({name: rng.randint(-64, 64) for name in names} for _ in range(count))
 
 
-def _mop_agrees(prog: Program, result: AnalysisResult) -> bool:
-    # the exit first: its paths cover every other label's, so an error any
-    # walk would raise is raised here, whatever order the other labels take
-    labels = sorted(result.in_sets, key=lambda label: label != prog.exit)
-    return all(mop_in(prog, label) == result.in_sets[label] for label in labels)
-
-
 def _dump_failure(kind: str, prog: Program, verdict: Verdict) -> None:
     print(f"{kind}: FAIL")
     if verdict.reason:
@@ -153,7 +146,7 @@ def _check_one(prog: Program, envs: Iterable[dict[str, int]], args: argparse.Nam
             return check, Verdict(True)
         check = "mop"
         try:
-            agrees = _mop_agrees(prog, result)
+            agrees = mop_in(prog) == result.in_sets
         except CyclicGraphError:
             return "solver-agreement", Verdict(True, "cyclic-cfg")
         except PathBudgetError:

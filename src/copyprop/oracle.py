@@ -1,10 +1,11 @@
 """Independent checking machinery.
 
 Everything here recomputes results by other means than the worklist solver:
-meet-over-paths by brute-force path enumeration, a round-robin solver, a
-concrete interpreter with a fuel budget, a random program generator, and a
-differential check that runs original and transformed programs side by side
-while replaying availability facts against live values.
+meet-over-paths by one depth-first walk over every entry-to-exit path, a
+round-robin solver, a concrete interpreter with a fuel budget, a random
+program generator, and a differential check that runs original and
+transformed programs side by side while replaying availability facts against
+live values.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ class PathBudgetError(ValueError):
     pass
 
 
-# most entry-to-exit paths `enumerate_paths` walks, whatever the target
+# most entry-to-exit paths `enumerate_paths` and `mop_in` walk, whatever the target
 PATH_BUDGET = 4096
 
 
@@ -95,19 +96,46 @@ def enumerate_paths(prog: Program, target: str) -> list[tuple[str, ...]]:
     return paths
 
 
-def mop_in(prog: Program, target: str) -> FactSet:
-    """Meet over all paths of the transfer composition, excluding the target's
-    own statement. Ground truth for the solver where the paths are finite."""
-    paths = enumerate_paths(prog, target)
-    if not paths:
-        raise ValueError(f"no path from entry to {target}")
-    acc: FactSet | None = None
-    for path in paths:
-        facts = EMPTY
-        for label in path[:-1]:
-            facts = transfer(prog.blocks[label].stmt, facts)
-        acc = facts if acc is None else acc.meet(facts)
-    return acc
+def mop_in(prog: Program) -> dict[str, FactSet]:
+    """The meet over all entry paths of the transfer composition, excluding
+    each block's own statement: the MOP IN of every reachable block. Ground
+    truth for the solver where the paths are finite.
+
+    One depth-first walk with the same rules as `enumerate_paths`: successor
+    order, an explicit stack, `CyclicGraphError` on a block already on the
+    path, and `PathBudgetError` once more than `PATH_BUDGET` whole
+    entry-to-exit paths are followed. The stack carries each path prefix's
+    facts, so a block's statement is transferred once per visit and not once
+    per path through it, and each arrival meets the facts into that block's.
+    """
+    ins: dict[str, FactSet] = {}
+    walked = 0
+    path: list[str] = []
+    on_path: set[str] = set()
+    # stack[i + 1] iterates the successors of path[i] with its OUT facts;
+    # stack[0] yields the entry with none
+    stack: list[tuple[Iterator[str], FactSet]] = [(iter((prog.entry,)), EMPTY)]
+    while stack:
+        succs, facts = stack[-1]
+        label = next(succs, None)
+        if label is None:
+            stack.pop()
+            if stack:
+                on_path.discard(path.pop())
+            continue
+        if label in on_path:
+            raise CyclicGraphError("cyclic-cfg")
+        path.append(label)
+        on_path.add(label)
+        seen = ins.get(label)
+        ins[label] = facts if seen is None else seen.meet(facts)
+        block = prog.blocks[label]
+        if not block.succs:
+            walked += 1
+            if walked > PATH_BUDGET:
+                raise PathBudgetError(f"more than {PATH_BUDGET} paths")
+        stack.append((iter(block.succs), transfer(block.stmt, facts)))
+    return ins
 
 
 def solve_round_robin(prog: Program) -> AnalysisResult:

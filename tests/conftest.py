@@ -91,7 +91,7 @@ def looped_counter() -> Program:
 def sequential_diamonds(k: int) -> Program:
     """x = 1, then k diamonds in a row, each `branch p` to y = x or y = 2
     joined by z = y + 1: 2**k paths from the entry to the exit."""
-    lines = ["entry: B0", "exit: X", "B0: nop -> B1", "B1: x = 1 -> D0"]
+    lines = ["entry: B0", "exit: X", "B0: nop -> B1", f"B1: x = 1 -> {'D0' if k else 'X'}"]
     for i in range(k):
         join = f"D{i + 1}" if i + 1 < k else "X"
         lines += [

@@ -157,9 +157,7 @@ def test_ac5_meet_over_paths_equals_fixpoint():
                     loop_prob=0.0,
                 )
             )
-            result = run_acs(prog)
-            for label in result.in_sets:
-                assert mop_in(prog, label) == result.in_sets[label]
+            assert mop_in(prog) == run_acs(prog).in_sets
 
 
 def test_ac6_semantic_preservation():

@@ -177,6 +177,29 @@ def test_check_mop_skips_a_program_past_the_path_budget(tmp_path, capsys):
     assert out.splitlines()[-2:] == ["mop: SKIP (budget)", "PASS"]
 
 
+def test_check_mop_transfers_once_per_walk_step(tmp_path, monkeypatch, capsys):
+    # 2**12 paths; walking them once per block made 835,599 transfers
+    calls = 0
+    transfer = oracle.transfer
+
+    def counted(stmt, facts):
+        nonlocal calls
+        calls += 1
+        return transfer(stmt, facts)
+
+    monkeypatch.setattr(oracle, "transfer", counted)
+    prog = sequential_diamonds(12)
+    oracle.mop_in(prog)
+    assert calls <= 2**15
+    path = tmp_path / "diamonds.tac"
+    path.write_text(print_program(prog))
+    calls = 0
+    code, out, _ = run(capsys, "check", str(path), "--acyclic-mop")
+    assert code == 0
+    assert out.splitlines()[-2:] == ["mop: PASS", "PASS"]
+    assert calls <= 2**15
+
+
 def test_check_fuzz_does_not_count_programs_past_the_path_budget(monkeypatch, capsys):
     monkeypatch.setattr(oracle, "PATH_BUDGET", 0)
     code, out, _ = run(capsys, "check", "--fuzz", "--programs", "20", "--seed", "42", "--acyclic-mop")

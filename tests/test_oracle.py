@@ -37,6 +37,7 @@ from copyprop import (
     validate,
     variables,
 )
+from copyprop.analysis import transfer
 from copyprop.dataflow import AnalysisResult
 from conftest import load_fixture, looped_counter, sequential_diamonds, straight_line
 from strategies import VARIABLES, environments, programs
@@ -62,8 +63,7 @@ def test_enumerate_paths_unreachable_target():
     }
     prog = Program(blocks, "B0", "B1")
     assert enumerate_paths(prog, "B9") == []
-    with pytest.raises(ValueError, match="no path"):
-        mop_in(prog, "B9")
+    assert "B9" not in mop_in(prog)
 
 
 def test_cyclic_graph_is_rejected():
@@ -76,7 +76,7 @@ def test_deep_straight_line_has_one_path():
     prog = straight_line(*[Binary("x", "+", Var("x"), Const(1))] * 1200)
     paths = enumerate_paths(prog, prog.exit)
     assert paths == [tuple(f"B{i}" for i in range(1202))]
-    assert mop_in(prog, prog.exit) == EMPTY == run_acs(prog).in_sets[prog.exit]
+    assert mop_in(prog)[prog.exit] == EMPTY == run_acs(prog).in_sets[prog.exit]
 
 
 def test_path_budget_admits_exactly_its_size():
@@ -93,7 +93,7 @@ def test_path_budget_counts_paths_that_miss_the_target():
     prog = sequential_diamonds(13)
     assert len(enumerate_paths(sequential_diamonds(12), "L0")) == 1
     with pytest.raises(PathBudgetError):
-        mop_in(prog, "L0")
+        mop_in(prog)["L0"]
 
 
 def test_cycle_through_the_target_is_rejected():
@@ -104,7 +104,9 @@ def test_cycle_through_the_target_is_rejected():
     )
     for target in ("B2", "B1"):
         with pytest.raises(CyclicGraphError, match="cyclic-cfg"):
-            mop_in(prog, target)
+            enumerate_paths(prog, target)
+    with pytest.raises(CyclicGraphError, match="cyclic-cfg"):
+        mop_in(prog)
 
 
 def test_cycle_among_unreachable_blocks_is_not_walked():
@@ -113,7 +115,7 @@ def test_cycle_among_unreachable_blocks_is_not_walked():
         "B8: x = x + 1 -> B9\nB9: branch p -> B8, B2\n"
     )
     assert enumerate_paths(prog, "B2") == [("B0", "B1", "B2")]
-    assert mop_in(prog, "B2") == FactSet({"x": Const(1)})
+    assert mop_in(prog) == {"B0": EMPTY, "B1": EMPTY, "B2": FactSet({"x": Const(1)})}
     assert enumerate_paths(prog, "B8") == []
 
 
@@ -130,23 +132,26 @@ def test_cycle_the_walk_reaches_past_the_budget_reports_the_budget(monkeypatch):
     lines[lines.index("B1: x = 1 -> D0")] = "B1: branch q -> D0, C0"
     lines += ["C0: x = x + 1 -> C1", "C1: branch p -> C0, X"]
     prog = parse_program("\n".join(lines) + "\n")
-    with pytest.raises(PathBudgetError):
-        enumerate_paths(prog, "X")
+    for walk in (lambda: enumerate_paths(prog, "X"), lambda: mop_in(prog)):
+        with pytest.raises(PathBudgetError):
+            walk()
     monkeypatch.setattr(oracle, "PATH_BUDGET", 2**13)
-    with pytest.raises(CyclicGraphError):
-        enumerate_paths(prog, "X")
+    for walk in (lambda: enumerate_paths(prog, "X"), lambda: mop_in(prog)):
+        with pytest.raises(CyclicGraphError):
+            walk()
 
 
 def test_mop_fig1(fig1):
-    assert mop_in(fig1, "B4") == FactSet({"y": Var("x")})
-    assert mop_in(fig1, "B2") == EMPTY
-    assert mop_in(fig1, "B5") == FactSet({"y": Var("x")})
+    mop = mop_in(fig1)
+    assert mop["B4"] == FactSet({"y": Var("x")})
+    assert mop["B2"] == EMPTY
+    assert mop["B5"] == FactSet({"y": Var("x")})
 
 
-def test_mop_matches_solver_on_acyclic_corpus():
+def acyclic_corpus() -> list[Program]:
     rng = random.Random(31)
-    for _ in range(60):
-        prog = random_program(
+    return [
+        random_program(
             GenParams(
                 seed=rng.randrange(2**32),
                 min_blocks=7,
@@ -155,9 +160,62 @@ def test_mop_matches_solver_on_acyclic_corpus():
                 loop_prob=0.0,
             )
         )
+        for _ in range(60)
+    ]
+
+
+def test_mop_matches_solver_on_acyclic_corpus():
+    for prog in acyclic_corpus():
         res = run_acs(prog)
+        mop = mop_in(prog)
         for label in res.in_sets:
-            assert mop_in(prog, label) == res.in_sets[label], label
+            assert mop[label] == res.in_sets[label], label
+
+
+def reference_mop_in(prog: Program, target: str) -> FactSet | None:
+    """Meet-over-paths by its definition: the transfers along each path of
+    `enumerate_paths(prog, target)` composed from the entry, the target's own
+    statement excluded, and the results met. None when no path reaches it."""
+    acc = None
+    for path in enumerate_paths(prog, target):
+        facts = EMPTY
+        for label in path[:-1]:
+            facts = transfer(prog.blocks[label].stmt, facts)
+        acc = facts if acc is None else acc.meet(facts)
+    return acc
+
+
+def reference_mop(prog: Program) -> dict[str, FactSet]:
+    """`reference_mop_in` of every block some path reaches."""
+    ins = {label: reference_mop_in(prog, label) for label in prog.blocks}
+    return {label: facts for label, facts in ins.items() if facts is not None}
+
+
+@pytest.mark.parametrize("k", range(13))
+def test_mop_matches_the_per_target_reference_on_diamonds(k):
+    prog = sequential_diamonds(k)
+    assert mop_in(prog) == reference_mop(prog)
+
+
+def test_mop_matches_the_per_target_reference_on_acyclic_corpus():
+    for prog in acyclic_corpus():
+        assert mop_in(prog) == reference_mop(prog)
+
+
+@settings(max_examples=200)
+@given(prog=programs())
+def test_mop_matches_the_per_target_reference_on_any_program(prog):
+    # cyclic graphs and unreachable blocks included: the one walk raises what
+    # the walk toward the exit raises, or agrees with the reference
+    try:
+        enumerate_paths(prog, prog.exit)
+    except (CyclicGraphError, PathBudgetError) as err:
+        with pytest.raises(type(err)):
+            mop_in(prog)
+        with pytest.raises(type(err)):
+            reference_mop(prog)
+        return
+    assert mop_in(prog) == reference_mop(prog)
 
 
 def test_round_robin_matches_worklist():
