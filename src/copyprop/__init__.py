@@ -58,7 +58,6 @@ from .oracle import (
 from .propagate import (
     Replacement,
     ReplacementReport,
-    resolve,
     resolve_chain,
     rewrite_statement,
     transform,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .analysis import run_acs
 from .dataflow import AnalysisResult, _solve
-from .ir import Block, Copy, Operand, Program, Statement, Var, defined_var
+from .ir import Copy, Operand, Program, Statement, Var, defined_var
 from .propagate import Replacement, ReplacementReport, _rewrite_program, _rewrite_slots
 
 
@@ -59,8 +59,8 @@ def reaching_definitions(prog: Program) -> ReachingDefinitions:
     # label -> (mask of the bits that survive the block, the block's own bit)
     transfer = {label: (~kill[d], 1 << i) for i, (label, d) in enumerate(defined)}
 
-    def step(block: Block, bits: int) -> int:
-        keep_gen = transfer.get(block.label)
+    def step(label: str, bits: int) -> int:
+        keep_gen = transfer.get(label)
         if keep_gen is None:
             return bits
         keep, gen = keep_gen

@@ -38,12 +38,12 @@ from .oracle import (
     random_program,
     solve_round_robin,
 )
-from .propagate import SLOT_ORDER, Replacement, resolve, transform, transform_to_fixpoint
+from .propagate import SLOT_ORDER, Replacement, resolve_chain, transform, transform_to_fixpoint
 
 
 def _load(path: str) -> Program:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as err:
         raise ParseError(f"{path}: {err}") from None
     return parse_program(text)
@@ -99,7 +99,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             print(f"error: classic rewrote {block} {position} but unified did not", file=sys.stderr)
             return 1
         c, u = site["classic"].replacement, site["unified"].replacement
-        expected = resolve(c.name, result.in_sets[block]) if isinstance(c, Var) else c
+        expected = resolve_chain(c.name, result.in_sets[block])[0] if isinstance(c, Var) else c
         if u != expected:
             print(f"error: {block} {position} resolves past the unified result", file=sys.stderr)
             return 1

@@ -11,11 +11,11 @@ runs the baseline's reaching definitions (`classic`) on a union lattice.
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, Iterator, KeysView, Mapping
+from collections.abc import Callable, ItemsView, Iterator, KeysView, Mapping
 from dataclasses import dataclass, field
-from typing import Callable, Generic, TypeVar
+from typing import Generic, TypeVar
 
-from .ir import Block, Operand, Program, Statement, Var, format_operand
+from .ir import Operand, Program, Statement, Var, format_operand
 
 
 class FactSet(Mapping[str, Operand]):
@@ -132,20 +132,17 @@ def predecessors(prog: Program) -> dict[str, tuple[str, ...]]:
     return {label: tuple(ps) for label, ps in preds.items()}
 
 
-Transfer = Callable[[Statement, FactSet], FactSet]
-UpdateHook = Callable[[str, FactSet | None, FactSet], None]
-
-
 def _solve(
     prog: Program,
-    step: Callable[[Block, L], L],
+    step: Callable[[str, L], L],
     entry: L,
     meet: Callable[[L, L], L],
     *,
     on_update: Callable[[str, L | None, L], None] | None = None,
 ) -> AnalysisResult[L]:
     """Fixpoint of a forward analysis (Kildall's monotone framework) over the
-    blocks reachable from the entry.
+    blocks reachable from the entry, stepping by label: `step(label, in)`
+    gives the OUT of the block at label and reads that block from `prog`.
 
     The entry's IN is `entry` met with its predecessors' OUTs; any other
     block's IN is the meet of the OUTs its predecessors have so far. A
@@ -176,22 +173,21 @@ def _solve(
                 if out is not None:
                     in_f = out if in_f is None else meet(in_f, out)
             ins[label] = in_f
-            block = prog.blocks[label]
-            new_out = step(block, in_f)
+            new_out = step(label, in_f)
             old = outs.get(label)
             if new_out != old:
                 if on_update is not None:
                     on_update(label, old, new_out)
                 outs[label] = new_out
-                dirty.update(block.succs)
+                dirty.update(prog.blocks[label].succs)
     return AnalysisResult(ins, outs, visits)
 
 
 def solve_forward(
     prog: Program,
-    transfer: Transfer,
+    transfer: Callable[[Statement, FactSet], FactSet],
     *,
-    on_update: UpdateHook | None = None,
+    on_update: Callable[[str, FactSet | None, FactSet], None] | None = None,
 ) -> AnalysisResult:
     """Greatest-fixpoint solve of a forward must-analysis over copy facts.
 
@@ -200,7 +196,7 @@ def solve_forward(
     `_solve` for `on_update`.
     """
 
-    def step(block: Block, facts: FactSet) -> FactSet:
-        return transfer(block.stmt, facts)
+    def step(label: str, facts: FactSet) -> FactSet:
+        return transfer(prog.blocks[label].stmt, facts)
 
     return _solve(prog, step, EMPTY, FactSet.meet, on_update=on_update)

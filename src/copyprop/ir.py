@@ -1,9 +1,10 @@
 """Three-address-code programs as single-statement control flow graphs.
 
-A program maps labels to blocks, each holding exactly one statement, plus
-designated entry and exit blocks that both hold ``nop``. The text format is
-line oriented: the first two content lines name the entry and exit labels,
-every later line describes one block.
+A program maps each label to a block of (statement, successors), plus
+designated entry and exit blocks that both hold ``nop``. The label lives only
+in that key; a block does not repeat it. The text format is line oriented:
+the first two content lines name the entry and exit labels, every later line
+describes one block.
 
     entry: B0
     exit: B3
@@ -77,7 +78,6 @@ Statement = Nop | Copy | Binary | Branch
 
 @dataclass(frozen=True)
 class Block:
-    label: str
     stmt: Statement
     succs: tuple[str, ...] = ()
 
@@ -224,7 +224,7 @@ def _parse_directive(line: tuple[int, str], name: str) -> str:
     return _parse_name((m.group(2), m.start(2)), lineno, "label")
 
 
-def _parse_block(line: tuple[int, str], blocks: dict[str, Block]) -> Block:
+def _parse_block(line: tuple[int, str], blocks: dict[str, Block]) -> tuple[str, Block]:
     lineno, text = line
     m = re.match(r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*:\s*", text)
     if not m:
@@ -251,7 +251,7 @@ def _parse_block(line: tuple[int, str], blocks: dict[str, Block]) -> Block:
                 raise ParseError("empty successor label", lineno, name_col + 1)
         succs = tuple(_parse_name(tok, lineno, "label") for tok in names)
         toks = toks[:arrow]
-    return Block(label, _parse_statement(toks, lineno), succs)
+    return label, Block(_parse_statement(toks, lineno), succs)
 
 
 def parse_program(text: str) -> Program:
@@ -267,8 +267,8 @@ def parse_program(text: str) -> Program:
     exit_ = _parse_directive(lines[1], "exit")
     blocks: dict[str, Block] = {}
     for line in lines[2:]:
-        block = _parse_block(line, blocks)
-        blocks[block.label] = block
+        label, block = _parse_block(line, blocks)
+        blocks[label] = block
     prog = Program(blocks, entry, exit_)
     diags = validate(prog)
     if diags:
@@ -306,8 +306,6 @@ def validate(prog: Program) -> list[str]:
         block = prog.blocks[label]
         if not IDENT_RE.match(label) or label in RESERVED:
             diags.append(f"bad-label {label}")
-        if block.label != label:
-            diags.append(f"label-mismatch {label}")
         _check_statement(label, block.stmt, diags)
         for succ in block.succs:
             if succ not in prog.blocks:

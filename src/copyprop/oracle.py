@@ -369,10 +369,10 @@ def random_program(params: GenParams) -> Program:
             return Var(rng.choice(pool))
         return Const(rng.randint(CONST_MIN, CONST_MAX))
 
-    blocks[labels[0]] = Block(labels[0], Nop(), (labels[1],))
+    blocks[labels[0]] = Block(Nop(), (labels[1],))
     for i, name in enumerate(pool, start=1):
         const = Const(rng.randint(CONST_MIN, CONST_MAX))
-        blocks[labels[i]] = Block(labels[i], Copy(name, const), (labels[i + 1],))
+        blocks[labels[i]] = Block(Copy(name, const), (labels[i + 1],))
     for i in range(len(pool) + 1, total - 1):
         label = labels[i]
         if rng.random() < params.branch_prob:
@@ -380,7 +380,7 @@ def random_program(params: GenParams) -> Program:
                 other = labels[rng.randint(1, i)]
             else:
                 other = labels[rng.randint(i + 1, total - 1)]
-            blocks[label] = Block(label, Branch(Var(rng.choice(pool))), (labels[i + 1], other))
+            blocks[label] = Block(Branch(Var(rng.choice(pool))), (labels[i + 1], other))
             continue
         if rng.random() < COPY_RATIO:
             if params.const_copy_only or rng.random() < 0.4:
@@ -390,8 +390,8 @@ def random_program(params: GenParams) -> Program:
             stmt: Statement = Copy(rng.choice(pool), src)
         else:
             stmt = Binary(rng.choice(pool), rng.choice(ops), operand(), operand())
-        blocks[label] = Block(label, stmt, (labels[i + 1],))
-    blocks[labels[-1]] = Block(labels[-1], Nop(), ())
+        blocks[label] = Block(stmt, (labels[i + 1],))
+    blocks[labels[-1]] = Block(Nop(), ())
     prog = Program(blocks, labels[0], labels[-1])
     diags = validate(prog)
     if diags:  # a generator bug, not a caller error

@@ -9,8 +9,8 @@ program keeps its shape.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Callable
 
 from .analysis import run_acs
 from .dataflow import AnalysisResult, FactSet
@@ -53,16 +53,11 @@ def resolve_chain(var: str, facts: FactSet) -> tuple[Operand, int]:
         name = src.name
 
 
-def resolve(var: str, facts: FactSet) -> Operand:
-    return resolve_chain(var, facts)[0]
-
-
-# A per-use rule: (variable, slot) -> (replacement, chain length), or None to keep the use.
-UseRule = Callable[[str, str], tuple[Operand, int] | None]
-
-
-def _rewrite_slots(stmt: Statement, block: str, target_of: UseRule) -> tuple[Statement, list[Replacement]]:
-    """Rewrite each variable use of one statement to `target_of(name, slot)`.
+def _rewrite_slots(
+    stmt: Statement, block: str, target_of: Callable[[str, str], tuple[Operand, int] | None]
+) -> tuple[Statement, list[Replacement]]:
+    """Rewrite each variable use of one statement to `target_of(name, slot)`,
+    a per-use rule giving (replacement, chain length), or None to keep the use.
     The one place that knows which operand of which statement is which slot."""
     replacements: list[Replacement] = []
 
@@ -111,7 +106,7 @@ def _rewrite_program(
         block = prog.blocks[label]
         if label in in_sets:
             stmt, reps = rewrite(block.stmt, label)
-            block = Block(label, stmt, block.succs)
+            block = Block(stmt, block.succs)
             replacements.extend(reps)
         new_blocks[label] = block
     return Program(new_blocks, prog.entry, prog.exit), ReplacementReport(tuple(replacements), pass_count=1)

@@ -62,10 +62,10 @@ def swapped_branches(prog: Program) -> Program:
 def straight_line(*stmts: Statement) -> Program:
     """entry, one block per statement, exit; single-successor spine."""
     n = len(stmts)
-    blocks = {"B0": Block("B0", Nop(), ("B1",))}
+    blocks = {"B0": Block(Nop(), ("B1",))}
     for i, stmt in enumerate(stmts, start=1):
-        blocks[f"B{i}"] = Block(f"B{i}", stmt, (f"B{i + 1}",))
-    blocks[f"B{n + 1}"] = Block(f"B{n + 1}", Nop(), ())
+        blocks[f"B{i}"] = Block(stmt, (f"B{i + 1}",))
+    blocks[f"B{n + 1}"] = Block(Nop(), ())
     return Program(blocks, "B0", f"B{n + 1}")
 
 
@@ -79,11 +79,11 @@ def copy_chain(n: int) -> tuple[Program, str]:
 def looped_counter() -> Program:
     """x = 0, then a loop body x = x + 1 guarded by branch p."""
     blocks = {
-        "B0": Block("B0", Nop(), ("B1",)),
-        "B1": Block("B1", Copy("x", Const(0)), ("B2",)),
-        "B2": Block("B2", Binary("x", "+", Var("x"), Const(1)), ("B3",)),
-        "B3": Block("B3", Branch(Var("p")), ("B2", "B4")),
-        "B4": Block("B4", Nop(), ()),
+        "B0": Block(Nop(), ("B1",)),
+        "B1": Block(Copy("x", Const(0)), ("B2",)),
+        "B2": Block(Binary("x", "+", Var("x"), Const(1)), ("B3",)),
+        "B3": Block(Branch(Var("p")), ("B2", "B4")),
+        "B4": Block(Nop(), ()),
     }
     return Program(blocks, "B0", "B4")
 

@@ -26,11 +26,11 @@ def programs(draw, max_blocks: int = 12) -> Program:
     count = draw(st.integers(3, max_blocks))
     labels = [f"B{i}" for i in range(count)]
     targets = st.sampled_from(labels[1:])
-    blocks = {labels[0]: Block(labels[0], Nop(), (draw(targets),))}
+    blocks = {labels[0]: Block(Nop(), (draw(targets),))}
     for label in labels[1:-1]:
         kind = draw(st.sampled_from(("copy", "binary", "branch", "nop")))
         if kind == "branch":
-            blocks[label] = Block(label, Branch(draw(operands)), (draw(targets), draw(targets)))
+            blocks[label] = Block(Branch(draw(operands)), (draw(targets), draw(targets)))
             continue
         dst = draw(st.sampled_from(VARIABLES))
         if kind == "copy":
@@ -39,8 +39,8 @@ def programs(draw, max_blocks: int = 12) -> Program:
             stmt = Binary(dst, draw(st.sampled_from(BINARY_OPS)), draw(operands), draw(operands))
         else:
             stmt = Nop()
-        blocks[label] = Block(label, stmt, (draw(targets),))
-    blocks[labels[-1]] = Block(labels[-1], Nop(), ())
+        blocks[label] = Block(stmt, (draw(targets),))
+    blocks[labels[-1]] = Block(Nop(), ())
     prog = Program(blocks, labels[0], labels[-1])
     assert not validate(prog), validate(prog)
     return prog

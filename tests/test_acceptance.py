@@ -27,7 +27,7 @@ from copyprop import (
     fact_soundness_violation,
     mop_in,
     random_program,
-    resolve,
+    resolve_chain,
     run_acs,
     solve_forward,
     solve_round_robin,
@@ -138,7 +138,7 @@ def test_ac4_per_site_dominance():
                 u = sites[(c.block, c.position)]
                 assert u.original == c.original
                 if isinstance(c.replacement, Var):
-                    expected = resolve(c.replacement.name, result.in_sets[c.block])
+                    expected = resolve_chain(c.replacement.name, result.in_sets[c.block])[0]
                 else:
                     expected = c.replacement
                 assert u.replacement == expected

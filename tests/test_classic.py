@@ -16,9 +16,12 @@ from copyprop import (
     Program,
     Var,
     classic_transform,
+    mop_in,
+    parse_program,
+    print_program,
     random_program,
     reaching_definitions,
-    resolve,
+    resolve_chain,
     run_acs,
     transform,
     variables,
@@ -37,11 +40,11 @@ def sites(report):
 def set_based_reaching_definitions(prog):
     """Reference: the same analysis over frozensets of (block, var) sites."""
 
-    def step(block, sites):
-        d = defined_var(block.stmt)
+    def step(label, sites):
+        d = defined_var(prog.blocks[label].stmt)
         if d is None:
             return sites
-        return frozenset(s for s in sites if s[1] != d) | {(block.label, d)}
+        return frozenset(s for s in sites if s[1] != d) | {(label, d)}
 
     return _solve(prog, step, frozenset(), frozenset.union).in_sets
 
@@ -83,10 +86,10 @@ def test_reaching_definitions_skip_unreachable():
     """An orphan's definition does not reach the join it jumps to, and the
     orphan has no entry of its own."""
     blocks = {
-        "B0": Block("B0", Nop(), ("B1",)),
-        "B1": Block("B1", Copy("x", Const(1)), ("B2",)),
-        "B2": Block("B2", Nop(), ()),
-        "B9": Block("B9", Copy("x", Const(2)), ("B2",)),
+        "B0": Block(Nop(), ("B1",)),
+        "B1": Block(Copy("x", Const(1)), ("B2",)),
+        "B2": Block(Nop(), ()),
+        "B9": Block(Copy("x", Const(2)), ("B2",)),
     }
     prog = Program(blocks, "B0", "B2")
     unique_definitions_match_the_reference(prog)
@@ -117,11 +120,11 @@ def test_reaching_definitions_self_loop_and_unreachable_definition():
     """A block that redefines x and jumps to itself reaches its own input;
     an orphan definition of the same variable never reaches anything."""
     blocks = {
-        "B0": Block("B0", Nop(), ("B1",)),
-        "B1": Block("B1", Copy("x", Const(0)), ("B2",)),
-        "B2": Block("B2", Binary("x", "+", Var("x"), Const(1)), ("B2",)),
-        "B3": Block("B3", Nop(), ()),
-        "B9": Block("B9", Copy("x", Const(5)), ("B2",)),
+        "B0": Block(Nop(), ("B1",)),
+        "B1": Block(Copy("x", Const(0)), ("B2",)),
+        "B2": Block(Binary("x", "+", Var("x"), Const(1)), ("B2",)),
+        "B3": Block(Nop(), ()),
+        "B9": Block(Copy("x", Const(5)), ("B2",)),
     }
     sites = unique_definitions_match_the_reference(Program(blocks, "B0", "B3"))
     assert set(sites) == {"B0", "B1", "B2"}
@@ -154,11 +157,11 @@ def test_unique_definition(fig1):
     assert rd.unique_definition("B5", "z") == "B4"
 
     blocks = {
-        "B0": Block("B0", Nop(), ("B1",)),
-        "B1": Block("B1", Copy("x", Const(1)), ("B2",)),
-        "B2": Block("B2", Binary("y", "+", Var("x"), Const(1)), ("B2",)),
-        "B3": Block("B3", Nop(), ()),
-        "B9": Block("B9", Copy("x", Const(2)), ("B2",)),
+        "B0": Block(Nop(), ("B1",)),
+        "B1": Block(Copy("x", Const(1)), ("B2",)),
+        "B2": Block(Binary("y", "+", Var("x"), Const(1)), ("B2",)),
+        "B3": Block(Nop(), ()),
+        "B9": Block(Copy("x", Const(2)), ("B2",)),
     }
     rd = reaching_definitions(Program(blocks, "B0", "B3"))
     assert rd.unique_definition("B2", "x") == "B1"
@@ -197,7 +200,7 @@ def set_based_classic_transform(prog):
             stmt = Binary(stmt.dst, stmt.op, attempt(stmt.lhs, "binary-lhs"), attempt(stmt.rhs, "binary-rhs"))
         elif isinstance(stmt, Branch):
             stmt = Branch(attempt(stmt.cond, "branch-cond"))
-        new_blocks[label] = Block(label, stmt, block.succs)
+        new_blocks[label] = Block(stmt, block.succs)
     return Program(new_blocks, prog.entry, prog.exit), tuple(replacements)
 
 
@@ -280,7 +283,7 @@ def test_classic_propagates_constants():
 def test_classic_rewrites_branch_condition():
     base = straight_line(Copy("p", Var("q")), Nop())
     blocks = dict(base.blocks)
-    blocks["B2"] = Block("B2", Branch(Var("p")), ("B3", "B3"))
+    blocks["B2"] = Block(Branch(Var("p")), ("B3", "B3"))
     prog = Program(blocks, base.entry, base.exit)
     out, report = classic_transform(prog)
     assert out.blocks["B2"].stmt == Branch(Var("q"))
@@ -317,11 +320,11 @@ def test_unreachable_block_is_kept_as_is(one_pass):
     available copy: both passes leave it alone and rewrite the reachable use."""
     prog = Program(
         {
-            "B0": Block("B0", Nop(), ("B1",)),
-            "B1": Block("B1", Copy("x", Const(5)), ("B2",)),
-            "B2": Block("B2", Binary("y", "+", Var("x"), Const(1)), ("B3",)),
-            "B3": Block("B3", Nop(), ()),
-            "B4": Block("B4", Binary("z", "+", Var("x"), Const(2)), ("B3",)),
+            "B0": Block(Nop(), ("B1",)),
+            "B1": Block(Copy("x", Const(5)), ("B2",)),
+            "B2": Block(Binary("y", "+", Var("x"), Const(1)), ("B3",)),
+            "B3": Block(Nop(), ()),
+            "B4": Block(Binary("z", "+", Var("x"), Const(2)), ("B3",)),
         },
         "B0",
         "B3",
@@ -350,7 +353,7 @@ def test_classic_never_beats_unified():
             u = uni_sites[key]
             assert u.original == c.original
             expected = (
-                resolve(c.replacement.name, result.in_sets[c.block])
+                resolve_chain(c.replacement.name, result.in_sets[c.block])[0]
                 if isinstance(c.replacement, Var)
                 else c.replacement
             )
@@ -364,3 +367,31 @@ def test_classic_strictly_weaker_somewhere(fig1, fig2):
     _, u2 = transform(fig2, run_acs(fig2))
     _, c2 = classic_transform(fig2)
     assert len(c2.replacements) == 4 < len(u2.replacements) == 6
+
+
+EQUAL_ARMS = """\
+entry: S
+exit: E
+S: nop -> A
+A: x = 3 -> C
+C: branch p -> L, R
+L: y = x -> J
+R: y = x -> J
+J: z = y + 1 -> E
+E: nop
+"""
+
+
+def test_equal_blocks_at_different_labels_stay_distinct():
+    """A block holds no label, so the two arms compare equal; each is still
+    its own definition site, its own predecessor and its own listing line."""
+    prog = parse_program(EQUAL_ARMS)
+    assert prog.blocks["L"] == prog.blocks["R"]
+    assert reaching_definitions(prog).unique_definition("J", "y") is None
+    _, baseline = classic_transform(prog)
+    assert not [r for r in baseline.replacements if r.block == "J"]
+    rewritten, unified = transform(prog, run_acs(prog))
+    assert Replacement("J", "binary-lhs", "y", Const(3), 2) in unified.replacements
+    assert rewritten.blocks["J"].stmt == Binary("z", "+", Const(3), Const(1))
+    assert mop_in(prog) == run_acs(prog).in_sets
+    assert parse_program(print_program(prog)) == prog

@@ -418,6 +418,13 @@ def test_undecodable_file_error_names_the_file(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["analyze", "transform", "compare", "check", "dot"])
+def test_utf8_byte_order_mark_is_skipped(command, tmp_path, capsys):
+    path = tmp_path / "fig1.tac"
+    path.write_bytes(b"\xef\xbb\xbf" + (FIXTURES / "fig1.tac").read_bytes())
+    assert run(capsys, command, str(path)) == run(capsys, command, FIG1)
+
+
 @pytest.mark.parametrize(
     "argv, solves",
     [(["compare", FIG2], 1), (["check", FIG2, "--acyclic-mop"], 2)],

@@ -84,9 +84,9 @@ def test_reachable_blocks_fig1(fig1):
 
 def test_reachable_excludes_orphan():
     blocks = {
-        "B0": Block("B0", Nop(), ("B1",)),
-        "B1": Block("B1", Nop(), ()),
-        "B9": Block("B9", Copy("x", Const(1)), ("B1",)),
+        "B0": Block(Nop(), ("B1",)),
+        "B1": Block(Nop(), ()),
+        "B9": Block(Copy("x", Const(1)), ("B1",)),
     }
     prog = Program(blocks, "B0", "B1")
     assert reverse_postorder(prog) == ["B0", "B1"]
@@ -160,9 +160,9 @@ def test_solve_loop_kills_on_back_edge():
 def test_unreachable_block_stays_top():
     """An orphan block is never solved: it has no IN or OUT."""
     blocks = {
-        "B0": Block("B0", Nop(), ("B1",)),
-        "B1": Block("B1", Nop(), ()),
-        "B9": Block("B9", Copy("x", Const(1)), ("B1",)),
+        "B0": Block(Nop(), ("B1",)),
+        "B1": Block(Nop(), ()),
+        "B9": Block(Copy("x", Const(1)), ("B1",)),
     }
     prog = Program(blocks, "B0", "B1")
     res = run_acs(prog)
@@ -201,7 +201,7 @@ def test_solver_updates_only_descend():
 
 def _with_orphan(prog):
     """prog plus an unreachable block that defines a variable and jumps to the exit."""
-    orphan = Block("Z9", Copy("x", Const(1)), (prog.exit,))
+    orphan = Block(Copy("x", Const(1)), (prog.exit,))
     return Program({**prog.blocks, "Z9": orphan}, prog.entry, prog.exit)
 
 

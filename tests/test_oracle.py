@@ -57,9 +57,9 @@ def test_enumerate_paths_fig1(fig1):
 
 def test_enumerate_paths_unreachable_target():
     blocks = {
-        "B0": Block("B0", Nop(), ("B1",)),
-        "B1": Block("B1", Nop(), ()),
-        "B9": Block("B9", Nop(), ("B1",)),
+        "B0": Block(Nop(), ("B1",)),
+        "B1": Block(Nop(), ()),
+        "B9": Block(Nop(), ("B1",)),
     }
     prog = Program(blocks, "B0", "B1")
     assert enumerate_paths(prog, "B9") == []
@@ -401,7 +401,7 @@ def _uninitialised(prog: Program, var: str) -> Program:
     blocks = dict(prog.blocks)
     for label, block in prog.blocks.items():
         if isinstance(block.stmt, Copy) and block.stmt.dst == var and isinstance(block.stmt.src, Const):
-            blocks[label] = Block(label, Nop(), block.succs)
+            blocks[label] = Block(Nop(), block.succs)
             break
     return Program(blocks, prog.entry, prog.exit)
 
@@ -517,7 +517,7 @@ def test_a_state_that_never_repeats_runs_every_step(monkeypatch):
 def test_int64_wrap_inside_a_loop_repeats_after_four_laps(monkeypatch):
     # x = x + 2**62 wraps to its start value after four laps of B2, B3
     blocks = dict(looped_counter().blocks)
-    blocks["B2"] = Block("B2", Binary("x", "+", Var("x"), Const(2**62)), ("B3",))
+    blocks["B2"] = Block(Binary("x", "+", Var("x"), Const(2**62)), ("B3",))
     prog = Program(blocks, "B0", "B4")
     executed = _executed_step_by_step(monkeypatch)
     for fuel in (2, 9, 10, 13, 10000, 10003):
@@ -696,7 +696,7 @@ B6: nop
 
 def _with_stmt(prog: Program, label: str, stmt) -> Program:
     blocks = dict(prog.blocks)
-    blocks[label] = Block(label, stmt, prog.blocks[label].succs)
+    blocks[label] = Block(stmt, prog.blocks[label].succs)
     return Program(blocks, prog.entry, prog.exit)
 
 
