@@ -10,13 +10,13 @@ themselves are left to the chain-resolving pass, so a chain of n copies
 needs n repetitions to feed through while the unified pass needs one. The
 rule is all this module adds: the walk over the blocks and their use slots is
 the unified pass's own (`propagate._rewrite_program`).
-Reaching definitions runs on the worklist solver of copy availability over
-bit vectors: each defining block owns one bit of a Python int, a block's
-transfer is `bits & ~kill | gen`, where the kill mask holds the bits of every
-definition of the same variable, and joins are bitwise or. The fixpoint stays
-in bits. The unique-definition test reads them directly: the definitions of t
-that reach a block are its vector masked with t's kill mask, and exactly one
-reaches when that leaves a single set bit.
+Reaching definitions runs on the reverse-postorder solver of copy
+availability over bit vectors: each defining block owns one bit of a Python
+int, a block's transfer is `bits & ~kill | gen`, where the kill mask holds the
+bits of every definition of the same variable, and joins are bitwise or. The
+fixpoint stays in bits. The unique-definition test reads them directly: the
+definitions of t that reach a block are its vector masked with t's kill mask,
+and exactly one reaches when that leaves a single set bit.
 """
 
 from __future__ import annotations

@@ -19,16 +19,27 @@ with operators ``+ - * /`` and operands either identifiers or optionally
 signed decimal integers that fit in 64 signed bits. A branch block lists two
 successors (the first is taken when the condition is nonzero), the exit block
 none, and every other block exactly one.
+
+Lexically, the tokens of a statement are separated by whitespace, so
+``x=5`` is one token and no statement. ``->`` is a token of its own that ends
+the statement, and the labels after it are separated by commas, with or
+without whitespace around them. A line parses with any number of
+successors; the validity check then decides whether the block has the right
+number.
 """
 
 from __future__ import annotations
 
 import functools
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import NoReturn
 
-IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-INT_RE = re.compile(r"[+-]?[0-9]+\Z")
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+_INT = r"[+-]?[0-9]+"
+IDENT_RE = re.compile(_IDENT + r"\Z")
+INT_RE = re.compile(_INT + r"\Z")
 DIGITS_RE = re.compile(r"([0-9]+)")
 RESERVED = frozenset({"nop", "branch", "entry", "exit"})
 BINARY_OPS = ("+", "-", "*", "/")
@@ -162,79 +173,148 @@ class ParseError(ValueError):
         super().__init__(where + message)
 
 
+_LABEL = rf"\s*({_IDENT})\s*:\s*"
+_OPERAND = f"{_INT}|{_IDENT}"
+_LABEL_RE = re.compile(_LABEL)
+_DIRECTIVE_RE = re.compile(_LABEL + r"(\S+)\s*\Z")
+# A whole block line. Groups: label, nop, branch condition, destination, first
+# operand, operator, second operand, then the text after `->`. Each group but
+# the last is one whole token: it ends where whitespace or the line does, as
+# the tokens `_tokens` splits do. `_match_block` splits the last one at commas,
+# which on a long successor list is about a hundred times faster than a
+# repeated group matching one name at a time.
+BLOCK_LINE_RE = re.compile(
+    _LABEL
+    + rf"(?:(nop)|branch\s+({_OPERAND})|({_IDENT})\s+=\s+({_OPERAND})(?:\s+([-+*/])\s+({_OPERAND}))?)"
+    + r"(?:\s+->\s+(\S(?:.*\S)?))?\s*\Z"
+)
+
+
+def _literal(text: str) -> int | None:
+    """Value of an integer token, or None outside 64 bits."""
+    # 64 bits hold at most 19 digits; counting them without leading zeros
+    # keeps int() off a run of over 4300 digits, which it refuses
+    digits = text.lstrip("+-").lstrip("0") or "0"
+    if len(digits) <= 19:
+        value = -int(digits) if text[0] == "-" else int(digits)
+        if INT64_MIN <= value <= INT64_MAX:
+            return value
+    return None
+
+
+def _operand(text: str) -> Operand | None:
+    """Operand of a token the line pattern matched, or None for a literal
+    outside 64 bits."""
+    if text[0] in "+-0123456789":
+        value = _literal(text)
+        return None if value is None else Const(value)
+    return Var(text)
+
+
+def _match_block(text: str, blocks: dict[str, Block]) -> tuple[str, Block] | None:
+    """Label and block of a well-formed block line, or None for a line with a
+    fault: a token out of place, a successor that is no name, a reserved word
+    in any slot, a literal outside 64 bits or a label already in `blocks`."""
+    m = BLOCK_LINE_RE.match(text)
+    if m is None:
+        return None
+    label, nop, cond, dst, lhs, op, rhs, succ_text = m.groups()
+    succs = () if succ_text is None else tuple(map(str.strip, succ_text.split(",")))
+    if (
+        label in blocks
+        or not RESERVED.isdisjoint((label, dst, cond, lhs, rhs, *succs))
+        or not all(map(IDENT_RE.match, succs))
+    ):
+        return None
+    if nop:
+        stmt: Statement = Nop()
+    elif cond is not None:
+        if (first := _operand(cond)) is None:
+            return None
+        stmt = Branch(first)
+    else:
+        if (first := _operand(lhs)) is None:
+            return None
+        if rhs is None:
+            stmt = Copy(dst, first)
+        elif (second := _operand(rhs)) is None:
+            return None
+        else:
+            stmt = Binary(dst, op, first, second)
+    return label, Block(stmt, succs)
+
+
 def _tokens(text: str, offset: int) -> list[tuple[str, int]]:
     return [(m.group(), offset + m.start()) for m in re.finditer(r"\S+", text)]
 
 
-def _parse_name(tok: tuple[str, int], lineno: int, kind: str) -> str:
+def _check_name(tok: tuple[str, int], lineno: int, kind: str) -> None:
     text, col = tok
     if not IDENT_RE.match(text):
         raise ParseError(f"bad {kind} '{text}'", lineno, col + 1)
     if text in RESERVED:
         raise ParseError(f"reserved word '{text}' cannot be a {kind}", lineno, col + 1)
-    return text
 
 
-def _parse_operand(tok: tuple[str, int], lineno: int) -> Operand:
+def _check_operand(tok: tuple[str, int], lineno: int) -> None:
     text, col = tok
     if INT_RE.match(text):
-        # 64 bits hold at most 19 digits; counting them without leading zeros
-        # keeps int() off a run of over 4300 digits, which it refuses
-        digits = text.lstrip("+-").lstrip("0") or "0"
-        if len(digits) <= 19:
-            value = -int(digits) if text[0] == "-" else int(digits)
-            if INT64_MIN <= value <= INT64_MAX:
-                return Const(value)
-        raise ParseError(f"constant {text} out of 64-bit range", lineno, col + 1)
-    if IDENT_RE.match(text) and text not in RESERVED:
-        return Var(text)
-    raise ParseError(f"expected operand, got '{text}'", lineno, col + 1)
+        if _literal(text) is None:
+            raise ParseError(f"constant {text} out of 64-bit range", lineno, col + 1)
+    elif not IDENT_RE.match(text) or text in RESERVED:
+        raise ParseError(f"expected operand, got '{text}'", lineno, col + 1)
 
 
-def _parse_statement(toks: list[tuple[str, int]], lineno: int) -> Statement:
+def _check_statement_tokens(toks: list[tuple[str, int]], lineno: int) -> None:
     if not toks:
         raise ParseError("missing statement", lineno)
     head, head_col = toks[0]
     if head == "nop":
         if len(toks) > 1:
             raise ParseError(f"unexpected '{toks[1][0]}' after nop", lineno, toks[1][1] + 1)
-        return Nop()
-    if head == "branch":
+    elif head == "branch":
         if len(toks) != 2:
             raise ParseError("branch takes one operand", lineno, head_col + 1)
-        return Branch(_parse_operand(toks[1], lineno))
-    if len(toks) >= 2 and toks[1][0] == "=":
-        dst = _parse_name(toks[0], lineno, "variable")
+        _check_operand(toks[1], lineno)
+    elif len(toks) >= 2 and toks[1][0] == "=":
+        _check_name(toks[0], lineno, "variable")
         if len(toks) == 3:
-            return Copy(dst, _parse_operand(toks[2], lineno))
-        if len(toks) == 5:
+            _check_operand(toks[2], lineno)
+        elif len(toks) == 5:
             op, op_col = toks[3]
             if op not in BINARY_OPS:
                 raise ParseError(f"unknown operator '{op}'", lineno, op_col + 1)
-            return Binary(dst, op, _parse_operand(toks[2], lineno), _parse_operand(toks[4], lineno))
-        raise ParseError("expected 'v = <operand>' or 'v = <operand> <op> <operand>'", lineno, head_col + 1)
-    raise ParseError(f"unrecognized statement '{' '.join(t for t, _ in toks)}'", lineno, head_col + 1)
+            _check_operand(toks[2], lineno)
+            _check_operand(toks[4], lineno)
+        else:
+            raise ParseError("expected 'v = <operand>' or 'v = <operand> <op> <operand>'", lineno, head_col + 1)
+    else:
+        raise ParseError(f"unrecognized statement '{' '.join(t for t, _ in toks)}'", lineno, head_col + 1)
 
 
 def _parse_directive(line: tuple[int, str], name: str) -> str:
     lineno, text = line
-    m = re.match(r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*:\s*(\S+)\s*\Z", text)
+    m = _DIRECTIVE_RE.match(text)
     if not m or m.group(1) != name:
         raise ParseError(f"expected '{name}: <label>'", lineno, 1)
-    return _parse_name((m.group(2), m.start(2)), lineno, "label")
+    _check_name((m.group(2), m.start(2)), lineno, "label")
+    return m.group(2)
 
 
-def _parse_block(line: tuple[int, str], blocks: dict[str, Block]) -> tuple[str, Block]:
+def _raise_block_error(line: tuple[int, str], blocks: dict[str, Block]) -> NoReturn:
+    """Raise the ParseError of a block line `_match_block` refuses, found by
+    walking its tokens: the label first, then the successors, then the
+    statement."""
     lineno, text = line
-    m = re.match(r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*:\s*", text)
+    m = _LABEL_RE.match(text)
     if not m:
         raise ParseError("expected '<label>: <statement>'", lineno, 1)
-    label = _parse_name((m.group(1), m.start(1)), lineno, "label")
+    label = m.group(1)
+    _check_name((label, m.start(1)), lineno, "label")
     if label in blocks:
         raise ParseError(f"duplicate label {label}", lineno, m.start(1) + 1)
     toks = _tokens(text[m.end():], m.end())
     arrow = next((i for i, (t, _) in enumerate(toks) if t == "->"), None)
-    succs: tuple[str, ...] = ()
     if arrow is not None:
         tail = toks[arrow + 1:]
         if not tail:
@@ -249,9 +329,11 @@ def _parse_block(line: tuple[int, str], blocks: dict[str, Block]) -> tuple[str, 
         for name, name_col in names:
             if not name:
                 raise ParseError("empty successor label", lineno, name_col + 1)
-        succs = tuple(_parse_name(tok, lineno, "label") for tok in names)
+        for tok in names:
+            _check_name(tok, lineno, "label")
         toks = toks[:arrow]
-    return label, Block(_parse_statement(toks, lineno), succs)
+    _check_statement_tokens(toks, lineno)
+    raise AssertionError(f"line {lineno}: the block line pattern refused a well-formed line")
 
 
 def parse_program(text: str) -> Program:
@@ -267,10 +349,19 @@ def parse_program(text: str) -> Program:
     exit_ = _parse_directive(lines[1], "exit")
     blocks: dict[str, Block] = {}
     for line in lines[2:]:
-        label, block = _parse_block(line, blocks)
+        parsed = _match_block(line[1], blocks)
+        if parsed is None:
+            _raise_block_error(line, blocks)
+        label, block = parsed
         blocks[label] = block
     prog = Program(blocks, entry, exit_)
-    diags = validate(prog)
+    # parsed names, literals and operators are well formed, so of `validate`'s
+    # checks only the structural ones can fail; labels are sorted into
+    # `validate`'s order only when there is a fault to order
+    block_diags = _edge_diagnostics(prog, blocks)
+    if block_diags:
+        block_diags = _edge_diagnostics(prog, sorted(blocks, key=natural_key))
+    diags = _program_diagnostics(prog, block_diags)
     if diags:
         raise ParseError("invalid program: " + "; ".join(diags))
     return prog
@@ -293,8 +384,26 @@ def _check_statement(label: str, stmt: Statement, diags: list[str]) -> None:
         diags.append(f"bad-operator {label}")
 
 
-def validate(prog: Program) -> list[str]:
-    """Structural diagnostics; an empty list means the program is well formed."""
+def _edge_diagnostics(prog: Program, labels: Iterable[str]) -> list[str]:
+    """Successor faults of the blocks at `labels`, block by block in that
+    order: unknown successors, then a wrong successor count."""
+    diags = []
+    for label in labels:
+        block = prog.blocks[label]
+        for succ in block.succs:
+            if succ not in prog.blocks:
+                diags.append(f"unknown-successor {succ}")
+        if isinstance(block.stmt, Branch):
+            if len(block.succs) != 2:
+                diags.append(f"branch-arity {label}")
+        elif len(block.succs) != (0 if label == prog.exit else 1):
+            diags.append(f"succ-arity {label}")
+    return diags
+
+
+def _program_diagnostics(prog: Program, block_diags: list[str]) -> list[str]:
+    """The per-block diagnostics, in label order, between the entry and exit
+    checks."""
     diags: list[str] = []
     if prog.entry not in prog.blocks:
         diags.append("entry-undefined")
@@ -302,22 +411,7 @@ def validate(prog: Program) -> list[str]:
         diags.append("exit-undefined")
     if prog.entry == prog.exit:
         diags.append("entry-is-exit")
-    for label in sorted(prog.blocks, key=natural_key):
-        block = prog.blocks[label]
-        if not IDENT_RE.match(label) or label in RESERVED:
-            diags.append(f"bad-label {label}")
-        _check_statement(label, block.stmt, diags)
-        for succ in block.succs:
-            if succ not in prog.blocks:
-                diags.append(f"unknown-successor {succ}")
-        if isinstance(block.stmt, Branch):
-            if len(block.succs) != 2:
-                diags.append(f"branch-arity {label}")
-        elif label == prog.exit:
-            if block.succs:
-                diags.append(f"succ-arity {label}")
-        elif len(block.succs) != 1:
-            diags.append(f"succ-arity {label}")
+    diags += block_diags
     entry_block = prog.blocks.get(prog.entry)
     if entry_block is not None and not isinstance(entry_block.stmt, Nop):
         diags.append("entry-not-nop")
@@ -327,6 +421,18 @@ def validate(prog: Program) -> list[str]:
     if any(prog.entry in b.succs for b in prog.blocks.values()):
         diags.append("entry-has-preds")
     return diags
+
+
+def validate(prog: Program) -> list[str]:
+    """Structural diagnostics; an empty list means the program is well formed."""
+    block_diags: list[str] = []
+    for label in sorted(prog.blocks, key=natural_key):
+        block = prog.blocks[label]
+        if not IDENT_RE.match(label) or label in RESERVED:
+            block_diags.append(f"bad-label {label}")
+        _check_statement(label, block.stmt, block_diags)
+        block_diags += _edge_diagnostics(prog, (label,))
+    return _program_diagnostics(prog, block_diags)
 
 
 def print_program(prog: Program) -> str:

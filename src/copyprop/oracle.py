@@ -1,8 +1,8 @@
 """Independent checking machinery.
 
-Everything here recomputes results by other means than the worklist solver:
-meet-over-paths by one depth-first walk over every entry-to-exit path, a
-round-robin solver, a concrete interpreter with a fuel budget, a random
+Everything here recomputes results by other means than the reverse-postorder
+solver: meet-over-paths by one depth-first walk over every entry-to-exit path,
+a round-robin solver, a concrete interpreter with a fuel budget, a random
 program generator, and a differential check that runs original and
 transformed programs side by side while replaying availability facts against
 live values.
@@ -143,8 +143,8 @@ def solve_round_robin(prog: Program) -> AnalysisResult:
 
     The entry's IN is empty; any other block's IN is the meet of the OUTs its
     predecessors have, and a sweep skips the block while none has one.
-    Deliberately shares no iteration logic with the worklist solver; the two
-    must land on the same fixpoint.
+    Deliberately shares no iteration logic with the reverse-postorder
+    solver; the two must land on the same fixpoint.
     """
     preds = predecessors(prog)
     labels = sorted(reverse_postorder(prog), key=natural_key)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +17,10 @@ from copyprop import (
     Copy,
     GenParams,
     Nop,
+    Operand,
     ParseError,
     Program,
+    Statement,
     Var,
     defined_var,
     format_statement,
@@ -29,7 +33,7 @@ from copyprop import (
     validate,
     variables,
 )
-from copyprop.ir import DIGITS_RE, natural_key
+from copyprop.ir import BINARY_OPS, DIGITS_RE, IDENT_RE, INT64_MAX, INT64_MIN, INT_RE, RESERVED, natural_key
 from conftest import load_fixture, reversed_listing, straight_line
 
 
@@ -94,6 +98,52 @@ def test_validate_constant_range():
         "B2": Block(Nop(), ()),
     }
     assert "constant-range B1" in validate(Program(blocks, "B0", "B2"))
+
+
+@pytest.mark.parametrize("label", ["entry", "1B"])
+def test_validate_bad_label(label):
+    blocks = {
+        "B0": Block(Nop(), (label,)),
+        label: Block(Copy("x", Const(1)), ("B2",)),
+        "B2": Block(Nop(), ()),
+    }
+    assert validate(Program(blocks, "B0", "B2")) == [f"bad-label {label}"]
+
+
+@pytest.mark.parametrize(
+    "stmt, diag",
+    [
+        (Copy("nop", Const(1)), "bad-identifier nop"),
+        (Copy("x", Var("1x")), "bad-identifier 1x"),
+        (Binary("x", "%", Var("a"), Const(2)), "bad-operator B1"),
+    ],
+)
+def test_validate_statement_names_and_operator(stmt, diag):
+    blocks = {"B0": Block(Nop(), ("B1",)), "B1": Block(stmt, ("B2",)), "B2": Block(Nop(), ())}
+    assert validate(Program(blocks, "B0", "B2")) == [diag]
+
+
+def test_validate_orders_diagnostics_by_label_then_by_check():
+    """Labels in natural order; within a block the label, then the
+    statement's destination, operands and operator, then its successors."""
+    blocks = {
+        "B0": Block(Nop(), ("1B",)),
+        "B10": Block(Binary("y", "%", Const(2**63), Var("branch")), ("B11",)),
+        "B2": Block(Copy("nop", Var("1x")), ("B10", "L7")),
+        "1B": Block(Branch(Var("p")), ("B2",)),
+        "B11": Block(Nop(), ()),
+    }
+    assert validate(Program(blocks, "B0", "B11")) == [
+        "bad-label 1B",
+        "branch-arity 1B",
+        "bad-identifier nop",
+        "bad-identifier 1x",
+        "unknown-successor L7",
+        "succ-arity B2",
+        "constant-range B10",
+        "bad-identifier branch",
+        "bad-operator B10",
+    ]
 
 
 def test_parse_error_reports_position():
@@ -161,6 +211,342 @@ def test_malformed_text_raises_only_parse_errors(text):
         parse_program(text)
     except ParseError:
         pass
+
+
+# A token-walk parser of the same format: it splits each block line into
+# whitespace-separated tokens and reads them one at a time. It is the
+# reference that parse_program's line pattern must agree with, on programs and
+# on every ParseError's text, line and column.
+def _tokens(text: str, offset: int) -> list[tuple[str, int]]:
+    return [(m.group(), offset + m.start()) for m in re.finditer(r"\S+", text)]
+
+
+def _parse_name(tok: tuple[str, int], lineno: int, kind: str) -> str:
+    text, col = tok
+    if not IDENT_RE.match(text):
+        raise ParseError(f"bad {kind} '{text}'", lineno, col + 1)
+    if text in RESERVED:
+        raise ParseError(f"reserved word '{text}' cannot be a {kind}", lineno, col + 1)
+    return text
+
+
+def _parse_operand(tok: tuple[str, int], lineno: int) -> Operand:
+    text, col = tok
+    if INT_RE.match(text):
+        # 64 bits hold at most 19 digits; counting them without leading zeros
+        # keeps int() off a run of over 4300 digits, which it refuses
+        digits = text.lstrip("+-").lstrip("0") or "0"
+        if len(digits) <= 19:
+            value = -int(digits) if text[0] == "-" else int(digits)
+            if INT64_MIN <= value <= INT64_MAX:
+                return Const(value)
+        raise ParseError(f"constant {text} out of 64-bit range", lineno, col + 1)
+    if IDENT_RE.match(text) and text not in RESERVED:
+        return Var(text)
+    raise ParseError(f"expected operand, got '{text}'", lineno, col + 1)
+
+
+def _parse_statement(toks: list[tuple[str, int]], lineno: int) -> Statement:
+    if not toks:
+        raise ParseError("missing statement", lineno)
+    head, head_col = toks[0]
+    if head == "nop":
+        if len(toks) > 1:
+            raise ParseError(f"unexpected '{toks[1][0]}' after nop", lineno, toks[1][1] + 1)
+        return Nop()
+    if head == "branch":
+        if len(toks) != 2:
+            raise ParseError("branch takes one operand", lineno, head_col + 1)
+        return Branch(_parse_operand(toks[1], lineno))
+    if len(toks) >= 2 and toks[1][0] == "=":
+        dst = _parse_name(toks[0], lineno, "variable")
+        if len(toks) == 3:
+            return Copy(dst, _parse_operand(toks[2], lineno))
+        if len(toks) == 5:
+            op, op_col = toks[3]
+            if op not in BINARY_OPS:
+                raise ParseError(f"unknown operator '{op}'", lineno, op_col + 1)
+            return Binary(dst, op, _parse_operand(toks[2], lineno), _parse_operand(toks[4], lineno))
+        raise ParseError("expected 'v = <operand>' or 'v = <operand> <op> <operand>'", lineno, head_col + 1)
+    raise ParseError(f"unrecognized statement '{' '.join(t for t, _ in toks)}'", lineno, head_col + 1)
+
+
+def _parse_directive(line: tuple[int, str], name: str) -> str:
+    lineno, text = line
+    m = re.match(r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*:\s*(\S+)\s*\Z", text)
+    if not m or m.group(1) != name:
+        raise ParseError(f"expected '{name}: <label>'", lineno, 1)
+    return _parse_name((m.group(2), m.start(2)), lineno, "label")
+
+
+def _parse_block(line: tuple[int, str], blocks: dict[str, Block]) -> tuple[str, Block]:
+    lineno, text = line
+    m = re.match(r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*:\s*", text)
+    if not m:
+        raise ParseError("expected '<label>: <statement>'", lineno, 1)
+    label = _parse_name((m.group(1), m.start(1)), lineno, "label")
+    if label in blocks:
+        raise ParseError(f"duplicate label {label}", lineno, m.start(1) + 1)
+    toks = _tokens(text[m.end():], m.end())
+    arrow = next((i for i, (t, _) in enumerate(toks) if t == "->"), None)
+    succs: tuple[str, ...] = ()
+    if arrow is not None:
+        tail = toks[arrow + 1:]
+        if not tail:
+            raise ParseError("expected successor labels after '->'", lineno, toks[arrow][1] + 1)
+        # one (name, column) token per comma-separated name, at the name's own
+        # column; an empty name's column is where it ends
+        names = []
+        col = tail[0][1]
+        for piece in text[col:].split(","):
+            names.append((" ".join(piece.split()), col + len(piece) - len(piece.lstrip())))
+            col += len(piece) + 1
+        for name, name_col in names:
+            if not name:
+                raise ParseError("empty successor label", lineno, name_col + 1)
+        succs = tuple(_parse_name(tok, lineno, "label") for tok in names)
+        toks = toks[:arrow]
+    return label, Block(_parse_statement(toks, lineno), succs)
+
+
+def reference_parse(text: str) -> Program:
+    """Parse the text format; raises ParseError on syntax or structure faults."""
+    lines = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        content = raw.split("#", 1)[0]
+        if content.strip():
+            lines.append((lineno, content))
+    if len(lines) < 2:
+        raise ParseError("expected 'entry:' and 'exit:' directives", len(lines) + 1)
+    entry = _parse_directive(lines[0], "entry")
+    exit_ = _parse_directive(lines[1], "exit")
+    blocks: dict[str, Block] = {}
+    for line in lines[2:]:
+        label, block = _parse_block(line, blocks)
+        blocks[label] = block
+    prog = Program(blocks, entry, exit_)
+    diags = validate(prog)
+    if diags:
+        raise ParseError("invalid program: " + "; ".join(diags))
+    return prog
+
+
+
+WHITESPACE = (" ", " ", " ", "  ", "\t", "\x0b", "\x1c", "\u3000")
+GOOD_LABELS = ("B0", "B1", "B2", "B3", "B4", "B5")
+ODD_NAMES = ("nop", "branch", "entry", "exit", "1B", "$x", "")
+GOOD_OPERANDS = ("x", "y", "z", "0", "-3", "+7")
+ODD_OPERANDS = (
+    *("nop", "branch", "entry", "exit", "-0", "007", "1x", "$", "+-1", ""),
+    *("9223372036854775807", "-9223372036854775808", "9223372036854775808", "-9223372036854775809"),
+    *("10000000000000000000", "-" + "0" * 25 + "5", "0" * 5000 + "1", "9" * 5000),
+)
+JUNK_TOKENS = ("->", ",", "=", "+", "%", ":", "nop", "x", "5", "->B2", "y->", "x=5", "a+", "b", "#")
+
+
+def _pick(draw, good, odd, faulty, one_in=3):
+    """A good value, or on a faulty line an odd one about one time in `one_in`."""
+    return draw(st.sampled_from(odd if faulty and draw(st.integers(1, one_in)) == 1 else good))
+
+
+@st.composite
+def statement_tokens(draw, faulty):
+    kind = draw(st.sampled_from(("copy", "binary", "branch")))
+    operand = lambda: _pick(draw, GOOD_OPERANDS, ODD_OPERANDS, faulty)
+    if kind == "branch":
+        return ["branch", operand()]
+    dst = _pick(draw, ("x", "y", "z"), ODD_NAMES, faulty, one_in=5)
+    if kind == "copy":
+        return [dst, "=", operand()]
+    return [dst, "=", operand(), _pick(draw, ("+", "-", "*", "/"), ("%", "->", "=", "++"), faulty, one_in=5), operand()]
+
+
+@st.composite
+def block_line(draw, label, stmt, succs, fault):
+    """One block line: label, statement and successors joined by
+    whitespace. A "structure" fault swaps in another list of known or
+    unknown successors. A "syntax" fault may also take an odd label or
+    successor list, and glue, split, drop or add tokens."""
+    syntax = fault == "syntax"
+    if fault == "structure":
+        succs = draw(st.lists(st.sampled_from(GOOD_LABELS + ("B9", "L10")), max_size=3))
+    if syntax and draw(st.integers(1, 4)) == 1:
+        label = draw(st.sampled_from(GOOD_LABELS + ODD_NAMES))
+    if syntax and draw(st.integers(1, 3)) == 1:
+        succs = draw(st.lists(st.sampled_from(GOOD_LABELS + ODD_NAMES[:4] + ("", "B9")), max_size=3))
+    tokens = [label + ":", *stmt]
+    if succs or syntax and draw(st.integers(1, 4)) == 1:
+        seps = [draw(st.sampled_from((",", ", ", " , ", ",\t", "\u3000,"))) for _ in succs]
+        tokens += ["->", "".join(sep + name for sep, name in zip(["", *seps], succs))]
+    for _ in range(draw(st.integers(0, 2)) if syntax else 0):
+        i = draw(st.integers(0, len(tokens) - 1))
+        how = draw(st.sampled_from(("glue", "drop", "insert", "split")))
+        if how == "glue" and i + 1 < len(tokens):
+            tokens[i : i + 2] = [tokens[i] + tokens[i + 1]]
+        elif how == "drop" and len(tokens) > 1:
+            del tokens[i]
+        elif how == "insert":
+            tokens.insert(i, draw(st.sampled_from(JUNK_TOKENS)))
+        elif how == "split" and len(tokens[i]) > 1:
+            cut = draw(st.integers(1, len(tokens[i]) - 1))
+            tokens[i : i + 1] = [tokens[i][:cut], tokens[i][cut:]]
+    if syntax:
+        gaps = [draw(st.sampled_from(WHITESPACE)) for _ in tokens[1:]]
+    else:
+        gaps = [draw(st.sampled_from(WHITESPACE))] * (len(tokens) - 1)
+    line = tokens[0] + "".join(gap + tok for gap, tok in zip(gaps, tokens[1:]))
+    return draw(st.sampled_from(WHITESPACE + ("",))) + line + draw(st.sampled_from(("", " ", "\u3000")))
+
+
+@st.composite
+def reference_program_texts(draw):
+    """A chain of blocks B0..B{n+1}, branching forward, written as text. Up
+    to two lines have a fault and the directives sometimes do; faults are
+    drawn at every level: labels, statements, successor lists, whitespace
+    and token boundaries."""
+    n = draw(st.integers(0, 4))
+    exit_label = f"B{n + 1}"
+    head = ["entry: B0", f"exit: {exit_label}"]
+    if draw(st.integers(1, 10)) == 1:
+        head = draw(
+            st.sampled_from(
+                (
+                    ["entry:B0", f"exit :{exit_label}"],
+                    ["entry: B0"],
+                    ["exit: B1", "entry: B0"],
+                    ["entry: nop", f"exit: {exit_label}"],
+                    ["entry: B0", "exit: B0"],
+                    ["entry: B0 B1", f"exit: {exit_label}"],
+                    ["entry: B9", "exit: B8"],
+                )
+            )
+        )
+    faults = draw(st.dictionaries(st.integers(0, n + 1), st.sampled_from(("syntax", "structure")), max_size=2))
+    lines = []
+    for i in range(n + 2):
+        if i in (0, n + 1):
+            stmt = ["nop"]
+        else:
+            stmt = draw(statement_tokens(faults.get(i) == "syntax"))
+        succs = [] if i == n + 1 else [f"B{i + 1}"]
+        if stmt[0] == "branch":
+            succs.append(f"B{draw(st.integers(i + 1, n + 1))}")
+        lines.append(draw(block_line(f"B{i}", stmt, succs, faults.get(i))))
+    lines = draw(st.permutations(lines))
+    return "\n".join(head + lines) + draw(st.sampled_from(("\n", "", "\n\n# done\n")))
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as err:
+        return str(err), err.line, err.col
+
+
+@settings(max_examples=600)
+@given(reference_program_texts())
+def test_parse_agrees_with_the_token_walk_reference(text):
+    """Every text gives what the reference gives: an equal program, or a
+    ParseError with the same text, line and column."""
+    assert _parse_outcome(parse_program, text) == _parse_outcome(reference_parse, text)
+
+
+EDGE_LINES = [
+    "B1: x = 5 ->B2",
+    "B1: x = 5-> B2",
+    "B1: x = y-> B2",
+    "B1: nop->B2",
+    "B1: x=5 -> B2",
+    "B1: x =5 -> B2",
+    "B1: x= 5 -> B2",
+    "B1: x = a+ b -> B2",
+    "B1: x = a +b -> B2",
+    "B1: x = a - -5 -> B2",
+    "B1: x = a -> -> B2",
+    "B1:x = 5 -> B2",
+    "B1 : x = 5 -> B2",
+    "B1: x = 5 -> B2,",
+    "B1: x = 5 -> ,B2",
+    "B1: x = 5 -> B2 B3",
+    "B1: x = 5 -> B2 -> B3",
+    "B1: x = 5 ->",
+    "B1: x = 5 # -> B2",
+    "B1: x = 5\u3000->\tB2",
+    "B1: x = 9223372036854775807 -> B2",
+    "B1: x = 9223372036854775808 -> B2",
+    "B1: x = -9223372036854775808 -> B2",
+    "B1: x = 10000000000000000000 -> B2",
+    "B1: x = -000000000000000000000001 -> B2",
+    "B1: x = -0 -> B2",
+    "B1: x = +-1 -> B2",
+    "B1: branch branch -> B2, B2",
+    "B1: exit = 1 -> B2",
+]
+
+
+@pytest.mark.parametrize("line", EDGE_LINES)
+def test_parse_agrees_with_the_reference_on_token_boundaries(line):
+    """Glued and split tokens, literals at the 64-bit edges and reserved
+    words, each on the one line that can fail."""
+    text = f"entry: B0\nexit: B2\nB0: nop -> B1\n{line}\nB2: nop\n"
+    assert _parse_outcome(parse_program, text) == _parse_outcome(reference_parse, text)
+
+
+def _best_parse_seconds(small, large):
+    """Best of 3 parse times of each text, taken in turns so that a busy
+    spell on the host slows both. The cycle collector is off while timing:
+    its full passes scan every live object, the rest of the test session's
+    too, so they grow with the heap and not with the parse."""
+    best = [float("inf")] * 2
+    gc.disable()
+    try:
+        for _ in range(3):
+            for i, text in enumerate((small, large)):
+                start = time.perf_counter()
+                _parse_outcome(parse_program, text)
+                best[i] = min(best[i], time.perf_counter() - start)
+    finally:
+        gc.enable()
+    return best
+
+
+# lines where a whole-line pattern could backtrack without bound
+LONG_LINES = {
+    "spaces before junk": lambda n: "B1: x = 5" + " " * n + "z -> B2",
+    "spaces after the arrow": lambda n: "B1: x = 5 ->" + " " * n + "B2",
+    "many successors": lambda n: "B1: nop -> B2" + ", B2" * n,
+    "tabs in a binary": lambda n: "B1: x = a" + "\t" * n + "+" + "\t" * n + "b -> B2",
+}
+
+
+@pytest.mark.parametrize("shape", LONG_LINES)
+def test_parse_time_is_linear_in_line_length(shape):
+    """Ten times the repeats take under 30 times as long: linear reads
+    about 10, quadratic about 100."""
+    def text(n):
+        return f"entry: B0\nexit: B2\nB0: nop -> B1\n{LONG_LINES[shape](n)}\nB2: nop\n"
+
+    small, large = _best_parse_seconds(text(10**4), text(10**5))
+    assert large < 30 * small
+
+
+def _large_program_text(n):
+    lines = ["entry: B0", f"exit: B{n + 1}", "B0: nop -> B1"]
+    for i in range(1, n + 1):
+        v, w = f"v{i % 26}", f"v{i * 7 % 26}"
+        stmt = (f"branch {v}", f"{v} = {w}", f"{v} = {w} + {i}", f"{v} = -{i}")[i % 4]
+        succs = f"B{i + 1}, B{max(1, i // 2)}" if i % 4 == 0 else f"B{i + 1}"
+        lines.append(f"B{i}: {stmt} -> {succs}")
+    lines.append(f"B{n + 1}: nop")
+    return "\n".join(lines) + "\n"
+
+
+def test_parse_time_is_linear_in_program_size():
+    """Eight times the blocks take under 20 times as long."""
+    text = _large_program_text(51200)
+    assert len(parse_program(text).blocks) == 51202
+    small, large = _best_parse_seconds(_large_program_text(6400), text)
+    assert large < 20 * small
 
 
 def _int_natural_key(label):
