@@ -2,14 +2,16 @@
 
 This is the traditional rule for comparison runs: a use of t in a
 computational statement (a binary operand or a branch condition) is replaced
-by e when exactly one definition of t reaches the block, that definition is
-the copy t = e, and the pair (t, e) is available at the block input, which
-rules out a redefinition of e between the copy and the use. The replacement
-is the copy's immediate source; chains are not followed, and copy sources
-themselves are left to the chain-resolving pass, so a chain of n copies
-needs n repetitions to feed through while the unified pass needs one. The
-rule is all this module adds: the walk over the blocks and their use slots is
-the unified pass's own (`propagate._rewrite_program`).
+by e when the pair (t, e) is in the block's IN set and exactly one definition
+of t reaches the block. The defining copy need not be read: both analyses are
+distributive gen/kill frameworks, so their fixpoints equal their meet over
+paths, and with (t, e) in IN the last definition of t on every path is a copy
+t = e that no definition of e follows, and not t = t, as no block generates
+(t, t). The replacement is that immediate source; chains are not followed,
+and copy sources are left to the chain-resolving pass, so a chain of n
+copies needs n repetitions to feed through while the unified pass needs one.
+The rule is all this module adds to the unified pass's walk
+(`propagate._rewrite_program`).
 Reaching definitions runs on the reverse-postorder solver of copy
 availability over bit vectors: each defining block owns one bit of a Python
 int, a block's transfer is `bits & ~kill | gen`, where the kill mask holds the
@@ -25,9 +27,9 @@ import operator
 from dataclasses import dataclass
 
 from .analysis import run_acs
-from .dataflow import AnalysisResult, _solve
-from .ir import Copy, Operand, Program, Statement, Var, defined_var
-from .propagate import Replacement, ReplacementReport, _rewrite_program, _rewrite_slots
+from .dataflow import AnalysisResult, FactSet, _solve
+from .ir import Operand, Program, defined_var
+from .propagate import ReplacementReport, _rewrite_program
 
 
 @dataclass(frozen=True)
@@ -77,22 +79,10 @@ def classic_transform(prog: Program, acs: AnalysisResult | None = None) -> tuple
     if acs is None:
         acs = run_acs(prog)
 
-    def rewrite(stmt: Statement, label: str) -> tuple[Statement, list[Replacement]]:
-        facts = acs.in_sets[label]
+    def immediate_source(label: str, facts: FactSet, name: str, position: str) -> tuple[Operand, int] | None:
+        # with (t, e) in IN, every definition of t that reaches is t = e
+        if position == "copy-src" or (src := facts.get(name)) is None:
+            return None
+        return None if rd.unique_definition(label, name) is None else (src, 1)
 
-        def immediate_source(name: str, position: str) -> tuple[Operand, int] | None:
-            if position == "copy-src":
-                return None
-            site = rd.unique_definition(label, name)
-            if site is None:
-                return None
-            def_stmt = prog.blocks[site].stmt
-            if not isinstance(def_stmt, Copy) or def_stmt.src == Var(name):
-                return None
-            if facts.get(name) != def_stmt.src:
-                return None
-            return def_stmt.src, 1
-
-        return _rewrite_slots(stmt, label, immediate_source)
-
-    return _rewrite_program(prog, acs.in_sets, rewrite)
+    return _rewrite_program(prog, acs.in_sets, immediate_source)

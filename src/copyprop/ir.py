@@ -13,6 +13,8 @@ describes one block.
     B2: branch x -> B1, B3
     B3: nop
 
+Lines end at ``\n``, ``\r\n`` or ``\r`` only; the other breaks of
+`str.splitlines`, such as ``\x0c`` or U+2028, are whitespace within a line.
 ``#`` starts a comment and blank lines are skipped. Statements are ``nop``,
 ``v = <operand>``, ``v = <operand> <op> <operand>``, or ``branch <operand>``,
 with operators ``+ - * /`` and operands either identifiers or optionally
@@ -41,6 +43,7 @@ _INT = r"[+-]?[0-9]+"
 IDENT_RE = re.compile(_IDENT + r"\Z")
 INT_RE = re.compile(_INT + r"\Z")
 DIGITS_RE = re.compile(r"([0-9]+)")
+_LINE_BREAK_RE = re.compile(r"\r\n?|\n")
 RESERVED = frozenset({"nop", "branch", "entry", "exit"})
 BINARY_OPS = ("+", "-", "*", "/")
 INT64_MIN = -(1 << 63)
@@ -339,7 +342,7 @@ def _raise_block_error(line: tuple[int, str], blocks: dict[str, Block]) -> NoRet
 def parse_program(text: str) -> Program:
     """Parse the text format; raises ParseError on syntax or structure faults."""
     lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_LINE_BREAK_RE.split(text), start=1):
         content = raw.split("#", 1)[0]
         if content.strip():
             lines.append((lineno, content))

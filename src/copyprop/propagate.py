@@ -54,20 +54,23 @@ def resolve_chain(var: str, facts: FactSet) -> tuple[Operand, int]:
 
 
 def _rewrite_slots(
-    stmt: Statement, block: str, target_of: Callable[[str, str], tuple[Operand, int] | None]
+    stmt: Statement,
+    label: str,
+    facts: FactSet,
+    rule: Callable[[str, FactSet, str, str], tuple[Operand, int] | None],
 ) -> tuple[Statement, list[Replacement]]:
-    """Rewrite each variable use of one statement to `target_of(name, slot)`,
-    a per-use rule giving (replacement, chain length), or None to keep the use.
-    The one place that knows which operand of which statement is which slot."""
+    """Rewrite each variable use of one statement to `rule(label, facts, name,
+    slot)`: (replacement, chain length), or None to keep the use. The one
+    place that knows which operand of which statement is which slot."""
     replacements: list[Replacement] = []
 
     def slot(operand: Operand, position: str) -> Operand:
         if not isinstance(operand, Var):
             return operand
-        found = target_of(operand.name, position)
+        found = rule(label, facts, operand.name, position)
         if found is None:
             return operand
-        replacements.append(Replacement(block, position, operand.name, *found))
+        replacements.append(Replacement(label, position, operand.name, *found))
         return found[0]
 
     if isinstance(stmt, Copy):
@@ -79,33 +82,34 @@ def _rewrite_slots(
     return stmt, replacements
 
 
+def _chain_endpoint(label: str, facts: FactSet, name: str, position: str) -> tuple[Operand, int] | None:
+    """The unified pass's rule: the endpoint of the use's pair chain, if any."""
+    found = resolve_chain(name, facts)
+    return found if found[1] else None
+
+
 def rewrite_statement(
     stmt: Statement, facts: FactSet, block: str = ""
 ) -> tuple[Statement, list[Replacement]]:
     """Rewrite every variable use in one statement to the endpoint of its pair chain."""
-
-    def chain_endpoint(name: str, position: str) -> tuple[Operand, int] | None:
-        found = resolve_chain(name, facts)
-        return found if found[1] else None
-
-    return _rewrite_slots(stmt, block, chain_endpoint)
+    return _rewrite_slots(stmt, block, facts, _chain_endpoint)
 
 
 def _rewrite_program(
     prog: Program,
     in_sets: dict[str, FactSet],
-    rewrite: Callable[[Statement, str], tuple[Statement, list[Replacement]]],
+    rule: Callable[[str, FactSet, str, str], tuple[Operand, int] | None],
 ) -> tuple[Program, ReplacementReport]:
-    """One pass in label order: each block with an IN set, that is each
-    reachable one, has its statement become `rewrite(stmt, label)`, and
+    """One pass in label order over the blocks with an IN set, the reachable
+    ones, asking `rule(label, IN set, variable, slot)` for each use; the
     unreachable blocks are kept as is. Both propagations walk the program
-    here and differ only in their per-use rule."""
+    here and differ only in the rule."""
     new_blocks: dict[str, Block] = {}
     replacements: list[Replacement] = []
     for label in sorted_labels(prog):
         block = prog.blocks[label]
         if label in in_sets:
-            stmt, reps = rewrite(block.stmt, label)
+            stmt, reps = _rewrite_slots(block.stmt, label, in_sets[label], rule)
             block = Block(stmt, block.succs)
             replacements.extend(reps)
         new_blocks[label] = block
@@ -114,8 +118,7 @@ def _rewrite_program(
 
 def transform(prog: Program, result: AnalysisResult) -> tuple[Program, ReplacementReport]:
     """One rewrite pass over the reachable blocks; unreachable blocks are kept as is."""
-    in_sets = result.in_sets
-    return _rewrite_program(prog, in_sets, lambda stmt, label: rewrite_statement(stmt, in_sets[label], label))
+    return _rewrite_program(prog, result.in_sets, _chain_endpoint)
 
 
 def transform_to_fixpoint(prog: Program, max_rounds: int) -> tuple[Program, ReplacementReport]:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, target
 
 import copyprop.classic as classic
 from copyprop import (
@@ -31,6 +32,7 @@ from copyprop.dataflow import _solve
 from copyprop.ir import defined_var, sorted_labels
 from copyprop.propagate import Replacement
 from conftest import FIXTURES, copy_chain, straight_line
+from strategies import programs
 
 
 def sites(report):
@@ -226,6 +228,20 @@ def test_classic_transform_matches_the_set_based_rule():
         rewrote += bool(expected_reps)
     assert over_64 >= 20
     assert rewrote >= 100
+
+
+@settings(max_examples=500)
+@given(prog=programs())
+def test_classic_transform_matches_the_set_based_rule_on_any_program(prog):
+    """Self-loops, unreachable definitions and self-copies occur here and
+    not in the generated corpus above. Few of these programs give the rule
+    anything to rewrite, so the search is steered toward ones where the
+    reference rewrites more uses."""
+    out, report = classic_transform(prog)
+    expected_prog, expected_reps = set_based_classic_transform(prog)
+    target(float(len(expected_reps)))
+    assert out == expected_prog
+    assert report.replacements == expected_reps
 
 
 def test_classic_fig1_cannot_rewrite(fig1):

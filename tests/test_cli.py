@@ -425,6 +425,15 @@ def test_utf8_byte_order_mark_is_skipped(command, tmp_path, capsys):
     assert run(capsys, command, str(path)) == run(capsys, command, FIG1)
 
 
+def test_a_unicode_line_separator_in_a_comment_is_not_a_line_break(tmp_path, capsys):
+    path = tmp_path / "fig1.tac"
+    text = (FIXTURES / "fig1.tac").read_text(encoding="utf-8")
+    lines = text.split("\n")
+    lines[2] += "  # a comment\u2028with a line separator"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    assert run(capsys, "analyze", str(path)) == run(capsys, "analyze", FIG1)
+
+
 @pytest.mark.parametrize(
     "argv, solves",
     [(["compare", FIG2], 1), (["check", FIG2, "--acyclic-mop"], 2)],

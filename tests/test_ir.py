@@ -62,6 +62,30 @@ B2: nop
     assert prog.blocks["B1"].stmt == Copy("x", Const(5))
 
 
+def test_a_comment_may_hold_a_unicode_line_separator():
+    """Only \\n, \\r\\n and \\r end a line; U+2028 in a comment is comment text."""
+    text = "entry: B0\nexit: B2\nB0: nop -> B1  # see\u2028B7\nB1: x = 5 -> B2\nB2: nop\n"
+    prog = parse_program(text)
+    assert prog.blocks["B0"].succs == ("B1",)
+    assert prog.blocks["B1"].stmt == Copy("x", Const(5))
+
+
+@pytest.mark.parametrize("space", ["\x0b", "\x0c", "\x1c", "\x85", "\u2029"])
+def test_vertical_whitespace_between_tokens_is_whitespace(space):
+    text = f"entry: B0\r\nexit: B2\rB0: nop{space}-> B1\nB1: x{space}={space}5 -> B2\nB2: nop\n"
+    prog = parse_program(text)
+    assert prog.blocks["B0"].succs == ("B1",)
+    assert prog.blocks["B1"].stmt == Copy("x", Const(5))
+
+
+@pytest.mark.parametrize("space", ["\x0b", "\x0c", "\u2028"])
+def test_parse_error_after_vertical_whitespace_names_the_editor_line(space):
+    text = f"entry: B0\nexit: B2\nB0: nop{space}-> B1\nB1: x = $ -> B2\nB2: nop\n"
+    with pytest.raises(ParseError, match=re.escape("expected operand, got '$'")) as exc:
+        parse_program(text)
+    assert (exc.value.line, exc.value.col) == (4, 9)
+
+
 def test_parse_signed_constants():
     prog = parse_program(
         "entry: B0\nexit: B3\nB0: nop -> B1\nB1: x = -3 -> B2\nB2: y = +7 -> B3\nB3: nop\n"
@@ -312,7 +336,7 @@ def _parse_block(line: tuple[int, str], blocks: dict[str, Block]) -> tuple[str, 
 def reference_parse(text: str) -> Program:
     """Parse the text format; raises ParseError on syntax or structure faults."""
     lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(re.split(r"\r\n?|\n", text), start=1):
         content = raw.split("#", 1)[0]
         if content.strip():
             lines.append((lineno, content))
