@@ -59,7 +59,6 @@ from .propagate import (
     Replacement,
     ReplacementReport,
     resolve_chain,
-    rewrite_statement,
     transform,
     transform_to_fixpoint,
 )

@@ -55,6 +55,8 @@ class PathBudgetError(ValueError):
 
 # most entry-to-exit paths `enumerate_paths` and `mop_in` walk, whatever the target
 PATH_BUDGET = 4096
+# most blocks one walk pushes onto its path, however few paths it follows
+STEP_BUDGET = 1 << 17
 
 
 def enumerate_paths(prog: Program, target: str) -> list[tuple[str, ...]]:
@@ -66,10 +68,11 @@ def enumerate_paths(prog: Program, target: str) -> list[tuple[str, ...]]:
     the target, so it enters every reachable cycle, the target's included.
     The number of paths grows exponentially with sequential branches, so it
     raises `PathBudgetError` once it has followed more than `PATH_BUDGET`
-    whole entry-to-exit paths, whatever the target.
+    whole entry-to-exit paths, whatever the target, or pushed more than
+    `STEP_BUDGET` blocks onto its path, which bounds its work on long paths.
     """
     paths: list[tuple[str, ...]] = []
-    walked = 0
+    walked = steps = 0
     path: list[str] = []
     on_path: set[str] = set()
     # stack[i + 1] iterates the successors of path[i]; stack[0] yields the entry
@@ -83,6 +86,9 @@ def enumerate_paths(prog: Program, target: str) -> list[tuple[str, ...]]:
             continue
         if label in on_path:
             raise CyclicGraphError("cyclic-cfg")
+        steps += 1
+        if steps > STEP_BUDGET:
+            raise PathBudgetError(f"more than {STEP_BUDGET} steps toward {target}")
         path.append(label)
         on_path.add(label)
         if label == target:
@@ -104,12 +110,14 @@ def mop_in(prog: Program) -> dict[str, FactSet]:
     One depth-first walk with the same rules as `enumerate_paths`: successor
     order, an explicit stack, `CyclicGraphError` on a block already on the
     path, and `PathBudgetError` once more than `PATH_BUDGET` whole
-    entry-to-exit paths are followed. The stack carries each path prefix's
-    facts, so a block's statement is transferred once per visit and not once
-    per path through it, and each arrival meets the facts into that block's.
+    entry-to-exit paths are followed or more than `STEP_BUDGET` blocks are
+    pushed. The stack carries each path prefix's facts, so a block's
+    statement is transferred once per push and not once per path through it,
+    at most `STEP_BUDGET` times, and each arrival meets the facts into that
+    block's.
     """
     ins: dict[str, FactSet] = {}
-    walked = 0
+    walked = steps = 0
     path: list[str] = []
     on_path: set[str] = set()
     # stack[i + 1] iterates the successors of path[i] with its OUT facts;
@@ -125,6 +133,9 @@ def mop_in(prog: Program) -> dict[str, FactSet]:
             continue
         if label in on_path:
             raise CyclicGraphError("cyclic-cfg")
+        steps += 1
+        if steps > STEP_BUDGET:
+            raise PathBudgetError(f"more than {STEP_BUDGET} steps")
         path.append(label)
         on_path.add(label)
         seen = ins.get(label)

@@ -88,13 +88,6 @@ def _chain_endpoint(label: str, facts: FactSet, name: str, position: str) -> tup
     return found if found[1] else None
 
 
-def rewrite_statement(
-    stmt: Statement, facts: FactSet, block: str = ""
-) -> tuple[Statement, list[Replacement]]:
-    """Rewrite every variable use in one statement to the endpoint of its pair chain."""
-    return _rewrite_slots(stmt, block, facts, _chain_endpoint)
-
-
 def _rewrite_program(
     prog: Program,
     in_sets: dict[str, FactSet],

@@ -88,17 +88,19 @@ def looped_counter() -> Program:
     return Program(blocks, "B0", "B4")
 
 
-def sequential_diamonds(k: int) -> Program:
+def sequential_diamonds(k: int, tail: int = 0) -> Program:
     """x = 1, then k diamonds in a row, each `branch p` to y = x or y = 2
-    joined by z = y + 1: 2**k paths from the entry to the exit."""
-    lines = ["entry: B0", "exit: X", "B0: nop -> B1", f"B1: x = 1 -> {'D0' if k else 'X'}"]
+    joined by z = y + 1: 2**k paths from the entry to the exit. `tail`
+    copies w = y follow the last diamond, making each path that much longer."""
+    labels = [f"D{i}" for i in range(k)] + [f"T{i}" for i in range(tail)] + ["X"]
+    lines = ["entry: B0", "exit: X", "B0: nop -> B1", f"B1: x = 1 -> {labels[0]}"]
     for i in range(k):
-        join = f"D{i + 1}" if i + 1 < k else "X"
         lines += [
             f"D{i}: branch p -> L{i}, R{i}",
             f"L{i}: y = x -> J{i}",
             f"R{i}: y = 2 -> J{i}",
-            f"J{i}: z = y + 1 -> {join}",
+            f"J{i}: z = y + 1 -> {labels[i + 1]}",
         ]
+    lines += [f"T{i}: w = y -> {labels[k + i + 1]}" for i in range(tail)]
     lines.append("X: nop")
     return parse_program("\n".join(lines) + "\n")

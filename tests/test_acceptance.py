@@ -3,8 +3,8 @@
 Run with `pytest tests/test_acceptance.py -s` to see the verdict lines; each
 test also fails normally under plain pytest. Time budgets are wall-clock upper
 bounds, generous on purpose so only a real regression trips them. The
-Hypothesis property at the end holds ac6 and ac8 on arbitrary programs next to
-the fixed-seed corpora, without a verdict line of its own.
+Hypothesis properties at the end hold ac4, ac6 and ac8 on arbitrary programs
+next to the fixed-seed corpora, without a verdict line of their own.
 """
 
 from __future__ import annotations
@@ -212,3 +212,19 @@ def test_ac6_and_ac8_hold_on_any_program(prog, envs):
     assert verdict.ok, verdict.reason
     res, sweep = run_acs(prog), solve_round_robin(prog)
     assert (res.in_sets, res.out_sets) == (sweep.in_sets, sweep.out_sets)
+
+
+@settings(max_examples=300)
+@given(prog=programs())
+def test_ac4_per_site_dominance_on_any_program(prog):
+    # every baseline site is a unified site, rewritten to the chain endpoint
+    # of the baseline's source; `compare` prints the sites and checks none
+    result = run_acs(prog)
+    unified = {(r.block, r.position): r for r in transform(prog, result)[1].replacements}
+    for c in classic_transform(prog, result)[1].replacements:
+        u = unified[(c.block, c.position)]
+        assert u.original == c.original
+        source = c.replacement
+        if isinstance(source, Var):
+            source = resolve_chain(source.name, result.in_sets[c.block])[0]
+        assert u.replacement == source

@@ -7,7 +7,7 @@ import pytest
 import copyprop.analysis as analysis
 import copyprop.cli as cli
 import copyprop.oracle as oracle
-from copyprop import Verdict, variables
+from copyprop import Const, Replacement, ReplacementReport, Verdict, variables
 from copyprop.cli import build_parser, main
 from copyprop.ir import print_program
 from conftest import FIXTURES, load_fixture, sequential_diamonds
@@ -128,6 +128,26 @@ def test_compare_copy_free(tmp_path, capsys):
     assert out == "classic=0 unified=0\n"
 
 
+def test_compare_reports_a_baseline_site_the_unified_pass_lacks(monkeypatch, capsys):
+    """compare only reports: a baseline rewrite with no unified counterpart
+    is a site line like any other, and the exit code stays 0."""
+    baseline = cli.classic_transform
+
+    def extra_site(prog, result):
+        out, report = baseline(prog, result)
+        extra = Replacement("B2", "copy-src", "x", Const(9), 1)
+        return out, ReplacementReport(report.replacements + (extra,), report.pass_count)
+
+    monkeypatch.setattr(cli, "classic_transform", extra_site)
+    code, out, err = run(capsys, "compare", FIG1)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "classic=1 unified=1",
+        "B2 copy-src x: classic=9 unified=-",
+        "B4 binary-lhs y: classic=- unified=x",
+    ]
+
+
 def test_check_file(capsys):
     code, out, err = run(capsys, "check", FIG2, "--inputs", "10", "--seed", "7")
     assert code == 0
@@ -198,6 +218,34 @@ def test_check_mop_transfers_once_per_walk_step(tmp_path, monkeypatch, capsys):
     assert code == 0
     assert out.splitlines()[-2:] == ["mop: PASS", "PASS"]
     assert calls <= 2**15
+
+
+def test_check_mop_skips_a_program_past_the_step_budget(tmp_path, capsys):
+    # 2**12 paths fit the path budget, but each runs through 2000 copies
+    path = tmp_path / "diamonds-tail.tac"
+    path.write_text(print_program(sequential_diamonds(12, tail=2000)))
+    code, out, _ = run(capsys, "check", str(path), "--inputs", "1")
+    assert code == 0
+    assert out.splitlines()[-2:] == ["mop: SKIP (budget)", "PASS"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [FIG1],
+        [FIG2, "--inputs", "3", "--seed", "4"],
+        [MINIMAL],
+        ["--fuzz", "--programs", "30", "--seed", "11"],
+    ],
+    ids=["fig1", "fig2", "minimal", "fuzz"],
+)
+def test_check_ignores_the_retired_mop_switch(argv, capsys):
+    """Meet-over-paths always runs, so the old switch changes nothing."""
+    plain = run(capsys, "check", *argv)
+    switched = run(capsys, "check", *argv, "--acyclic-mop")
+    assert plain == switched
+    assert plain[0] == 0
+    assert [line for line in plain[1].splitlines() if line.startswith("mop: ")]
 
 
 def test_check_fuzz_does_not_count_programs_past_the_path_budget(monkeypatch, capsys):
@@ -294,7 +342,7 @@ def test_check_fuel_at_the_ceiling_is_accepted(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "differential_check", record)
     code, out, _ = run(capsys, "check", str(path), "--fuel", str(10**7))
-    assert (code, out) == (0, "differential: PASS\nsolver-agreement: PASS\nPASS\n")
+    assert (code, out) == (0, "differential: PASS\nsolver-agreement: PASS\nmop: SKIP (cyclic-cfg)\nPASS\n")
     assert fuels == [10**7]
 
 

@@ -141,6 +141,29 @@ def test_cycle_the_walk_reaches_past_the_budget_reports_the_budget(monkeypatch):
             walk()
 
 
+def test_step_budget_bounds_a_walk_within_the_path_budget(monkeypatch):
+    # on 16 blocks, as in every fuzz program, a walk within the path budget
+    # follows at most 4097 paths of 16 blocks and stays within the steps
+    assert oracle.STEP_BUDGET == 2**17 > (oracle.PATH_BUDGET + 1) * 16
+    # 2**12 paths, each through a 2000-copy tail: 8 million steps without it
+    prog = sequential_diamonds(12, tail=2000)
+    calls = 0
+
+    def counted(stmt, facts):
+        nonlocal calls
+        calls += 1
+        if calls > 2 * oracle.STEP_BUDGET:
+            raise AssertionError("walked past twice the step budget")
+        return transfer(stmt, facts)
+
+    monkeypatch.setattr(oracle, "transfer", counted)
+    with pytest.raises(PathBudgetError):
+        mop_in(prog)
+    assert calls <= oracle.STEP_BUDGET + 1
+    with pytest.raises(PathBudgetError):
+        enumerate_paths(prog, "X")
+
+
 def test_mop_fig1(fig1):
     mop = mop_in(fig1)
     assert mop["B4"] == FactSet({"y": Var("x")})

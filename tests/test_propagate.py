@@ -16,12 +16,17 @@ from copyprop import (
     print_program,
     random_program,
     resolve_chain,
-    rewrite_statement,
     run_acs,
     transform,
     transform_to_fixpoint,
 )
+from copyprop.propagate import _chain_endpoint, _rewrite_slots
 from conftest import copy_chain, pairs, straight_line
+
+
+def rewrite_statement(stmt, facts, block=""):
+    """The unified rule applied to the uses of one statement."""
+    return _rewrite_slots(stmt, block, facts, _chain_endpoint)
 
 
 @pytest.mark.parametrize(
