@@ -1,7 +1,8 @@
 """Command line front end: analyze, transform, compare, check, dot.
 
 Reports go to stdout, diagnostics to stderr. Exit codes: 0 on success or
-PASS, 1 on a failed check, 2 on usage or parse errors. All output is
+PASS, 1 on a failed check, 2 on usage or parse errors, 141 (128 + SIGPIPE)
+when the reader closes stdout early, as `| head` does. All output is
 deterministic for a fixed seed.
 """
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import random
 import sys
 from pathlib import Path
@@ -120,7 +122,7 @@ def _check_one(prog: Program, envs: Iterable[dict[str, int]], args: argparse.Nam
     the first failure, else "mop" when meet-over-paths was checked and
     "solver-agreement" when it was not. A ValueError, such as a fact set
     breaking its invariants, fails the check that raised it; a cyclic graph or
-    a walk past its path or step budget only leaves meet-over-paths unchecked,
+    a walk past its step budget only leaves meet-over-paths unchecked,
     and the passing verdict's reason then says which."""
     check = "differential"
     try:
@@ -244,7 +246,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a short report meets a closed pipe here, not at exit
+        return code
+    except BrokenPipeError:
+        # nothing reads the rest; point stdout at devnull so the flush at exit stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ParseError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -53,10 +53,8 @@ class PathBudgetError(ValueError):
     pass
 
 
-# most entry-to-exit paths `enumerate_paths` and `mop_in` walk, whatever the target
-PATH_BUDGET = 4096
-# most blocks one walk pushes onto its path, however few paths it follows
-STEP_BUDGET = 1 << 17
+# most steps one path walk takes: pushing a block at path depth d costs d
+STEP_BUDGET = 1 << 20
 
 
 def enumerate_paths(prog: Program, target: str) -> list[tuple[str, ...]]:
@@ -66,13 +64,11 @@ def enumerate_paths(prog: Program, target: str) -> list[tuple[str, ...]]:
     Depth-first in successor order with an explicit stack, so path length is
     not bounded by the interpreter's recursion limit. The walk goes on past
     the target, so it enters every reachable cycle, the target's included.
-    The number of paths grows exponentially with sequential branches, so it
-    raises `PathBudgetError` once it has followed more than `PATH_BUDGET`
-    whole entry-to-exit paths, whatever the target, or pushed more than
-    `STEP_BUDGET` blocks onto its path, which bounds its work on long paths.
+    Pushing a block at path depth d costs d steps, and the walk raises
+    `PathBudgetError` once its steps pass `STEP_BUDGET`, whatever the target.
     """
     paths: list[tuple[str, ...]] = []
-    walked = steps = 0
+    steps = 0
     path: list[str] = []
     on_path: set[str] = set()
     # stack[i + 1] iterates the successors of path[i]; stack[0] yields the entry
@@ -86,19 +82,14 @@ def enumerate_paths(prog: Program, target: str) -> list[tuple[str, ...]]:
             continue
         if label in on_path:
             raise CyclicGraphError("cyclic-cfg")
-        steps += 1
+        path.append(label)
+        steps += len(path)
         if steps > STEP_BUDGET:
             raise PathBudgetError(f"more than {STEP_BUDGET} steps toward {target}")
-        path.append(label)
         on_path.add(label)
         if label == target:
             paths.append(tuple(path))
-        succs = prog.blocks[label].succs
-        if not succs:
-            walked += 1
-            if walked > PATH_BUDGET:
-                raise PathBudgetError(f"more than {PATH_BUDGET} paths toward {target}")
-        stack.append(iter(succs))
+        stack.append(iter(prog.blocks[label].succs))
     return paths
 
 
@@ -109,15 +100,14 @@ def mop_in(prog: Program) -> dict[str, FactSet]:
 
     One depth-first walk with the same rules as `enumerate_paths`: successor
     order, an explicit stack, `CyclicGraphError` on a block already on the
-    path, and `PathBudgetError` once more than `PATH_BUDGET` whole
-    entry-to-exit paths are followed or more than `STEP_BUDGET` blocks are
-    pushed. The stack carries each path prefix's facts, so a block's
-    statement is transferred once per push and not once per path through it,
-    at most `STEP_BUDGET` times, and each arrival meets the facts into that
-    block's.
+    path, and `PathBudgetError` once its steps pass `STEP_BUDGET`, a push at
+    depth d costing d. The stack carries each path prefix's facts, so a
+    block's statement is transferred once per push, and each arrival meets
+    the facts into that block's. A fact set holds at most one pair per block
+    on its path, so depth also bounds what one push transfers and meets.
     """
     ins: dict[str, FactSet] = {}
-    walked = steps = 0
+    steps = 0
     path: list[str] = []
     on_path: set[str] = set()
     # stack[i + 1] iterates the successors of path[i] with its OUT facts;
@@ -133,18 +123,14 @@ def mop_in(prog: Program) -> dict[str, FactSet]:
             continue
         if label in on_path:
             raise CyclicGraphError("cyclic-cfg")
-        steps += 1
+        path.append(label)
+        steps += len(path)
         if steps > STEP_BUDGET:
             raise PathBudgetError(f"more than {STEP_BUDGET} steps")
-        path.append(label)
         on_path.add(label)
         seen = ins.get(label)
         ins[label] = facts if seen is None else seen.meet(facts)
         block = prog.blocks[label]
-        if not block.succs:
-            walked += 1
-            if walked > PATH_BUDGET:
-                raise PathBudgetError(f"more than {PATH_BUDGET} paths")
         stack.append((iter(block.succs), transfer(block.stmt, facts)))
     return ins
 

@@ -4,8 +4,10 @@ Programs are well formed (`validate` accepts them) but otherwise free: any
 block may jump to any block but the entry, so self-loops, loops without an
 exit, unreachable blocks and constant branch conditions all occur. Free
 jumps seldom leave a copy available where its variable is used, so a body
-may also hold fig1's diamond: a branch whose two arms hold the same copy
-t = e, joined at a block that computes with t. Constants include the int64
+may also hold fig1's diamond, a branch whose two arms hold the same copy
+t = e, joined at a block that computes with t; or a chain, e = s, then
+t = e, then a block that computes with t, so the use of t can have a copy
+chain two pairs long. Constants include the int64
 extremes, so arithmetic wraps. Environments bind any subset of the variable
 pool, so a read can find its variable unbound.
 """
@@ -21,14 +23,15 @@ VARIABLES = ("a", "b", "c", "d")
 
 values = st.one_of(st.integers(-8, 8), st.sampled_from((INT64_MIN, -1, 2**62, INT64_MAX)))
 operands = st.one_of(st.sampled_from(VARIABLES).map(Var), values.map(Const))
-# what a body position holds; the diamond comes last, left out where it does not fit
-KINDS = ("copy", "binary", "branch", "nop", "diamond")
+# what a body position holds; the chain and the diamond come last, left out where they do not fit
+KINDS = ("copy", "binary", "branch", "nop", "chain", "diamond")
 
 
 @st.composite
 def programs(draw, max_blocks: int = 12) -> Program:
     """A nop entry, 1 to max_blocks - 2 body blocks, and a nop exit. A
-    diamond takes four consecutive body blocks; its join goes anywhere."""
+    chain takes three consecutive body blocks and a diamond four; the last
+    block of either goes anywhere."""
     count = draw(st.integers(3, max_blocks))
     labels = [f"B{i}" for i in range(count)]
     targets = st.sampled_from(labels[1:])
@@ -36,18 +39,25 @@ def programs(draw, max_blocks: int = 12) -> Program:
     i = 1
     while i < count - 1:
         label = labels[i]
-        kind = draw(st.sampled_from(KINDS if i + 4 < count else KINDS[:-1]))
-        if kind == "diamond":
-            left, right, join = labels[i + 1 : i + 4]
+        fits = KINDS if i + 4 < count else KINDS[:-1] if i + 3 < count else KINDS[:-2]
+        kind = draw(st.sampled_from(fits))
+        if kind in ("chain", "diamond"):
             var = draw(st.sampled_from(VARIABLES))
-            blocks[label] = Block(Branch(draw(operands)), (left, right))
-            blocks[left] = blocks[right] = Block(Copy(var, draw(operands)), (join,))
+            if kind == "chain":
+                mid, join = labels[i + 1 : i + 3]
+                first = draw(st.sampled_from([name for name in VARIABLES if name != var]))
+                blocks[label] = Block(Copy(first, draw(operands)), (mid,))
+                blocks[mid] = Block(Copy(var, Var(first)), (join,))
+            else:
+                left, right, join = labels[i + 1 : i + 4]
+                blocks[label] = Block(Branch(draw(operands)), (left, right))
+                blocks[left] = blocks[right] = Block(Copy(var, draw(operands)), (join,))
             lhs, rhs = Var(var), draw(operands)
             if draw(st.booleans()):
                 lhs, rhs = rhs, lhs
             use = Binary(draw(st.sampled_from(VARIABLES)), draw(st.sampled_from(BINARY_OPS)), lhs, rhs)
             blocks[join] = Block(use, (draw(targets),))
-            i += 4
+            i += 3 if kind == "chain" else 4
             continue
         i += 1
         if kind == "branch":

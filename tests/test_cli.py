@@ -187,7 +187,7 @@ def test_check_mop_ignores_a_cycle_among_unreachable_blocks(tmp_path, capsys):
 
 
 def test_check_mop_skips_a_program_past_the_path_budget(tmp_path, capsys):
-    # 2**20 paths; the walk toward the exit stops after the budget's 4096
+    # 2**20 paths; the walk toward the exit stops once its steps pass the budget
     path = tmp_path / "diamonds.tac"
     path.write_text(print_program(sequential_diamonds(20)))
     start = time.perf_counter()
@@ -221,7 +221,7 @@ def test_check_mop_transfers_once_per_walk_step(tmp_path, monkeypatch, capsys):
 
 
 def test_check_mop_skips_a_program_past_the_step_budget(tmp_path, capsys):
-    # 2**12 paths fit the path budget, but each runs through 2000 copies
+    # each of the 2**12 paths runs through 2000 copies, deeper than the budget admits
     path = tmp_path / "diamonds-tail.tac"
     path.write_text(print_program(sequential_diamonds(12, tail=2000)))
     code, out, _ = run(capsys, "check", str(path), "--inputs", "1")
@@ -249,7 +249,7 @@ def test_check_ignores_the_retired_mop_switch(argv, capsys):
 
 
 def test_check_fuzz_does_not_count_programs_past_the_path_budget(monkeypatch, capsys):
-    monkeypatch.setattr(oracle, "PATH_BUDGET", 0)
+    monkeypatch.setattr(oracle, "STEP_BUDGET", 0)
     code, out, _ = run(capsys, "check", "--fuzz", "--programs", "20", "--seed", "42", "--acyclic-mop")
     assert code == 0
     assert out.splitlines()[-2:] == ["mop: PASS (checked=0)", "PASS"]

@@ -7,6 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from copyprop import Binary, Const, Var, print_program
+from conftest import straight_line
+
 ROOT = Path(__file__).resolve().parent.parent
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
 
@@ -31,3 +36,17 @@ def test_a_parse_error_exits_2_on_stderr(tmp_path):
     assert run.returncode == 2
     assert run.stdout == ""
     assert run.stderr.startswith("error: ") and "unknown-successor B9" in run.stderr
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["transform", "--report"]], ids=["analyze", "transform"])
+def test_a_closed_stdout_exits_141_quietly(tmp_path, argv):
+    # the output is larger than a pipe buffer, so the run is still writing
+    # when the reader closes the pipe after one line, as `| head -1` does
+    path = tmp_path / "line.tac"
+    path.write_text(print_program(straight_line(*[Binary("x", "+", Var("x"), Const(1))] * 10_000)))
+    command = [sys.executable, "-m", "copyprop", argv[0], str(path), *argv[1:]]
+    with subprocess.Popen(command, cwd=ROOT, env=ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as run:
+        assert run.stdout.readline()
+        run.stdout.close()
+        assert run.stderr.read() == ""
+        assert run.wait(timeout=60) == 141

@@ -80,8 +80,10 @@ def test_deep_straight_line_has_one_path():
 
 
 def test_path_budget_admits_exactly_its_size():
-    # 12 diamonds have 2**12 == PATH_BUDGET paths to the exit, 13 twice that
-    assert oracle.PATH_BUDGET == 4096
+    # the 2**12 paths of 12 diamonds take 860,172 steps, the 2**13 of 13
+    # take 1,867,788: the budget admits the one walk and not the other
+    assert oracle.STEP_BUDGET == 2**20
+    assert 860_172 <= oracle.STEP_BUDGET < 1_867_788
     assert len(enumerate_paths(sequential_diamonds(12), "X")) == 4096
     with pytest.raises(PathBudgetError):
         enumerate_paths(sequential_diamonds(13), "X")
@@ -135,17 +137,17 @@ def test_cycle_the_walk_reaches_past_the_budget_reports_the_budget(monkeypatch):
     for walk in (lambda: enumerate_paths(prog, "X"), lambda: mop_in(prog)):
         with pytest.raises(PathBudgetError):
             walk()
-    monkeypatch.setattr(oracle, "PATH_BUDGET", 2**13)
+    monkeypatch.setattr(oracle, "STEP_BUDGET", 2**22)
     for walk in (lambda: enumerate_paths(prog, "X"), lambda: mop_in(prog)):
         with pytest.raises(CyclicGraphError):
             walk()
 
 
 def test_step_budget_bounds_a_walk_within_the_path_budget(monkeypatch):
-    # on 16 blocks, as in every fuzz program, a walk within the path budget
-    # follows at most 4097 paths of 16 blocks and stays within the steps
-    assert oracle.STEP_BUDGET == 2**17 > (oracle.PATH_BUDGET + 1) * 16
-    # 2**12 paths, each through a 2000-copy tail: 8 million steps without it
+    # an acyclic fuzz program has at most 16 blocks, 10 of them body blocks,
+    # so at most 2**10 paths: at most 2**10 * 16 pushes at depth 16 or less
+    assert oracle.STEP_BUDGET == 2**20 > 2**10 * 16 * 16
+    # 2**12 paths, each through a 2000-copy tail: 8 million pushes without it
     prog = sequential_diamonds(12, tail=2000)
     calls = 0
 
@@ -162,6 +164,29 @@ def test_step_budget_bounds_a_walk_within_the_path_budget(monkeypatch):
     assert calls <= oracle.STEP_BUDGET + 1
     with pytest.raises(PathBudgetError):
         enumerate_paths(prog, "X")
+
+
+def test_step_budget_bounds_the_pairs_a_walk_transfers(monkeypatch):
+    # 2000 distinct copies c_j = y after 12 diamonds: fact sets grow by a
+    # pair per copy, and a budget that counted pushes alone let the walk
+    # transfer and meet them for minutes
+    prog = sequential_diamonds(12, tail=2000)
+    blocks = dict(prog.blocks)
+    for j in range(2000):
+        blocks[f"T{j}"] = Block(Copy(f"c{j}", Var("y")), blocks[f"T{j}"].succs)
+    prog = Program(blocks, prog.entry, prog.exit)
+    pairs = 0
+
+    def counted(stmt, facts):
+        nonlocal pairs
+        pairs += len(facts)
+        if pairs > 2 * oracle.STEP_BUDGET:
+            raise AssertionError("transferred past twice the step budget in pairs")
+        return transfer(stmt, facts)
+
+    monkeypatch.setattr(oracle, "transfer", counted)
+    with pytest.raises(PathBudgetError):
+        mop_in(prog)
 
 
 def test_mop_fig1(fig1):
@@ -225,20 +250,36 @@ def test_mop_matches_the_per_target_reference_on_acyclic_corpus():
         assert mop_in(prog) == reference_mop(prog)
 
 
+def reference_steps(prog: Program) -> int:
+    """The steps of a path walk by its rule: a walk pushes each path from
+    the entry once, at a cost of the path's length."""
+    return sum(len(path) for label in prog.blocks for path in enumerate_paths(prog, label))
+
+
 @settings(max_examples=200)
-@given(prog=programs())
-def test_mop_matches_the_per_target_reference_on_any_program(prog):
-    # cyclic graphs and unreachable blocks included: the one walk raises what
-    # the walk toward the exit raises, or agrees with the reference
+@given(prog=programs(), budget=st.integers(0, 200))
+def test_mop_matches_the_per_target_reference_on_any_program(prog, budget):
+    # cyclic graphs and unreachable blocks included, under a step budget
+    # small enough to run out: the one walk raises what the walk toward the
+    # exit raises, or agrees with the reference, and on an acyclic graph the
+    # budget runs out exactly when it is below the walk's steps
     try:
-        enumerate_paths(prog, prog.exit)
-    except (CyclicGraphError, PathBudgetError) as err:
-        with pytest.raises(type(err)):
-            mop_in(prog)
-        with pytest.raises(type(err)):
-            reference_mop(prog)
-        return
-    assert mop_in(prog) == reference_mop(prog)
+        steps = reference_steps(prog)
+    except CyclicGraphError:
+        steps = None
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "STEP_BUDGET", budget)
+        try:
+            enumerate_paths(prog, prog.exit)
+        except (CyclicGraphError, PathBudgetError) as err:
+            assert steps is None or (isinstance(err, PathBudgetError) and budget < steps)
+            with pytest.raises(type(err)):
+                mop_in(prog)
+            with pytest.raises(type(err)):
+                reference_mop(prog)
+            return
+        assert steps <= budget
+        assert mop_in(prog) == reference_mop(prog)
 
 
 def test_round_robin_matches_worklist():
