@@ -50,6 +50,14 @@ def _load(path: str) -> Program:
     return parse_program(text)
 
 
+def _write(text: str) -> None:
+    """Write text to stdout a line at a time. Handed a whole program at once,
+    the buffered writer can meet a reader that closed the pipe mid-write and
+    drop the rest without raising; line by line, the next write raises
+    BrokenPipeError, and `main` exits 141."""
+    sys.stdout.writelines(text.splitlines(keepends=True))
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     result = run_acs(_load(args.file))
     for label in sorted(result.in_sets, key=natural_key):
@@ -67,7 +75,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
         prog, report = transform_to_fixpoint(prog, args.iterate)
     else:
         prog, report = transform(prog, run_acs(prog))
-    sys.stdout.write(print_program(prog))
+    _write(print_program(prog))
     if args.report:
         print(f"# passes: {report.pass_count}")
         if not report.converged:
@@ -106,7 +114,7 @@ def _dump_failure(kind: str, prog: Program, verdict: Verdict) -> None:
     if verdict.reason:
         print(f"reason: {verdict.reason}")
     print("program:")
-    sys.stdout.write(print_program(prog))
+    _write(print_program(prog))
     if verdict.env is not None:
         print("env:")
         for name in sorted(verdict.env):
@@ -158,7 +166,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         args.parser.error("--inputs must be at least 1")
     if args.fuel < 1:
         args.parser.error("--fuel must be at least 1")
-    if args.fuel > 10**7:  # each run's trace holds `fuel` labels
+    if args.fuel > 10**7:  # a run whose state never repeats executes, and keeps the label of, every step
         args.parser.error("--fuel must be at most 10000000")
     rng = random.Random(args.seed)
 
@@ -196,7 +204,7 @@ def cmd_dot(args: argparse.Namespace) -> int:
     if args.annotate:
         result = run_acs(prog)
         annotations = {label: format_facts(facts) for label, facts in result.in_sets.items()}
-    sys.stdout.write(to_dot(prog, annotations))
+    _write(to_dot(prog, annotations))
     return 0
 
 

@@ -172,10 +172,31 @@ def solve_round_robin(prog: Program) -> AnalysisResult:
 
 @dataclass(frozen=True)
 class Trace:
-    labels: tuple[str, ...]
+    """A run's block sequence, kept as `prefix` then `cycle` repeated until
+    `length` labels: `prefix` holds the labels the run executed before the
+    loop it was fast-forwarded through, and `cycle` one lap of that loop, or
+    () when the run was not fast-forwarded and `prefix` is all of it. The two
+    hold as many labels as the run executed step by step, whatever the fuel."""
+
+    prefix: tuple[str, ...]
+    cycle: tuple[str, ...]
+    length: int
     final_env: Env
     status: str  # "exit" | "fuel-exhausted" | "runtime-error"
     error: str | None = None
+
+    def head(self, count: int) -> tuple[str, ...]:
+        """The first `count` labels of the run, at most `length`."""
+        count = min(count, self.length)
+        if count <= len(self.prefix):
+            return self.prefix[:count]
+        laps, rest = divmod(count - len(self.prefix), len(self.cycle))
+        return self.prefix + self.cycle * laps + self.cycle[:rest]
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """Every label of the run, one per executed block: `length` of them."""
+        return self.head(self.length)
 
 
 def _wrap(value: int) -> int:
@@ -297,24 +318,27 @@ def interpret(prog: Program, env0: Env, fuel: int, *, on_step: StepHook | None =
     was in `period` steps before (Brent's cycle detection, see `_run`). Runs
     are deterministic, so from there it repeats those blocks until the fuel
     runs out, and that loop holds neither the exit nor a runtime error, or the
-    run would have ended. Their labels are appended once per whole lap the
-    fuel leaves and the last few steps run as usual: the trace is exactly that
-    of a run executing every step, at a cost in steps of the loop's start plus
-    its length instead of `fuel`. `on_step` sees each block label with the
-    environment before its statement runs, on every step until the run is
-    fast-forwarded and none after. That is never before the first repeated
-    state, so the hook sees every state of the run at least once: it suits a
-    check of the state that keeps its first finding, such as the fact replay.
+    run would have ended. The trace keeps the labels of those `period` steps
+    once, as its cycle, and counts the whole laps the fuel leaves without
+    running them; the last few steps run only for the final environment. So
+    the trace is exactly that of a run executing every step, at a cost in
+    steps and in memory of the loop's start plus its length instead of `fuel`.
+    `on_step` sees each block label with the environment before its statement
+    runs, on every step until the run is fast-forwarded and none after. That
+    is never before the first repeated state, so the hook sees every state of
+    the run at least once: it suits a check of the state that keeps its first
+    finding, such as the fact replay.
     """
     code = _decode(prog)
     env = dict(env0)
     labels: list[str] = []
     label, status, error, period = _run(code, prog.exit, prog.entry, env, labels, fuel, on_step)
-    if period:
-        laps, rest = divmod(fuel - len(labels), period)
-        labels.extend(labels[-period:] * laps)
-        label, status, error, _ = _run(code, prog.exit, label, env, labels, rest, None)
-    return Trace(tuple(labels), env, status, error)
+    if not period:
+        return Trace(tuple(labels), (), len(labels), env, status, error)
+    start = len(labels) - period
+    rest = (fuel - start) % period
+    _run(code, prog.exit, label, env, [], rest, None)
+    return Trace(tuple(labels[:start]), tuple(labels[start:]), fuel, env, status, error)
 
 
 # `random_program`'s constant range and share of copies among body statements
@@ -474,12 +498,18 @@ def _difference(t1: Trace, t2: Trace, env0: Env) -> Verdict | None:
             f"status mismatch: {t1.status}/{t1.error} vs {t2.status}/{t2.error}",
             env0,
         )
-    if t1.labels != t2.labels:
+    if (t1.prefix, t1.cycle, t1.length) != (t2.prefix, t2.cycle, t2.length):
+        # Past both prefixes both runs repeat their cycles, and two periodic
+        # sequences that agree on as many labels as their periods sum to agree
+        # for good (Fine and Wilf): the first difference, if any, is in that window.
+        shorter = min(t1.length, t2.length)
+        window = min(max(len(t1.prefix), len(t2.prefix)) + len(t1.cycle) + len(t2.cycle), shorter)
         step = next(
-            (i for i, (a, b) in enumerate(zip(t1.labels, t2.labels)) if a != b),
-            min(len(t1.labels), len(t2.labels)),
+            (i for i, (a, b) in enumerate(zip(t1.head(window), t2.head(window))) if a != b),
+            None if t1.length == t2.length else shorter,
         )
-        return Verdict(False, f"trace divergence at step {step}", env0, step)
+        if step is not None:
+            return Verdict(False, f"trace divergence at step {step}", env0, step)
     if t1.final_env != t2.final_env:
         keys = set(t1.final_env) | set(t2.final_env)
         bad = sorted(k for k in keys if t1.final_env.get(k) != t2.final_env.get(k))[0]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import time
+import tracemalloc
 
 import pytest
 
@@ -310,8 +311,8 @@ SELF_LOOP = "entry: B0\nexit: B2\nB0: nop -> B1\nB1: branch 1 -> B1, B2\nB2: nop
 @pytest.mark.parametrize("fuel", [str(10**7 + 1), "100000000000000000000"])
 @pytest.mark.parametrize("fuzz", [False, True], ids=["file", "fuzz"])
 def test_check_fuel_above_the_ceiling_is_a_usage_error(fuel, fuzz, tmp_path, monkeypatch, capsys):
-    """Refused before any program is built or run: a trace holds `fuel`
-    labels, and 10**20 of them overflowed inside the interpreter."""
+    """Refused before any program is built or run: a run whose state never
+    repeats executes, and keeps the label of, every step of its fuel."""
     path = tmp_path / "loop.tac"
     path.write_text(SELF_LOOP)
 
@@ -344,6 +345,35 @@ def test_check_fuel_at_the_ceiling_is_accepted(tmp_path, monkeypatch, capsys):
     code, out, _ = run(capsys, "check", str(path), "--fuel", str(10**7))
     assert (code, out) == (0, "differential: PASS\nsolver-agreement: PASS\nmop: SKIP (cyclic-cfg)\nPASS\n")
     assert fuels == [10**7]
+
+
+def test_check_at_the_fuel_ceiling_keeps_no_fuel_long_trace(tmp_path, monkeypatch, capsys):
+    """The runs of generated program 543 spend the fuel on all five inputs
+    of `check --seed 0`, and each is fast-forwarded: its trace holds a few
+    labels, and one check stays far below the ~230 MB that traces of 10**7
+    labels take."""
+    prog = oracle.random_program(oracle.GenParams(seed=543))
+    path = tmp_path / "looping.tac"
+    path.write_text(print_program(prog))
+    traces, interpret = [], oracle.interpret
+
+    def recording(*args, **kwargs):
+        traces.append(interpret(*args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr(oracle, "interpret", recording)
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "check", str(path), "--inputs", "5", "--fuel", str(10**7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out.splitlines()[-1]) == (0, "PASS")
+    assert peak < 16 * 2**20
+    assert len(traces) >= 10  # the original and the one-pass program per input
+    for trace in traces:
+        assert (trace.status, trace.length) == ("fuel-exhausted", 10**7)
+        assert len(trace.prefix) + len(trace.cycle) < 100
 
 
 def test_check_draws_each_input_only_when_it_is_read(monkeypatch, capsys):

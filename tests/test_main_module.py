@@ -38,13 +38,27 @@ def test_a_parse_error_exits_2_on_stderr(tmp_path):
     assert run.stderr.startswith("error: ") and "unknown-successor B9" in run.stderr
 
 
-@pytest.mark.parametrize("argv", [["analyze"], ["transform", "--report"]], ids=["analyze", "transform"])
+# `check` with its first program check failing, so that it prints the program
+PLANTED_FAILURE = """
+import sys
+from copyprop import Verdict, cli
+cli._check_one = lambda *args: ("differential", Verdict(False, "planted"))
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze"], ["transform", "--report"], ["transform"], ["dot"], ["check"]],
+    ids=["analyze", "transform", "transform-program", "dot", "check-failure"],
+)
 def test_a_closed_stdout_exits_141_quietly(tmp_path, argv):
     # the output is larger than a pipe buffer, so the run is still writing
     # when the reader closes the pipe after one line, as `| head -1` does
     path = tmp_path / "line.tac"
     path.write_text(print_program(straight_line(*[Binary("x", "+", Var("x"), Const(1))] * 10_000)))
-    command = [sys.executable, "-m", "copyprop", argv[0], str(path), *argv[1:]]
+    entry = ["-c", PLANTED_FAILURE] if argv[0] == "check" else ["-m", "copyprop"]
+    command = [sys.executable, *entry, argv[0], str(path), *argv[1:]]
     with subprocess.Popen(command, cwd=ROOT, env=ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as run:
         assert run.stdout.readline()
         run.stdout.close()

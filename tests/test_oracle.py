@@ -602,6 +602,78 @@ def test_a_hooked_looping_run_sees_every_state_before_the_fast_forward():
     assert len(seen) < 20
 
 
+# ------------------------------------------------------- compact trace compare
+# `_difference` compares traces kept as prefix + cycle without expanding them.
+# The reference is the comparison of whole label tuples.
+
+
+def expanded_divergence(t1, t2) -> int | None:
+    """The first step at which the expanded label tuples differ, if any."""
+    labels1, labels2 = t1.labels, t2.labels
+    if labels1 == labels2:
+        return None
+    return next((i for i, (a, b) in enumerate(zip(labels1, labels2)) if a != b), min(len(labels1), len(labels2)))
+
+
+def _compact(prefix, cycle, length) -> oracle.Trace:
+    return oracle.Trace(tuple(prefix), tuple(cycle), length, {"x": 1}, "fuel-exhausted")
+
+
+@st.composite
+def compact_traces(draw):
+    # two labels, so that independent traces often agree for a while
+    prefix = draw(st.lists(st.sampled_from("BC"), max_size=6))
+    cycle = draw(st.lists(st.sampled_from("BC"), max_size=4))
+    laps = draw(st.integers(1, 60)) if cycle else 0
+    return _compact(prefix, cycle, len(prefix) + len(cycle) * laps + draw(st.integers(0, len(cycle))))
+
+
+def unrolled(trace, count: int, repeats: int = 1) -> oracle.Trace:
+    """The same run with its first `count` labels in the prefix and its cycle
+    rotated to follow them and repeated; all of it in the prefix, with no
+    cycle, when `count` reaches its length."""
+    if not trace.cycle or count >= trace.length:
+        return _compact(trace.labels, (), trace.length)
+    count = max(count, len(trace.prefix))
+    shift = (count - len(trace.prefix)) % len(trace.cycle)
+    return _compact(trace.head(count), (trace.cycle[shift:] + trace.cycle[:shift]) * repeats, trace.length)
+
+
+def with_changed_step(trace, step: int) -> oracle.Trace:
+    """The same run with the label at `step` swapped for the other one."""
+    moved = unrolled(trace, step + 1)
+    prefix = list(moved.prefix)
+    prefix[step] = "B" if prefix[step] == "C" else "C"
+    return _compact(prefix, moved.cycle, moved.length)
+
+
+@settings(max_examples=400)
+@given(t1=compact_traces(), data=st.data())
+def test_compact_difference_matches_the_expanded_comparison(t1, data):
+    """Whatever the two representations, including one cycle missing, equal
+    runs kept differently, and a change many laps into the cycle, the verdict
+    and step are those of comparing the expanded label tuples."""
+    kind = data.draw(st.sampled_from(("independent", "shared start", "same run", "changed step", "cut short")))
+    if kind == "independent":
+        t2 = data.draw(compact_traces())
+    elif kind == "shared start":
+        other = data.draw(compact_traces())
+        start = t1.head(data.draw(st.integers(0, 8)))
+        t2 = _compact(start + other.prefix, other.cycle, len(start) + other.length)
+    else:
+        t2 = unrolled(t1, data.draw(st.integers(0, t1.length + 2)), data.draw(st.integers(1, 3)))
+        assert t2.labels == t1.labels
+        if kind == "changed step" and t1.length:
+            t2 = with_changed_step(t2, data.draw(st.integers(0, t1.length - 1)))
+        elif kind == "cut short":
+            t2 = _compact(t2.prefix, t2.cycle, data.draw(st.integers(len(t2.prefix), t2.length)))
+    env0 = {"x": 0}
+    for a, b in ((t1, t2), (t2, t1)):
+        step = expanded_divergence(a, b)
+        expected = None if step is None else oracle.Verdict(False, f"trace divergence at step {step}", env0, step)
+        assert oracle._difference(a, b, env0) == expected
+
+
 # ------------------------------------------------------------------ generator
 
 
