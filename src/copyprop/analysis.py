@@ -25,9 +25,9 @@ def transfer(stmt: Statement, facts: FactSet) -> FactSet:
     dst = defined_var(stmt)
     if dst is None:
         return facts
-    killed_src = Var(dst)
-    kept = {d: src for d, src in facts.items() if d != dst and src != killed_src}
-    if isinstance(stmt, Copy) and stmt.src != killed_src:
+    # names, not operands: no Var built, and no dataclass __eq__ called per fact
+    kept = {d: src for d, src in facts.items() if d != dst and not (src.__class__ is Var and src.name == dst)}
+    if isinstance(stmt, Copy) and not (stmt.src.__class__ is Var and stmt.src.name == dst):
         kept[dst] = stmt.src
     return FactSet(kept)
 

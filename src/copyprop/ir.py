@@ -450,6 +450,14 @@ def print_program(prog: Program) -> str:
     return "\n".join(lines) + "\n"
 
 
+# DOT reads these as keywords in any case, so a label spelled as one is quoted
+_DOT_KEYWORDS = frozenset({"node", "edge", "graph", "digraph", "subgraph", "strict"})
+
+
+def _dot_id(label: str) -> str:
+    return f'"{label}"' if label.lower() in _DOT_KEYWORDS else label
+
+
 def to_dot(prog: Program, annotations: dict[str, str] | None = None) -> str:
     """Graphviz rendering; annotations append a second label line per node."""
     notes = annotations or {}
@@ -458,9 +466,9 @@ def to_dot(prog: Program, annotations: dict[str, str] | None = None) -> str:
         text = f"{label}: {format_statement(prog.blocks[label].stmt)}"
         if label in notes:
             text += "\\n" + notes[label]
-        lines.append(f'  {label} [label="{text}"];')
+        lines.append(f'  {_dot_id(label)} [label="{text}"];')
     for label in sorted_labels(prog):
         for succ in prog.blocks[label].succs:
-            lines.append(f"  {label} -> {succ};")
+            lines.append(f"  {_dot_id(label)} -> {_dot_id(succ)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -14,6 +14,7 @@ from copyprop import (
     FactSet,
     GenParams,
     Nop,
+    Statement,
     Var,
     defined_var,
     predecessors,
@@ -174,6 +175,46 @@ def test_meet_and_transfer_match_a_pair_set_model(a, b, stmt):
     facts_a = FactSet(a)
     assert frozenset(facts_a.meet(FactSet(b)).items()) == model_a & model_b
     assert frozenset(transfer(stmt, facts_a).items()) == _model_transfer(stmt, model_a)
+
+
+@st.composite
+def lattice_cases(draw) -> tuple[FactSet, FactSet, FactSet, Statement]:
+    """Fact sets a, b and c and a statement. b is drawn alone or made from a:
+    each pair kept, dropped, or with its source moved one step along its
+    chain (x -> y becomes x -> y's source). The statement often defines a
+    source of a. Independent maps seldom share a pair, and a re-rooting
+    transfer breaks distributivity only where one side holds x -> y and
+    y -> 5, the other x -> 5, and the statement defines y."""
+    a = draw(fact_maps())
+    if draw(st.booleans()):
+        b = draw(fact_maps())
+    else:
+        b = {}
+        for dst, src in a.items():
+            how = draw(st.sampled_from(("keep", "drop", "step")))
+            if how == "keep":
+                b[dst] = src
+            elif how == "step" and isinstance(src, Var) and src.name in a:
+                b[dst] = a[src.name]
+    sources = sorted({src.name for src in a.values() if isinstance(src, Var)})
+    if sources and draw(st.booleans()):
+        stmt = Copy(draw(st.sampled_from(sources)), draw(model_operands))
+    else:
+        stmt = draw(model_statements)
+    return FactSet(a), FactSet(b), FactSet(draw(fact_maps())), stmt
+
+
+@settings(max_examples=500)
+@given(lattice_cases())
+def test_meet_is_a_semilattice_and_transfer_distributes_over_it(case):
+    """The laws ac5 rests on: meet is commutative, associative and idempotent,
+    and transfer distributes over meet, so meet-over-paths equals the
+    fixpoint (Kam & Ullman, 1977)."""
+    a, b, c, stmt = case
+    assert a.meet(b) == b.meet(a)
+    assert a.meet(b).meet(c) == a.meet(b.meet(c))
+    assert a.meet(a) == a
+    assert transfer(stmt, a.meet(b)) == transfer(stmt, a).meet(transfer(stmt, b))
 
 
 def _const_in_sets(prog):

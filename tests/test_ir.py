@@ -759,3 +759,33 @@ def test_dot_minimal_shape():
 def test_dot_annotations(fig1):
     out = to_dot(fig1, {"B4": "{ (y, x) }"})
     assert '  B4 [label="B4: z = y + w\\n{ (y, x) }"];' in out.splitlines()
+
+
+def test_dot_quotes_labels_spelled_as_dot_keywords():
+    """DOT reads node, edge, graph, digraph, subgraph and strict as keywords in
+    any case: a bare `node [label=...]` sets default attributes and a bare
+    `graph -> edge` does not parse. Such labels are quoted; others, such as
+    `nodes`, stay bare."""
+    prog = parse_program(
+        "entry: node\nexit: Edge\nnode: nop -> graph\ngraph: x = 1 -> subgraph\n"
+        "subgraph: branch x -> STRICT, digraph\nSTRICT: y = x -> nodes\nnodes: nop -> digraph\n"
+        "digraph: z = x + 1 -> Edge\nEdge: nop\n"
+    )
+    assert to_dot(prog).splitlines() == [
+        "digraph cfg {",
+        '  "Edge" [label="Edge: nop"];',
+        '  "STRICT" [label="STRICT: y = x"];',
+        '  "digraph" [label="digraph: z = x + 1"];',
+        '  "graph" [label="graph: x = 1"];',
+        '  "node" [label="node: nop"];',
+        '  nodes [label="nodes: nop"];',
+        '  "subgraph" [label="subgraph: branch x"];',
+        '  "STRICT" -> nodes;',
+        '  "digraph" -> "Edge";',
+        '  "graph" -> "subgraph";',
+        '  "node" -> "graph";',
+        '  nodes -> "digraph";',
+        '  "subgraph" -> "STRICT";',
+        '  "subgraph" -> "digraph";',
+        "}",
+    ]
