@@ -44,7 +44,7 @@ from .propagate import SLOT_ORDER, Replacement, transform, transform_to_fixpoint
 
 def _load(path: str) -> Program:
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as err:
         raise ParseError(f"{path}: {err}") from None
     return parse_program(text)

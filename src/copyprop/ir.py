@@ -27,7 +27,8 @@ Lexically, the tokens of a statement are separated by whitespace, so
 the statement, and the labels after it are separated by commas, with or
 without whitespace around them. A line parses with any number of
 successors; the validity check then decides whether the block has the right
-number.
+number. This grammar is the one the parser runs: it splits each line into
+these tokens once, and a faulty line raises the ParseError of its first fault.
 """
 
 from __future__ import annotations
@@ -36,12 +37,9 @@ import functools
 import re
 from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import NoReturn
 
-_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
-_INT = r"[+-]?[0-9]+"
-IDENT_RE = re.compile(_IDENT + r"\Z")
-INT_RE = re.compile(_INT + r"\Z")
+IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+INT_RE = re.compile(r"[+-]?[0-9]+\Z")
 DIGITS_RE = re.compile(r"([0-9]+)")
 _LINE_BREAK_RE = re.compile(r"\r\n?|\n")
 RESERVED = frozenset({"nop", "branch", "entry", "exit"})
@@ -176,21 +174,12 @@ class ParseError(ValueError):
         super().__init__(where + message)
 
 
-_LABEL = rf"\s*({_IDENT})\s*:\s*"
-_OPERAND = f"{_INT}|{_IDENT}"
-_LABEL_RE = re.compile(_LABEL)
-_DIRECTIVE_RE = re.compile(_LABEL + r"(\S+)\s*\Z")
-# A whole block line. Groups: label, nop, branch condition, destination, first
-# operand, operator, second operand, then the text after `->`. Each group but
-# the last is one whole token: it ends where whitespace or the line does, as
-# the tokens `_tokens` splits do. `_match_block` splits the last one at commas,
-# which on a long successor list is about a hundred times faster than a
-# repeated group matching one name at a time.
-BLOCK_LINE_RE = re.compile(
-    _LABEL
-    + rf"(?:(nop)|branch\s+({_OPERAND})|({_IDENT})\s+=\s+({_OPERAND})(?:\s+([-+*/])\s+({_OPERAND}))?)"
-    + r"(?:\s+->\s+(\S(?:.*\S)?))?\s*\Z"
-)
+_TOKEN_RE = re.compile(r"\S+")
+
+
+class _TokenFault(Exception):
+    """A statement's fault: the message and the index of the token at fault,
+    or None for a fault at no column."""
 
 
 def _literal(text: str) -> int | None:
@@ -205,144 +194,119 @@ def _literal(text: str) -> int | None:
     return None
 
 
-def _operand(text: str) -> Operand | None:
-    """Operand of a token the line pattern matched, or None for a literal
-    outside 64 bits."""
-    if text[0] in "+-0123456789":
-        value = _literal(text)
-        return None if value is None else Const(value)
-    return Var(text)
+def _is_name(text: str) -> bool:
+    """The rule for label and variable names: an identifier that is not a
+    reserved word. On ASCII text, `str.isidentifier` accepts what `IDENT_RE`
+    matches, at a third of a match's cost."""
+    return text.isascii() and text.isidentifier() and text not in RESERVED
 
 
-def _match_block(text: str, blocks: dict[str, Block]) -> tuple[str, Block] | None:
-    """Label and block of a well-formed block line, or None for a line with a
-    fault: a token out of place, a successor that is no name, a reserved word
-    in any slot, a literal outside 64 bits or a label already in `blocks`."""
-    m = BLOCK_LINE_RE.match(text)
-    if m is None:
-        return None
-    label, nop, cond, dst, lhs, op, rhs, succ_text = m.groups()
-    succs = () if succ_text is None else tuple(map(str.strip, succ_text.split(",")))
-    if (
-        label in blocks
-        or not RESERVED.isdisjoint((label, dst, cond, lhs, rhs, *succs))
-        or not all(map(IDENT_RE.match, succs))
-    ):
-        return None
-    if nop:
-        stmt: Statement = Nop()
-    elif cond is not None:
-        if (first := _operand(cond)) is None:
-            return None
-        stmt = Branch(first)
-    else:
-        if (first := _operand(lhs)) is None:
-            return None
-        if rhs is None:
-            stmt = Copy(dst, first)
-        elif (second := _operand(rhs)) is None:
-            return None
-        else:
-            stmt = Binary(dst, op, first, second)
-    return label, Block(stmt, succs)
-
-
-def _tokens(text: str, offset: int) -> list[tuple[str, int]]:
-    return [(m.group(), offset + m.start()) for m in re.finditer(r"\S+", text)]
-
-
-def _check_name(tok: tuple[str, int], lineno: int, kind: str) -> None:
-    text, col = tok
-    if not IDENT_RE.match(text):
-        raise ParseError(f"bad {kind} '{text}'", lineno, col + 1)
+def _name_error(text: str, kind: str) -> str:
+    """Why `_is_name` refuses `text` as the name of a `kind`."""
     if text in RESERVED:
-        raise ParseError(f"reserved word '{text}' cannot be a {kind}", lineno, col + 1)
+        return f"reserved word '{text}' cannot be a {kind}"
+    return f"bad {kind} '{text}'"
 
 
-def _check_operand(tok: tuple[str, int], lineno: int) -> None:
-    text, col = tok
-    if INT_RE.match(text):
-        if _literal(text) is None:
-            raise ParseError(f"constant {text} out of 64-bit range", lineno, col + 1)
-    elif not IDENT_RE.match(text) or text in RESERVED:
-        raise ParseError(f"expected operand, got '{text}'", lineno, col + 1)
+def _column(text: str, start: int, index: int) -> int:
+    """Column of the `index`-th token of `text` from offset `start` on."""
+    return [m.start() for m in _TOKEN_RE.finditer(text, start)][index] + 1
 
 
-def _check_statement_tokens(toks: list[tuple[str, int]], lineno: int) -> None:
-    if not toks:
-        raise ParseError("missing statement", lineno)
-    head, head_col = toks[0]
+def _operand(toks: list[str], i: int) -> Operand:
+    text = toks[i]
+    if _is_name(text):
+        return Var(text)
+    if not INT_RE.match(text):
+        raise _TokenFault(f"expected operand, got '{text}'", i)
+    value = _literal(text)
+    if value is None:
+        raise _TokenFault(f"constant {text} out of 64-bit range", i)
+    return Const(value)
+
+
+def _statement(toks: list[str]) -> Statement:
+    n = len(toks)
+    if not n:
+        raise _TokenFault("missing statement", None)
+    head = toks[0]
     if head == "nop":
-        if len(toks) > 1:
-            raise ParseError(f"unexpected '{toks[1][0]}' after nop", lineno, toks[1][1] + 1)
-    elif head == "branch":
-        if len(toks) != 2:
-            raise ParseError("branch takes one operand", lineno, head_col + 1)
-        _check_operand(toks[1], lineno)
-    elif len(toks) >= 2 and toks[1][0] == "=":
-        _check_name(toks[0], lineno, "variable")
-        if len(toks) == 3:
-            _check_operand(toks[2], lineno)
-        elif len(toks) == 5:
-            op, op_col = toks[3]
-            if op not in BINARY_OPS:
-                raise ParseError(f"unknown operator '{op}'", lineno, op_col + 1)
-            _check_operand(toks[2], lineno)
-            _check_operand(toks[4], lineno)
-        else:
-            raise ParseError("expected 'v = <operand>' or 'v = <operand> <op> <operand>'", lineno, head_col + 1)
-    else:
-        raise ParseError(f"unrecognized statement '{' '.join(t for t, _ in toks)}'", lineno, head_col + 1)
+        if n > 1:
+            raise _TokenFault(f"unexpected '{toks[1]}' after nop", 1)
+        return Nop()
+    if head == "branch":
+        if n != 2:
+            raise _TokenFault("branch takes one operand", 0)
+        return Branch(_operand(toks, 1))
+    if n < 2 or toks[1] != "=":
+        raise _TokenFault(f"unrecognized statement '{' '.join(toks)}'", 0)
+    if not _is_name(head):
+        raise _TokenFault(_name_error(head, "variable"), 0)
+    if n == 3:
+        return Copy(head, _operand(toks, 2))
+    if n != 5:
+        raise _TokenFault("expected 'v = <operand>' or 'v = <operand> <op> <operand>'", 0)
+    if toks[3] not in BINARY_OPS:
+        raise _TokenFault(f"unknown operator '{toks[3]}'", 3)
+    return Binary(head, toks[3], _operand(toks, 2), _operand(toks, 4))
 
 
 def _parse_directive(line: tuple[int, str], name: str) -> str:
     lineno, text = line
-    m = _DIRECTIVE_RE.match(text)
-    if not m or m.group(1) != name:
+    head, _, rest = text.partition(":")
+    toks = rest.split()
+    if head.strip() != name or len(toks) != 1:
         raise ParseError(f"expected '{name}: <label>'", lineno, 1)
-    _check_name((m.group(2), m.start(2)), lineno, "label")
-    return m.group(2)
+    if not _is_name(toks[0]):
+        raise ParseError(_name_error(toks[0], "label"), lineno, _column(text, len(head) + 1, 0))
+    return toks[0]
 
 
-def _raise_block_error(line: tuple[int, str], blocks: dict[str, Block]) -> NoReturn:
-    """Raise the ParseError of a block line `_match_block` refuses, found by
-    walking its tokens: the label first, then the successors, then the
-    statement."""
+def _parse_block(line: tuple[int, str], blocks: dict[str, Block]) -> tuple[str, Block]:
+    """Label and block of a block line. A faulty line raises the ParseError
+    of its first fault: the label, then the successors, then the statement.
+    Columns are found only then."""
     lineno, text = line
-    m = _LABEL_RE.match(text)
-    if not m:
-        raise ParseError("expected '<label>: <statement>'", lineno, 1)
-    label = m.group(1)
-    _check_name((label, m.start(1)), lineno, "label")
-    if label in blocks:
-        raise ParseError(f"duplicate label {label}", lineno, m.start(1) + 1)
-    toks = _tokens(text[m.end():], m.end())
-    arrow = next((i for i, (t, _) in enumerate(toks) if t == "->"), None)
-    if arrow is not None:
-        tail = toks[arrow + 1:]
-        if not tail:
-            raise ParseError("expected successor labels after '->'", lineno, toks[arrow][1] + 1)
-        # one (name, column) token per comma-separated name, at the name's own
-        # column; an empty name's column is where it ends
-        names = []
-        col = tail[0][1]
-        for piece in text[col:].split(","):
-            names.append((" ".join(piece.split()), col + len(piece) - len(piece.lstrip())))
-            col += len(piece) + 1
-        for name, name_col in names:
-            if not name:
-                raise ParseError("empty successor label", lineno, name_col + 1)
-        for tok in names:
-            _check_name(tok, lineno, "label")
-        toks = toks[:arrow]
-    _check_statement_tokens(toks, lineno)
-    raise AssertionError(f"line {lineno}: the block line pattern refused a well-formed line")
+    head, colon, rest = text.partition(":")
+    label = head.strip()
+    if not colon or not _is_name(label) or label in blocks:
+        if not colon or not IDENT_RE.match(label):
+            raise ParseError("expected '<label>: <statement>'", lineno, 1)
+        message = _name_error(label, "label") if label in RESERVED else f"duplicate label {label}"
+        raise ParseError(message, lineno, len(head) - len(head.lstrip()) + 1)
+    start = len(head) + 1
+    toks = rest.split()
+    succs: tuple[str, ...] = ()
+    if "->" in toks:
+        arrow = toks.index("->")
+        if arrow + 1 == len(toks):
+            raise ParseError("expected successor labels after '->'", lineno, _column(text, start, arrow))
+        succs = tuple(map(str.strip, " ".join(toks[arrow + 1:]).split(",")))
+        if not all(map(_is_name, succs)):
+            # the names as written, each at its first character's column or,
+            # when empty, where it ends; an empty name is reported first
+            col = _column(text, start, arrow + 1)
+            faults = []
+            for piece in text[col - 1:].split(","):
+                name = " ".join(piece.split())
+                if not _is_name(name):
+                    faults.append((name != "", col + len(piece) - len(piece.lstrip()), name))
+                col += len(piece) + 1
+            _, col, name = min(faults)
+            raise ParseError(_name_error(name, "label") if name else "empty successor label", lineno, col)
+        del toks[arrow:]
+    try:
+        return label, Block(_statement(toks), succs)
+    except _TokenFault as fault:
+        message, index = fault.args
+        raise ParseError(message, lineno, None if index is None else _column(text, start, index)) from None
 
 
 def parse_program(text: str) -> Program:
-    """Parse the text format; raises ParseError on syntax or structure faults."""
+    """Parse the text format; raises ParseError on syntax or structure faults.
+    One leading byte-order mark is skipped."""
     lines = []
-    for lineno, raw in enumerate(_LINE_BREAK_RE.split(text), start=1):
+    for lineno, raw in enumerate(_LINE_BREAK_RE.split(text.removeprefix("\ufeff")), start=1):
         content = raw.split("#", 1)[0]
         if content.strip():
             lines.append((lineno, content))
@@ -352,10 +316,7 @@ def parse_program(text: str) -> Program:
     exit_ = _parse_directive(lines[1], "exit")
     blocks: dict[str, Block] = {}
     for line in lines[2:]:
-        parsed = _match_block(line[1], blocks)
-        if parsed is None:
-            _raise_block_error(line, blocks)
-        label, block = parsed
+        label, block = _parse_block(line, blocks)
         blocks[label] = block
     prog = Program(blocks, entry, exit_)
     # parsed names, literals and operators are well formed, so of `validate`'s
@@ -371,15 +332,12 @@ def parse_program(text: str) -> Program:
 
 
 def _check_statement(label: str, stmt: Statement, diags: list[str]) -> None:
-    def ok(name: str) -> bool:
-        return bool(IDENT_RE.match(name)) and name not in RESERVED
-
     d = defined_var(stmt)
-    if d is not None and not ok(d):
+    if d is not None and not _is_name(d):
         diags.append(f"bad-identifier {d}")
     for op in uses(stmt):
         if isinstance(op, Var):
-            if not ok(op.name):
+            if not _is_name(op.name):
                 diags.append(f"bad-identifier {op.name}")
         elif not INT64_MIN <= op.value <= INT64_MAX:
             diags.append(f"constant-range {label}")
@@ -431,7 +389,7 @@ def validate(prog: Program) -> list[str]:
     block_diags: list[str] = []
     for label in sorted(prog.blocks, key=natural_key):
         block = prog.blocks[label]
-        if not IDENT_RE.match(label) or label in RESERVED:
+        if not _is_name(label):
             block_diags.append(f"bad-label {label}")
         _check_statement(label, block.stmt, block_diags)
         block_diags += _edge_diagnostics(prog, (label,))

@@ -160,7 +160,7 @@ def test_check_file(capsys):
 
 
 def test_check_file_with_mop(capsys):
-    code, out, _ = run(capsys, "check", FIG1, "--acyclic-mop")
+    code, out, _ = run(capsys, "check", FIG1)
     assert code == 0
     assert "mop: PASS" in out.splitlines()
 
@@ -171,7 +171,7 @@ def test_check_mop_skips_cyclic(tmp_path, capsys):
         "entry: B0\nexit: B3\nB0: nop -> B1\n"
         "B1: x = x + 1 -> B2\nB2: branch p -> B1, B3\nB3: nop\n"
     )
-    code, out, _ = run(capsys, "check", str(path), "--acyclic-mop")
+    code, out, _ = run(capsys, "check", str(path))
     assert code == 0
     assert "mop: SKIP (cyclic-cfg)" in out.splitlines()
 
@@ -183,7 +183,7 @@ def test_check_mop_ignores_a_cycle_among_unreachable_blocks(tmp_path, capsys):
         "entry: B0\nexit: B2\nB0: nop -> B1\nB1: x = 1 -> B2\nB2: nop\n"
         "B8: x = x + 1 -> B9\nB9: branch p -> B8, B2\n"
     )
-    code, out, _ = run(capsys, "check", str(path), "--acyclic-mop")
+    code, out, _ = run(capsys, "check", str(path))
     assert (code, out) == (0, "differential: PASS\nsolver-agreement: PASS\nmop: PASS\nPASS\n")
 
 
@@ -192,7 +192,7 @@ def test_check_mop_skips_a_program_past_the_path_budget(tmp_path, capsys):
     path = tmp_path / "diamonds.tac"
     path.write_text(print_program(sequential_diamonds(20)))
     start = time.perf_counter()
-    code, out, _ = run(capsys, "check", str(path), "--acyclic-mop")
+    code, out, _ = run(capsys, "check", str(path))
     assert time.perf_counter() - start < 1.0
     assert code == 0
     assert out.splitlines()[-2:] == ["mop: SKIP (budget)", "PASS"]
@@ -215,7 +215,7 @@ def test_check_mop_transfers_once_per_walk_step(tmp_path, monkeypatch, capsys):
     path = tmp_path / "diamonds.tac"
     path.write_text(print_program(prog))
     calls = 0
-    code, out, _ = run(capsys, "check", str(path), "--acyclic-mop")
+    code, out, _ = run(capsys, "check", str(path))
     assert code == 0
     assert out.splitlines()[-2:] == ["mop: PASS", "PASS"]
     assert calls <= 2**15
@@ -251,7 +251,7 @@ def test_check_ignores_the_retired_mop_switch(argv, capsys):
 
 def test_check_fuzz_does_not_count_programs_past_the_path_budget(monkeypatch, capsys):
     monkeypatch.setattr(oracle, "STEP_BUDGET", 0)
-    code, out, _ = run(capsys, "check", "--fuzz", "--programs", "20", "--seed", "42", "--acyclic-mop")
+    code, out, _ = run(capsys, "check", "--fuzz", "--programs", "20", "--seed", "42")
     assert code == 0
     assert out.splitlines()[-2:] == ["mop: PASS (checked=0)", "PASS"]
 
@@ -267,11 +267,7 @@ def test_check_fuzz(capsys):
 
 
 def test_check_fuzz_with_mop_reports_count(capsys):
-    code, out, _ = run(
-        capsys,
-        "check", "--fuzz", "--programs", "20", "--inputs", "3", "--seed", "42",
-        "--acyclic-mop",
-    )
+    code, out, _ = run(capsys, "check", "--fuzz", "--programs", "20", "--inputs", "3", "--seed", "42")
     assert code == 0
     mop = [ln for ln in out.splitlines() if ln.startswith("mop:")]
     assert len(mop) == 1
@@ -428,13 +424,13 @@ def test_check_programs_at_the_ceiling_is_accepted(monkeypatch, capsys):
 
 def test_main_repeats_with_the_cached_parser(capsys):
     build_parser.cache_clear()
-    fresh = run(capsys, "check", FIG1, "--acyclic-mop")
+    fresh = run(capsys, "check", FIG1)
     build_parser.cache_clear()
     with pytest.raises(SystemExit) as exc:
         main(["check"])
     assert exc.value.code == 2
     capsys.readouterr()
-    again = run(capsys, "check", FIG1, "--acyclic-mop")
+    again = run(capsys, "check", FIG1)
     assert again[:2] == fresh[:2] == (0, "differential: PASS\nsolver-agreement: PASS\nmop: PASS\nPASS\n")
     assert build_parser() is build_parser()
 
@@ -514,7 +510,7 @@ def test_a_unicode_line_separator_in_a_comment_is_not_a_line_break(tmp_path, cap
 
 @pytest.mark.parametrize(
     "argv, solves",
-    [(["compare", FIG2], 1), (["check", FIG2, "--acyclic-mop"], 2)],
+    [(["compare", FIG2], 1), (["check", FIG2], 2)],
 )
 def test_commands_solve_the_original_once(argv, solves, monkeypatch, capsys):
     """compare hands its solution to the baseline and check hands it to the

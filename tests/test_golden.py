@@ -28,7 +28,7 @@ FILE_COMMANDS = {
     "transform": ["transform", "--report"],
     "iterate": ["transform", "--iterate", "10", "--report"],
     "compare": ["compare"],
-    "check": ["check", "--acyclic-mop"],
+    "check": ["check"],
     "dot": ["dot", "--annotate", "--transformed"],
 }
 LOOPY_COMMANDS = ("compare", "iterate")
@@ -50,7 +50,7 @@ CASES = (
 
 def argv_for(cmd: str, source: str | int | None, tmp_path: Path) -> list[str]:
     if cmd == "fuzz":
-        return ["check", "--fuzz", "--programs", "200", "--seed", "7", "--acyclic-mop"]
+        return ["check", "--fuzz", "--programs", "200", "--seed", "7"]
     if isinstance(source, int):
         path = tmp_path / f"loopy{source}.tac"
         path.write_text(print_program(loopy_program(source)))

@@ -34,7 +34,8 @@ from copyprop import (
     variables,
 )
 from copyprop.ir import BINARY_OPS, DIGITS_RE, IDENT_RE, INT64_MAX, INT64_MIN, INT_RE, RESERVED, natural_key
-from conftest import load_fixture, reversed_listing, straight_line
+from conftest import FIXTURES, load_fixture, reversed_listing, straight_line
+from strategies import programs
 
 
 def test_parse_fig1_structure(fig1):
@@ -68,6 +69,19 @@ def test_a_comment_may_hold_a_unicode_line_separator():
     prog = parse_program(text)
     assert prog.blocks["B0"].succs == ("B1",)
     assert prog.blocks["B1"].stmt == Copy("x", Const(5))
+
+
+def test_one_leading_byte_order_mark_is_skipped():
+    """The library reads a UTF-8 byte-order mark as the CLI does; a second
+    one is text, and errors keep the columns of the text without the mark."""
+    text = (FIXTURES / "minimal.tac").read_text(encoding="utf-8")
+    assert parse_program("\ufeff" + text) == parse_program(text)
+    with pytest.raises(ParseError, match=re.escape("expected 'entry: <label>'")) as exc:
+        parse_program("\ufeff\ufeff" + text)
+    assert (exc.value.line, exc.value.col) == (1, 1)
+    with pytest.raises(ParseError, match=re.escape("bad label '$'")) as exc:
+        parse_program("\ufeffentry: $\nexit: B1\n")
+    assert (exc.value.line, exc.value.col) == (1, 8)
 
 
 @pytest.mark.parametrize("space", ["\x0b", "\x0c", "\x1c", "\x85", "\u2029"])
@@ -124,7 +138,7 @@ def test_validate_constant_range():
     assert "constant-range B1" in validate(Program(blocks, "B0", "B2"))
 
 
-@pytest.mark.parametrize("label", ["entry", "1B"])
+@pytest.mark.parametrize("label", ["entry", "1B", "B\u00e9"])
 def test_validate_bad_label(label):
     blocks = {
         "B0": Block(Nop(), (label,)),
@@ -139,6 +153,7 @@ def test_validate_bad_label(label):
     [
         (Copy("nop", Const(1)), "bad-identifier nop"),
         (Copy("x", Var("1x")), "bad-identifier 1x"),
+        (Copy("x", Var("\u017f")), "bad-identifier \u017f"),
         (Binary("x", "%", Var("a"), Const(2)), "bad-operator B1"),
     ],
 )
@@ -182,6 +197,7 @@ def test_parse_error_reports_position():
     "succs, message, col",
     [
         ("B2, $x", "bad label '$x'", 21),
+        ("B2, B\u00e9", "bad label 'B\u00e9'", 21),
         ("B2,  nop", "reserved word 'nop'", 22),
         ("B2, ,B3", "empty successor label", 21),
         ("B2,", "empty successor label", 20),
@@ -237,10 +253,10 @@ def test_malformed_text_raises_only_parse_errors(text):
         pass
 
 
-# A token-walk parser of the same format: it splits each block line into
-# whitespace-separated tokens and reads them one at a time. It is the
-# reference that parse_program's line pattern must agree with, on programs and
-# on every ParseError's text, line and column.
+# A token-walk parser of the same format, written apart from parse_program:
+# it splits each block line into whitespace-separated tokens, each with its
+# column, and reads them one at a time. parse_program must agree with it, on
+# programs and on every ParseError's text, line and column.
 def _tokens(text: str, offset: int) -> list[tuple[str, int]]:
     return [(m.group(), offset + m.start()) for m in re.finditer(r"\S+", text)]
 
@@ -534,7 +550,8 @@ def _best_parse_seconds(small, large):
     return best
 
 
-# lines where a whole-line pattern could backtrack without bound
+# lines where a regex over the whole line, or a parser that scans the line
+# again for each token or name, would take more than linear time
 LONG_LINES = {
     "spaces before junk": lambda n: "B1: x = 5" + " " * n + "z -> B2",
     "spaces after the arrow": lambda n: "B1: x = 5 ->" + " " * n + "B2",
@@ -736,6 +753,14 @@ def test_round_trip_generated_corpus():
             GenParams(seed=rng.randrange(2**32), branch_prob=0.3, loop_prob=0.2)
         )
         assert parse_program(print_program(prog)) == prog
+
+
+@settings(max_examples=300)
+@given(programs())
+def test_round_trip_any_program(prog):
+    """int64-extreme literals, a branch with one target twice, self-loops
+    and unreachable blocks all print and parse back."""
+    assert parse_program(print_program(prog)) == prog
 
 
 def test_dot_fig1_shape(fig1):

@@ -1,10 +1,9 @@
 """Planted faults that `check --fuzz` must catch (mutation analysis).
 
-Each mutant is patched into the package for one `check --fuzz --programs 200
---acyclic-mop` run at a fixed seed, which must end in a FAIL dump and exit
-code 1. A mutant replaces the faulty function wherever the package looks it
-up, as a fault in its source would, so the oracles that share that code share
-the fault. A mutant that survives marks a weak oracle: strengthen the oracle,
+Each mutant is patched into the package for one `check --fuzz --programs 200`
+run at a fixed seed, which must end in a FAIL dump and exit code 1. A mutant
+replaces the faulty function wherever the package looks it up, as a fault in
+its source would, so the oracles that share that code share the fault. A mutant that survives marks a weak oracle: strengthen the oracle,
 do not drop the mutant.
 """
 
@@ -91,7 +90,7 @@ MUTANTS = {
 def run_check_with(mutant, seed: int) -> int:
     with pytest.MonkeyPatch.context() as mp:
         mutant(mp)
-        return main(["check", "--fuzz", "--programs", "200", "--acyclic-mop", "--seed", str(seed)])
+        return main(["check", "--fuzz", "--programs", "200", "--seed", str(seed)])
 
 
 # Recorded stdout and exit code of every mutant at seeds 0-5, which hold each
