@@ -153,8 +153,8 @@ def test_validate_bad_label(label):
     [
         (Copy("nop", Const(1)), "bad-identifier nop"),
         (Copy("x", Var("1x")), "bad-identifier 1x"),
-        (Copy("x", Var("\u017f")), "bad-identifier \u017f"),
         (Binary("x", "%", Var("a"), Const(2)), "bad-operator B1"),
+        (Copy("x", Var("\u017f")), "bad-identifier \u017f"),
     ],
 )
 def test_validate_statement_names_and_operator(stmt, diag):
