@@ -23,7 +23,6 @@ from .ir import (
     ParseError,
     Program,
     format_operand,
-    natural_key,
     parse_program,
     print_program,
     to_dot,
@@ -59,11 +58,13 @@ def _write(text: str) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    result = run_acs(_load(args.file))
-    for label in sorted(result.in_sets, key=natural_key):
-        print(f"{label}: IN = {format_facts(result.in_sets[label])}")
-        if args.out_sets:
-            print(f"{label}: OUT = {format_facts(result.out_sets[label])}")
+    prog = _load(args.file)
+    result = run_acs(prog)
+    for label in prog.blocks:
+        if label in result.in_sets:
+            print(f"{label}: IN = {format_facts(result.in_sets[label])}")
+            if args.out_sets:
+                print(f"{label}: OUT = {format_facts(result.out_sets[label])}")
     return 0
 
 
@@ -95,7 +96,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for kind, reps in (("classic", classic_reps), ("unified", unified_reps)):
         for r in reps:
             by_site.setdefault((r.block, r.position), {})[kind] = r
-    for block, position in sorted(by_site, key=lambda s: (natural_key(s[0]), SLOT_ORDER.index(s[1]))):
+    order = {label: i for i, label in enumerate(prog.blocks)}
+    for block, position in sorted(by_site, key=lambda s: (order[s[0]], SLOT_ORDER.index(s[1]))):
         site = by_site[(block, position)]
         var = next(iter(site.values())).original
         c = format_operand(site["classic"].replacement) if "classic" in site else "-"

@@ -124,11 +124,11 @@ def reverse_postorder(prog: Program) -> list[str]:
 
 
 def predecessors(prog: Program) -> dict[str, tuple[str, ...]]:
-    preds: dict[str, list[str]] = {label: [] for label in prog.blocks}
+    """Each block's predecessors once each, in label order."""
+    preds: dict[str, dict[str, None]] = {label: {} for label in prog.blocks}
     for label, block in prog.blocks.items():
         for succ in block.succs:
-            if label not in preds[succ]:
-                preds[succ].append(label)
+            preds[succ][label] = None
     return {label: tuple(ps) for label, ps in preds.items()}
 
 

@@ -29,6 +29,9 @@ without whitespace around them. A line parses with any number of
 successors; the validity check then decides whether the block has the right
 number. This grammar is the one the parser runs: it splits each line into
 these tokens once, and a faulty line raises the ParseError of its first fault.
+
+A `Program` keeps its blocks in `natural_key` order (B2 before B10) whatever
+order it was given, so no listing order reaches any walk over `prog.blocks`.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ import re
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 INT_RE = re.compile(r"[+-]?[0-9]+\Z")
 DIGITS_RE = re.compile(r"([0-9]+)")
 _LINE_BREAK_RE = re.compile(r"\r\n?|\n")
@@ -96,9 +98,15 @@ class Block:
 
 @dataclass(frozen=True)
 class Program:
+    """`blocks` is the program's own dict, in `natural_key` order whatever
+    order it was given; equality ignores order, as dicts compare without it."""
+
     blocks: dict[str, Block]
     entry: str
     exit: str
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "blocks", {name: self.blocks[name] for name in sorted(self.blocks, key=natural_key)})
 
 
 def defined_var(stmt: Statement) -> str | None:
@@ -139,15 +147,11 @@ def natural_key(label: str) -> tuple:
     # Digit runs (the odd parts) keep B2 ahead of B10: without leading zeros,
     # a longer run is a larger number, and runs of one length compare digit
     # by digit, so no int() is needed, which refuses over 4300 digits. The
-    # label breaks ties like B1 and B01. Cached: each rewrite pass and
-    # `validate` sort every label again.
+    # label breaks ties like B1 and B01. Cached: every `Program` sorts its
+    # labels, and each rewrite round builds one.
     parts: list = DIGITS_RE.split(label)
     parts[1::2] = [(len(run), run) for run in (p.lstrip("0") for p in parts[1::2])]
     return tuple(parts), label
-
-
-def sorted_labels(prog: Program) -> list[str]:
-    return sorted(prog.blocks, key=natural_key)
 
 
 def format_operand(op: Operand) -> str:
@@ -195,9 +199,9 @@ def _literal(text: str) -> int | None:
 
 
 def _is_name(text: str) -> bool:
-    """The rule for label and variable names: an identifier that is not a
-    reserved word. On ASCII text, `str.isidentifier` accepts what `IDENT_RE`
-    matches, at a third of a match's cost."""
+    """The rule for label and variable names: an identifier (on ASCII text,
+    `str.isidentifier` accepts a letter or underscore, then letters, digits
+    and underscores) that is not a reserved word."""
     return text.isascii() and text.isidentifier() and text not in RESERVED
 
 
@@ -270,7 +274,7 @@ def _parse_block(line: tuple[int, str], blocks: dict[str, Block]) -> tuple[str, 
     head, colon, rest = text.partition(":")
     label = head.strip()
     if not colon or not _is_name(label) or label in blocks:
-        if not colon or not IDENT_RE.match(label):
+        if not colon or not (label.isascii() and label.isidentifier()):
             raise ParseError("expected '<label>: <statement>'", lineno, 1)
         message = _name_error(label, "label") if label in RESERVED else f"duplicate label {label}"
         raise ParseError(message, lineno, len(head) - len(head.lstrip()) + 1)
@@ -320,12 +324,8 @@ def parse_program(text: str) -> Program:
         blocks[label] = block
     prog = Program(blocks, entry, exit_)
     # parsed names, literals and operators are well formed, so of `validate`'s
-    # checks only the structural ones can fail; labels are sorted into
-    # `validate`'s order only when there is a fault to order
-    block_diags = _edge_diagnostics(prog, blocks)
-    if block_diags:
-        block_diags = _edge_diagnostics(prog, sorted(blocks, key=natural_key))
-    diags = _program_diagnostics(prog, block_diags)
+    # checks only the structural ones can fail
+    diags = _program_diagnostics(prog, _edge_diagnostics(prog, prog.blocks))
     if diags:
         raise ParseError("invalid program: " + "; ".join(diags))
     return prog
@@ -387,8 +387,7 @@ def _program_diagnostics(prog: Program, block_diags: list[str]) -> list[str]:
 def validate(prog: Program) -> list[str]:
     """Structural diagnostics; an empty list means the program is well formed."""
     block_diags: list[str] = []
-    for label in sorted(prog.blocks, key=natural_key):
-        block = prog.blocks[label]
+    for label, block in prog.blocks.items():
         if not _is_name(label):
             block_diags.append(f"bad-label {label}")
         _check_statement(label, block.stmt, block_diags)
@@ -399,8 +398,7 @@ def validate(prog: Program) -> list[str]:
 def print_program(prog: Program) -> str:
     """Canonical listing: directives first, blocks in ascending label order."""
     lines = [f"entry: {prog.entry}", f"exit: {prog.exit}"]
-    for label in sorted_labels(prog):
-        block = prog.blocks[label]
+    for label, block in prog.blocks.items():
         line = f"{label}: {format_statement(block.stmt)}"
         if block.succs:
             line += " -> " + ", ".join(block.succs)
@@ -420,13 +418,13 @@ def to_dot(prog: Program, annotations: dict[str, str] | None = None) -> str:
     """Graphviz rendering; annotations append a second label line per node."""
     notes = annotations or {}
     lines = ["digraph cfg {"]
-    for label in sorted_labels(prog):
-        text = f"{label}: {format_statement(prog.blocks[label].stmt)}"
+    for label, block in prog.blocks.items():
+        text = f"{label}: {format_statement(block.stmt)}"
         if label in notes:
             text += "\\n" + notes[label]
         lines.append(f'  {_dot_id(label)} [label="{text}"];')
-    for label in sorted_labels(prog):
-        for succ in prog.blocks[label].succs:
+    for label, block in prog.blocks.items():
+        for succ in block.succs:
             lines.append(f"  {_dot_id(label)} -> {_dot_id(succ)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

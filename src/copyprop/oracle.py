@@ -21,7 +21,6 @@ from .dataflow import (
     AnalysisResult,
     FactSet,
     predecessors,
-    reverse_postorder,
 )
 from .ir import (
     INT64_MAX,
@@ -36,7 +35,6 @@ from .ir import (
     Program,
     Statement,
     Var,
-    natural_key,
     validate,
 )
 from .propagate import transform, transform_to_fixpoint
@@ -136,15 +134,14 @@ def mop_in(prog: Program) -> dict[str, FactSet]:
 
 
 def solve_round_robin(prog: Program) -> AnalysisResult:
-    """Sweep the reachable blocks in label order until nothing changes.
+    """Sweep the blocks in label order until nothing changes.
 
     The entry's IN is empty; any other block's IN is the meet of the OUTs its
-    predecessors have, and a sweep skips the block while none has one.
-    Deliberately shares no iteration logic with the reverse-postorder
-    solver; the two must land on the same fixpoint.
+    predecessors have, and a sweep skips the block while none has one, so an
+    unreachable block never gets one. Deliberately shares no iteration logic
+    with the reverse-postorder solver; the two must land on the same fixpoint.
     """
     preds = predecessors(prog)
-    labels = sorted(reverse_postorder(prog), key=natural_key)
     ins: dict[str, FactSet] = {}
     outs: dict[str, FactSet] = {}
     sweeps = 0
@@ -152,7 +149,7 @@ def solve_round_robin(prog: Program) -> AnalysisResult:
     while changed:
         changed = False
         sweeps += 1
-        for label in labels:
+        for label, block in prog.blocks.items():
             if label == prog.entry:
                 in_f = EMPTY
             else:
@@ -162,7 +159,7 @@ def solve_round_robin(prog: Program) -> AnalysisResult:
                 in_f = solved[0]
                 for out in solved[1:]:
                     in_f = in_f.meet(out)
-            out_f = transfer(prog.blocks[label].stmt, in_f)
+            out_f = transfer(block.stmt, in_f)
             if in_f != ins.get(label) or out_f != outs.get(label):
                 ins[label] = in_f
                 outs[label] = out_f

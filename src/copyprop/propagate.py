@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .analysis import run_acs
 from .dataflow import AnalysisResult, FactSet
-from .ir import Binary, Block, Branch, Const, Copy, Operand, Program, Statement, Var, sorted_labels
+from .ir import Binary, Block, Branch, Const, Copy, Operand, Program, Statement, Var
 
 SLOT_ORDER = ("copy-src", "binary-lhs", "binary-rhs", "branch-cond")
 
@@ -99,8 +99,7 @@ def _rewrite_program(
     here and differ only in the rule."""
     new_blocks: dict[str, Block] = {}
     replacements: list[Replacement] = []
-    for label in sorted_labels(prog):
-        block = prog.blocks[label]
+    for label, block in prog.blocks.items():
         if label in in_sets:
             stmt, reps = _rewrite_slots(block.stmt, label, in_sets[label], rule)
             block = Block(stmt, block.succs)

@@ -29,7 +29,7 @@ from copyprop import (
 )
 from copyprop.cli import main
 from copyprop.dataflow import _solve
-from copyprop.ir import defined_var, sorted_labels
+from copyprop.ir import defined_var
 from copyprop.propagate import Replacement
 from conftest import FIXTURES, copy_chain, straight_line
 from strategies import programs
@@ -177,8 +177,7 @@ def set_based_classic_transform(prog):
     acs = run_acs(prog)
     new_blocks = {}
     replacements = []
-    for label in sorted_labels(prog):
-        block = prog.blocks[label]
+    for label, block in prog.blocks.items():
         if label not in acs.in_sets:
             new_blocks[label] = block
             continue

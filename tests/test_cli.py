@@ -257,21 +257,14 @@ def test_check_fuzz_does_not_count_programs_past_the_path_budget(monkeypatch, ca
 
 
 def test_check_fuzz(capsys):
-    code, out, _ = run(
-        capsys, "check", "--fuzz", "--programs", "20", "--inputs", "3", "--seed", "42"
-    )
+    code, out, _ = run(capsys, "check", "--fuzz", "--programs", "20", "--inputs", "3", "--seed", "42")
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "fuzz: programs=20 inputs=3 seed=42"
-    assert lines[-1] == "PASS"
-
-
-def test_check_fuzz_with_mop_reports_count(capsys):
-    code, out, _ = run(capsys, "check", "--fuzz", "--programs", "20", "--inputs", "3", "--seed", "42")
-    assert code == 0
-    mop = [ln for ln in out.splitlines() if ln.startswith("mop:")]
+    mop = [ln for ln in lines if ln.startswith("mop:")]
     assert len(mop) == 1
     assert mop[0].startswith("mop: PASS (checked=")
+    assert lines[-1] == "PASS"
 
 
 @pytest.mark.parametrize(

@@ -65,3 +65,18 @@ def test_cli_output_matches_golden(stem, cmd, source, tmp_path, capsys):
     code = main(argv_for(cmd, source, tmp_path))
     actual = f"exit: {code}\n" + capsys.readouterr().out
     assert actual.encode() == (GOLDEN / f"{stem}.txt").read_bytes()
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+@pytest.mark.parametrize("cmd", FILE_COMMANDS)
+def test_reversed_listing_matches_golden(name, cmd, tmp_path, capsys):
+    """A fixture with its block lines listed bottom-up prints what the
+    fixture does: no command reads the order a file lists its blocks in."""
+    lines = [line for line in (FIXTURES / f"{name}.tac").read_text().splitlines() if line.split("#", 1)[0].strip()]
+    path = tmp_path / f"{name}.tac"
+    # the entry and exit directives stay first
+    path.write_text("\n".join(lines[:2] + lines[:1:-1]) + "\n")
+    verb, *flags = FILE_COMMANDS[cmd]
+    code = main([verb, str(path), *flags])
+    actual = f"exit: {code}\n" + capsys.readouterr().out
+    assert actual.encode() == (GOLDEN / f"{name}-{cmd}.txt").read_bytes()

@@ -33,7 +33,7 @@ from copyprop import (
     validate,
     variables,
 )
-from copyprop.ir import BINARY_OPS, DIGITS_RE, IDENT_RE, INT64_MAX, INT64_MIN, INT_RE, RESERVED, natural_key
+from copyprop.ir import BINARY_OPS, DIGITS_RE, INT64_MAX, INT64_MIN, INT_RE, RESERVED, natural_key
 from conftest import FIXTURES, load_fixture, reversed_listing, straight_line
 from strategies import programs
 
@@ -256,7 +256,11 @@ def test_malformed_text_raises_only_parse_errors(text):
 # A token-walk parser of the same format, written apart from parse_program:
 # it splits each block line into whitespace-separated tokens, each with its
 # column, and reads them one at a time. parse_program must agree with it, on
-# programs and on every ParseError's text, line and column.
+# programs and on every ParseError's text, line and column. Its identifiers
+# are the ones this pattern matches.
+IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
+
 def _tokens(text: str, offset: int) -> list[tuple[str, int]]:
     return [(m.group(), offset + m.start()) for m in re.finditer(r"\S+", text)]
 
