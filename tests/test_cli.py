@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import time
 import tracemalloc
 
@@ -256,15 +258,28 @@ def test_check_fuzz_does_not_count_programs_past_the_path_budget(monkeypatch, ca
     assert out.splitlines()[-2:] == ["mop: PASS (checked=0)", "PASS"]
 
 
-def test_check_fuzz(capsys):
-    code, out, _ = run(capsys, "check", "--fuzz", "--programs", "20", "--inputs", "3", "--seed", "42")
+@pytest.fixture(scope="module")
+def fuzz_run():
+    """One run of `check --fuzz` whose exit code and stdout both tests below read."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["check", "--fuzz", "--programs", "20", "--inputs", "3", "--seed", "42"])
+    return code, out.getvalue().splitlines()
+
+
+def test_check_fuzz(fuzz_run):
+    code, lines = fuzz_run
     assert code == 0
-    lines = out.splitlines()
     assert lines[0] == "fuzz: programs=20 inputs=3 seed=42"
+    assert lines[-1] == "PASS"
+
+
+def test_check_fuzz_with_mop_reports_count(fuzz_run):
+    code, lines = fuzz_run
+    assert code == 0
     mop = [ln for ln in lines if ln.startswith("mop:")]
     assert len(mop) == 1
     assert mop[0].startswith("mop: PASS (checked=")
-    assert lines[-1] == "PASS"
 
 
 @pytest.mark.parametrize(
