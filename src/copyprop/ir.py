@@ -142,13 +142,13 @@ def variables(prog: Program) -> frozenset[str]:
     return frozenset(names)
 
 
-@functools.lru_cache(maxsize=1 << 16)
+@functools.cache
 def natural_key(label: str) -> tuple:
     # Digit runs (the odd parts) keep B2 ahead of B10: without leading zeros,
     # a longer run is a larger number, and runs of one length compare digit
     # by digit, so no int() is needed, which refuses over 4300 digits. The
-    # label breaks ties like B1 and B01. Cached: every `Program` sorts its
-    # labels, and each rewrite round builds one.
+    # label breaks ties like B1 and B01. Cached without a bound: a `Program`
+    # sorts all its labels, so a smaller LRU cache would miss on every call.
     parts: list = DIGITS_RE.split(label)
     parts[1::2] = [(len(run), run) for run in (p.lstrip("0") for p in parts[1::2])]
     return tuple(parts), label

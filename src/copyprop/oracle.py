@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 import string
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Iterable, Iterator
 
 from .analysis import run_acs, transfer
@@ -134,36 +135,34 @@ def mop_in(prog: Program) -> dict[str, FactSet]:
 
 
 def solve_round_robin(prog: Program) -> AnalysisResult:
-    """Sweep the blocks in label order until nothing changes.
+    """Sweep the stale blocks in label order until none is stale.
 
-    The entry's IN is empty; any other block's IN is the meet of the OUTs its
-    predecessors have, and a sweep skips the block while none has one, so an
-    unreachable block never gets one. Deliberately shares no iteration logic
-    with the reverse-postorder solver; the two must land on the same fixpoint.
+    Only the entry starts stale, and a block turns stale when a predecessor's
+    OUT changes, so a block no OUT reaches is never solved. The entry's IN is
+    empty; any other's is the meet of the OUTs its predecessors have. Shares
+    no iteration logic with the reverse-postorder solver, by design: the two
+    must land on the same fixpoint.
     """
     preds = predecessors(prog)
     ins: dict[str, FactSet] = {}
     outs: dict[str, FactSet] = {}
+    stale = {prog.entry} & prog.blocks.keys()  # a label that is no block would stay stale
     sweeps = 0
-    changed = True
-    while changed:
-        changed = False
+    while stale:
         sweeps += 1
         for label, block in prog.blocks.items():
+            if label not in stale:
+                continue
+            stale.remove(label)
             if label == prog.entry:
                 in_f = EMPTY
             else:
-                solved = [outs[pred] for pred in preds[label] if pred in outs]
-                if not solved:
-                    continue
-                in_f = solved[0]
-                for out in solved[1:]:
-                    in_f = in_f.meet(out)
+                in_f = reduce(FactSet.meet, [outs[pred] for pred in preds[label] if pred in outs])
+            ins[label] = in_f
             out_f = transfer(block.stmt, in_f)
-            if in_f != ins.get(label) or out_f != outs.get(label):
-                ins[label] = in_f
+            if out_f != outs.get(label):
                 outs[label] = out_f
-                changed = True
+                stale.update(block.succs)
     return AnalysisResult(ins, outs, sweeps)
 
 

@@ -104,3 +104,14 @@ def sequential_diamonds(k: int, tail: int = 0) -> Program:
     lines += [f"T{i}: w = y -> {labels[k + i + 1]}" for i in range(tail)]
     lines.append("X: nop")
     return parse_program("\n".join(lines) + "\n")
+
+
+def fan_in(n: int) -> Program:
+    """`C_i: v_i = i -> B_i` and `B_i: branch p -> C_(i+1), J` for i below n,
+    each branch a way into the one join J. Every B label sorts before every C
+    label, so in label order the facts reach one more C_i per sweep."""
+    lines = ["entry: A", "exit: J", "A: nop -> C0"]
+    for i in range(n):
+        lines += [f"C{i}: v{i} = {i} -> B{i}", f"B{i}: branch p -> C{i + 1}, J"]
+    lines += [f"C{n}: nop -> J", "J: nop"]
+    return parse_program("\n".join(lines) + "\n")

@@ -4,6 +4,7 @@ import contextlib
 import io
 import time
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -83,7 +84,12 @@ def test_transform_output_reparses(capsys):
 
 def test_transform_iterate(capsys):
     _, out, _ = run(capsys, "transform", FIG2, "--iterate", "10", "--report")
-    assert "# passes: 2" in out.splitlines()
+    lines = out.splitlines()
+    assert "# passes: 2" in lines and "# not-converged" not in lines
+    # fig2 needs two rounds, so one round stops short of the fixpoint
+    _, out, _ = run(capsys, "transform", FIG2, "--iterate", "1", "--report")
+    lines = out.splitlines()
+    assert lines[lines.index("# passes: 1") + 1] == "# not-converged"
 
 
 def test_transform_iterate_must_be_positive(capsys):
@@ -159,6 +165,18 @@ def test_check_file(capsys):
     assert "differential: PASS" in lines
     assert "solver-agreement: PASS" in lines
     assert lines[-1] == "PASS"
+
+
+def test_check_reports_solvers_that_disagree(monkeypatch, capsys):
+    def dropping_one_in_set(prog):
+        result = oracle.solve_round_robin(prog)
+        return replace(result, in_sets={label: facts for label, facts in result.in_sets.items() if label != "B4"})
+
+    monkeypatch.setattr(cli, "solve_round_robin", dropping_one_in_set)
+    code, out, err = run(capsys, "check", FIG1)
+    assert (code, err) == (1, "")
+    head = "solver-agreement: FAIL\nreason: worklist and round-robin fixpoints differ\nprogram:\n"
+    assert out == head + print_program(load_fixture("fig1.tac")) + "FAIL\n"
 
 
 def test_check_file_with_mop(capsys):

@@ -607,6 +607,16 @@ def test_natural_key_orders_digit_runs_by_value(names):
     assert sorted(names, key=natural_key) == sorted(names, key=_int_natural_key)
 
 
+def test_rebuilding_a_program_reuses_every_cached_label_key():
+    # past 1 << 16 labels, where an LRU key cache of that size misses on
+    # every label of a second build
+    blocks = {f"K{i}": Block(Nop()) for i in range(70_001)}
+    Program(blocks, "K0", "K70000")
+    misses = natural_key.cache_info().misses
+    Program(blocks, "K0", "K70000")
+    assert natural_key.cache_info().misses == misses
+
+
 def test_parse_missing_entry_directive():
     with pytest.raises(ParseError):
         parse_program("exit: B1\nB0: nop -> B1\nB1: nop\n")

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -39,8 +43,10 @@ from copyprop import (
 )
 from copyprop.analysis import transfer
 from copyprop.dataflow import AnalysisResult
-from conftest import load_fixture, looped_counter, sequential_diamonds, straight_line
+from conftest import fan_in, load_fixture, looped_counter, sequential_diamonds, straight_line
 from strategies import VARIABLES, environments, programs
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 # ---------------------------------------------------------------- paths / mop
@@ -294,6 +300,43 @@ def test_round_robin_matches_worklist():
         b = solve_round_robin(prog)
         assert a.in_sets == b.in_sets
         assert a.out_sets == b.out_sets
+
+
+@pytest.mark.parametrize("shape", [sequential_diamonds, fan_in], ids=["sequential_diamonds", "fan_in"])
+def test_round_robin_transfers_each_block_at_most_twice(shape, monkeypatch):
+    # labels run against the flow in both shapes, so a sweep moves the facts
+    # one diamond or one branch forward, and transferring every block on every
+    # sweep would make about 300 and 150 transfers per block
+    prog = shape(300)
+    calls = 0
+
+    def counted(stmt, facts):
+        nonlocal calls
+        calls += 1
+        return transfer(stmt, facts)
+
+    monkeypatch.setattr(oracle, "transfer", counted)
+    result = solve_round_robin(prog)
+    assert calls <= 2 * len(prog.blocks)
+    assert result == run_acs(prog)
+
+
+def test_round_robin_on_an_entry_that_is_no_block_returns_nothing():
+    # in a process of its own: a solver that waits for a label no sweep
+    # visits to be solved would spin forever
+    code = (
+        "from copyprop import Block, Nop, Program, solve_round_robin\n"
+        "result = solve_round_robin(Program({'B0': Block(Nop())}, 'B9', 'B0'))\n"
+        "print(result.in_sets, result.out_sets)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "{} {}\n", "")
 
 
 # ---------------------------------------------------------------- interpreter
@@ -897,6 +940,22 @@ def test_differential_reports_the_one_pass_failure_first(fig2, monkeypatch):
     assert not verdict.ok
     assert verdict.reason == "final value of e differs: -1 vs 3"
     assert verdict.env == {"a": -1}
+
+
+def test_differential_compares_values_when_only_the_fast_forward_differs(monkeypatch):
+    # y = x reaches its fixed point 1 after several laps, while y = 2 repeats
+    # the loop's state from its first lap: the two runs are fast-forwarded at
+    # different steps, yet execute the same labels
+    prog = parse_program(
+        "entry: B0\nexit: B6\nB0: nop -> B1\nB1: x = 8 -> B2\nB2: y = x -> B3\n"
+        "B3: z = y + 1 -> B4\nB4: x = z / 2 -> B5\nB5: branch p -> B2, B6\nB6: nop\n"
+    )
+    variant = _with_stmt(prog, "B2", Copy("y", Const(2)))
+    original, planted = interpret(prog, {"p": 1}, 100), interpret(variant, {"p": 1}, 100)
+    assert original.prefix != planted.prefix and original.labels == planted.labels
+    monkeypatch.setattr(oracle, "transform", lambda prog, result: (variant, transform(prog, result)[1]))
+    verdict = differential_check(prog, [{"p": 1}], 100)
+    assert verdict == oracle.Verdict(False, "final value of y differs: 1 vs 2", {"p": 1})
 
 
 def test_differential_replays_facts_on_the_original_run(fig2, monkeypatch):
