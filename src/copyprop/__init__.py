@@ -30,7 +30,6 @@ from .ir import (
     Statement,
     Var,
     defined_var,
-    format_operand,
     format_statement,
     parse_program,
     print_program,

@@ -11,23 +11,22 @@ copy x = e then adds x -> e.
 from __future__ import annotations
 
 from .dataflow import AnalysisResult, FactSet, solve_forward
-from .ir import Copy, Program, Statement, Var, defined_var
+from .ir import Copy, Program, Statement, defined_var
 
 
 def transfer(stmt: Statement, facts: FactSet) -> FactSet:
     """Kill every pair touching the defined variable, then gen the copy's own pair.
 
-    A definition of x removes pairs (x, *) and (*, x), where (*, x) only
-    matches x used as a variable source; a copy x = e with e distinct from x
-    then contributes (x, e). Statements that define nothing pass the set
-    through.
+    A definition of x removes pairs (x, *) and (*, x); a copy x = e with e
+    distinct from x then contributes (x, e). A constant source is an int,
+    which never equals a name, so only variable sources match. Statements
+    that define nothing pass the set through.
     """
     dst = defined_var(stmt)
     if dst is None:
         return facts
-    # names, not operands: no Var built, and no dataclass __eq__ called per fact
-    kept = {d: src for d, src in facts.items() if d != dst and not (src.__class__ is Var and src.name == dst)}
-    if isinstance(stmt, Copy) and not (stmt.src.__class__ is Var and stmt.src.name == dst):
+    kept = {d: src for d, src in facts.items() if d != dst and src != dst}
+    if isinstance(stmt, Copy) and stmt.src != dst:
         kept[dst] = stmt.src
     return FactSet(kept)
 

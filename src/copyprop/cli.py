@@ -22,7 +22,6 @@ from .dataflow import format_facts
 from .ir import (
     ParseError,
     Program,
-    format_operand,
     parse_program,
     print_program,
     to_dot,
@@ -82,7 +81,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
         if not report.converged:
             print("# not-converged")
         for r in report.replacements:
-            print(f"# {r.block} {r.position}: {r.original} -> {format_operand(r.replacement)} (chain {r.chain_length})")
+            print(f"# {r.block} {r.position}: {r.original} -> {r.replacement} (chain {r.chain_length})")
     return 0
 
 
@@ -100,8 +99,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for block, position in sorted(by_site, key=lambda s: (order[s[0]], SLOT_ORDER.index(s[1]))):
         site = by_site[(block, position)]
         var = next(iter(site.values())).original
-        c = format_operand(site["classic"].replacement) if "classic" in site else "-"
-        u = format_operand(site["unified"].replacement) if "unified" in site else "-"
+        c = site["classic"].replacement if "classic" in site else "-"
+        u = site["unified"].replacement if "unified" in site else "-"
         print(f"{block} {position} {var}: classic={c} unified={u}")
     return 0
 

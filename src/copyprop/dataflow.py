@@ -15,13 +15,14 @@ from collections.abc import Callable, ItemsView, Iterator, KeysView, Mapping
 from dataclasses import dataclass, field
 from typing import Generic, TypeVar
 
-from .ir import Operand, Program, Statement, Var, format_operand
+from .ir import Operand, Program, Statement
 
 
 class FactSet(Mapping[str, Operand]):
     """A finite set of copy facts as a read-only map from destination to
     source, so at most one source per destination. The constructor rejects
     a cyclic map (following src variables loops), which includes x -> x.
+    A constant source is never a destination, so a walk stops there.
     """
 
     __slots__ = ("_by_dst",)
@@ -37,10 +38,7 @@ class FactSet(Mapping[str, Operand]):
                 if cur in seen:
                     raise ValueError("cyclic pair set")
                 seen.add(cur)
-                nxt = by_dst[cur]
-                if not isinstance(nxt, Var):
-                    break
-                cur = nxt.name
+                cur = by_dst[cur]
         self._by_dst = by_dst
 
     def __getitem__(self, dst: str) -> Operand:
@@ -81,7 +79,7 @@ def format_facts(facts: FactSet) -> str:
     """The pairs as (dst, src) in destination order."""
     if not facts:
         return "{ }"
-    return "{ " + ", ".join(f"({dst}, {format_operand(facts[dst])})" for dst in sorted(facts)) + " }"
+    return "{ " + ", ".join(f"({dst}, {facts[dst]})" for dst in sorted(facts)) + " }"
 
 
 L = TypeVar("L")

@@ -30,6 +30,10 @@ successors; the validity check then decides whether the block has the right
 number. This grammar is the one the parser runs: it splits each line into
 these tokens once, and a faulty line raises the ParseError of its first fault.
 
+An operand is its own value: a variable is its name (a `str`) and a
+constant its `int`, as in ``Copy("x", "y")`` and ``Copy("x", 5)``. `Var` and
+`Const` are aliases of `str` and `int`, and an operand prints as itself.
+
 A `Program` keeps its blocks in `natural_key` order (B2 before B10) whatever
 order it was given, so no listing order reaches any walk over `prog.blocks`.
 """
@@ -50,16 +54,8 @@ INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class Const:
-    value: int
-
-
+Var = str
+Const = int
 Operand = Var | Const
 
 
@@ -128,7 +124,7 @@ def uses(stmt: Statement) -> tuple[Operand, ...]:
 
 
 def used_vars(stmt: Statement) -> tuple[str, ...]:
-    return tuple(op.name for op in uses(stmt) if isinstance(op, Var))
+    return tuple(op for op in uses(stmt) if isinstance(op, str))
 
 
 def variables(prog: Program) -> frozenset[str]:
@@ -154,18 +150,14 @@ def natural_key(label: str) -> tuple:
     return tuple(parts), label
 
 
-def format_operand(op: Operand) -> str:
-    return op.name if isinstance(op, Var) else str(op.value)
-
-
 def format_statement(stmt: Statement) -> str:
     if isinstance(stmt, Nop):
         return "nop"
     if isinstance(stmt, Copy):
-        return f"{stmt.dst} = {format_operand(stmt.src)}"
+        return f"{stmt.dst} = {stmt.src}"
     if isinstance(stmt, Binary):
-        return f"{stmt.dst} = {format_operand(stmt.lhs)} {stmt.op} {format_operand(stmt.rhs)}"
-    return f"branch {format_operand(stmt.cond)}"
+        return f"{stmt.dst} = {stmt.lhs} {stmt.op} {stmt.rhs}"
+    return f"branch {stmt.cond}"
 
 
 class ParseError(ValueError):
@@ -220,13 +212,13 @@ def _column(text: str, start: int, index: int) -> int:
 def _operand(toks: list[str], i: int) -> Operand:
     text = toks[i]
     if _is_name(text):
-        return Var(text)
+        return text
     if not INT_RE.match(text):
         raise _TokenFault(f"expected operand, got '{text}'", i)
     value = _literal(text)
     if value is None:
         raise _TokenFault(f"constant {text} out of 64-bit range", i)
-    return Const(value)
+    return value
 
 
 def _statement(toks: list[str]) -> Statement:
@@ -336,10 +328,10 @@ def _check_statement(label: str, stmt: Statement, diags: list[str]) -> None:
     if d is not None and not _is_name(d):
         diags.append(f"bad-identifier {d}")
     for op in uses(stmt):
-        if isinstance(op, Var):
-            if not _is_name(op.name):
-                diags.append(f"bad-identifier {op.name}")
-        elif not INT64_MIN <= op.value <= INT64_MAX:
+        if isinstance(op, str):
+            if not _is_name(op):
+                diags.append(f"bad-identifier {op}")
+        elif not INT64_MIN <= op <= INT64_MAX:
             diags.append(f"constant-range {label}")
     if isinstance(stmt, Binary) and stmt.op not in BINARY_OPS:
         diags.append(f"bad-operator {label}")

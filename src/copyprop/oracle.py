@@ -29,13 +29,11 @@ from .ir import (
     Binary,
     Block,
     Branch,
-    Const,
     Copy,
     Nop,
     Operand,
     Program,
     Statement,
-    Var,
     validate,
 )
 from .propagate import transform, transform_to_fixpoint
@@ -200,35 +198,24 @@ def _wrap(value: int) -> int:
 
 
 # kind, dst, first operand, second operand, next label, branch-not-taken label
-Decoded = tuple[str, str | None, int | str | None, int | str | None, str, str | None]
+Decoded = tuple[str, str | None, Operand | None, Operand | None, str, str | None]
 
 
 def _decode(prog: Program) -> dict[str, Decoded]:
     """Each block as a tuple the interpreter dispatches on. The kind is "=" for
-    a copy, the operator for a binary, "?" for a branch and "" for a nop; an
-    operand is its int if constant, else its name (inline: a call per operand
-    is a noticeable share of a short run)."""
+    a copy, the operator for a binary, "?" for a branch and "" for a nop; the
+    operands are the statement's own."""
     code: dict[str, Decoded] = {}
     for label, block in prog.blocks.items():
         stmt, succs = block.stmt, block.succs
         nxt = succs[0] if succs else ""
         kind = stmt.__class__
         if kind is Copy:
-            src = stmt.src
-            code[label] = ("=", stmt.dst, src.value if src.__class__ is Const else src.name, None, nxt, None)
+            code[label] = ("=", stmt.dst, stmt.src, None, nxt, None)
         elif kind is Binary:
-            lhs, rhs = stmt.lhs, stmt.rhs
-            code[label] = (
-                stmt.op,
-                stmt.dst,
-                lhs.value if lhs.__class__ is Const else lhs.name,
-                rhs.value if rhs.__class__ is Const else rhs.name,
-                nxt,
-                None,
-            )
+            code[label] = (stmt.op, stmt.dst, stmt.lhs, stmt.rhs, nxt, None)
         elif kind is Branch:
-            cond = stmt.cond
-            code[label] = ("?", None, cond.value if cond.__class__ is Const else cond.name, None, nxt, succs[1])
+            code[label] = ("?", None, stmt.cond, None, nxt, succs[1])
         else:
             code[label] = ("", None, None, None, nxt, None)
     return code
@@ -383,13 +370,12 @@ def random_program(params: GenParams) -> Program:
 
     def operand() -> Operand:
         if rng.random() < 0.7:
-            return Var(rng.choice(pool))
-        return Const(rng.randint(CONST_MIN, CONST_MAX))
+            return rng.choice(pool)
+        return rng.randint(CONST_MIN, CONST_MAX)
 
     blocks[labels[0]] = Block(Nop(), (labels[1],))
     for i, name in enumerate(pool, start=1):
-        const = Const(rng.randint(CONST_MIN, CONST_MAX))
-        blocks[labels[i]] = Block(Copy(name, const), (labels[i + 1],))
+        blocks[labels[i]] = Block(Copy(name, rng.randint(CONST_MIN, CONST_MAX)), (labels[i + 1],))
     for i in range(len(pool) + 1, total - 1):
         label = labels[i]
         if rng.random() < params.branch_prob:
@@ -397,13 +383,13 @@ def random_program(params: GenParams) -> Program:
                 other = labels[rng.randint(1, i)]
             else:
                 other = labels[rng.randint(i + 1, total - 1)]
-            blocks[label] = Block(Branch(Var(rng.choice(pool))), (labels[i + 1], other))
+            blocks[label] = Block(Branch(rng.choice(pool)), (labels[i + 1], other))
             continue
         if rng.random() < COPY_RATIO:
             if params.const_copy_only or rng.random() < 0.4:
-                src: Operand = Const(rng.randint(CONST_MIN, CONST_MAX))
+                src: Operand = rng.randint(CONST_MIN, CONST_MAX)
             else:
-                src = Var(rng.choice(pool))
+                src = rng.choice(pool)
             stmt: Statement = Copy(rng.choice(pool), src)
         else:
             stmt = Binary(rng.choice(pool), rng.choice(ops), operand(), operand())
@@ -424,22 +410,14 @@ class Verdict:
     step: int | None = None
 
 
-ReplayPlan = dict[str, tuple[tuple[str, int | str], ...]]
+ReplayPlan = dict[str, tuple[tuple[str, Operand], ...]]
 
 
 def _replay_plan(result: AnalysisResult) -> ReplayPlan:
     """Each reachable block's IN pairs as (dst, src), in destination order
     so the first broken pair a replay names does not follow string hashing.
-    A source is decoded as `_decode` decodes operands: a constant as its int,
-    a variable as its name."""
-    plan = {}
-    for label, facts in result.in_sets.items():
-        if facts:
-            plan[label] = tuple(
-                (dst, src.value if isinstance(src, Const) else src.name)
-                for dst, src in sorted(facts.items())  # by dst alone: dsts are unique
-            )
-    return plan
+    Sorting compares dsts alone, as they are unique."""
+    return {label: tuple(sorted(facts.items())) for label, facts in result.in_sets.items() if facts}
 
 
 def _fact_replay(plan: ReplayPlan) -> tuple[StepHook | None, list[tuple[str, int]]]:

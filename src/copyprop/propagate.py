@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .analysis import run_acs
 from .dataflow import AnalysisResult, FactSet
-from .ir import Binary, Block, Branch, Const, Copy, Operand, Program, Statement, Var
+from .ir import Binary, Block, Branch, Copy, Operand, Program, Statement
 
 SLOT_ORDER = ("copy-src", "binary-lhs", "binary-rhs", "branch-cond")
 
@@ -41,16 +41,13 @@ def resolve_chain(var: str, facts: FactSet) -> tuple[Operand, int]:
     Stops at the first constant source, or at the first variable without a
     pair. Acyclicity of the fact set bounds the walk by its size.
     """
-    name = var
+    end: Operand = var
     hops = 0
-    while True:
-        src = facts.get(name)
-        if src is None:
-            return Var(name), hops
+    # a constant is never a destination, so the walk ends at the first one
+    while (src := facts.get(end)) is not None:
+        end = src
         hops += 1
-        if isinstance(src, Const):
-            return src, hops
-        name = src.name
+    return end, hops
 
 
 def _rewrite_slots(
@@ -65,12 +62,12 @@ def _rewrite_slots(
     replacements: list[Replacement] = []
 
     def slot(operand: Operand, position: str) -> Operand:
-        if not isinstance(operand, Var):
+        if not isinstance(operand, str):
             return operand
-        found = rule(label, facts, operand.name, position)
+        found = rule(label, facts, operand, position)
         if found is None:
             return operand
-        replacements.append(Replacement(label, position, operand.name, *found))
+        replacements.append(Replacement(label, position, operand, *found))
         return found[0]
 
     if isinstance(stmt, Copy):

@@ -43,8 +43,8 @@ def fig2() -> Program:
 
 
 def pairs(*specs) -> FactSet:
-    """('x', 'y') -> x: Var('y'); ('x', 3) -> x: Const(3)."""
-    return FactSet({dst: Const(src) if isinstance(src, int) else Var(src) for dst, src in specs})
+    """A fact set of (dst, src) pairs, such as ('x', 'y') and ('x', 3)."""
+    return FactSet(dict(specs))
 
 
 def reversed_listing(prog: Program) -> Program:

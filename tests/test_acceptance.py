@@ -138,7 +138,7 @@ def test_ac4_per_site_dominance():
                 u = sites[(c.block, c.position)]
                 assert u.original == c.original
                 if isinstance(c.replacement, Var):
-                    expected = resolve_chain(c.replacement.name, result.in_sets[c.block])[0]
+                    expected = resolve_chain(c.replacement, result.in_sets[c.block])[0]
                 else:
                     expected = c.replacement
                 assert u.replacement == expected
@@ -181,7 +181,7 @@ def _functional_and_acyclic(facts: FactSet) -> bool:
             src = by_dst[cur]
             if not isinstance(src, Var):
                 break
-            cur = src.name
+            cur = src
     return True
 
 
@@ -226,5 +226,5 @@ def test_ac4_per_site_dominance_on_any_program(prog):
         assert u.original == c.original
         source = c.replacement
         if isinstance(source, Var):
-            source = resolve_chain(source.name, result.in_sets[c.block])[0]
+            source = resolve_chain(source, result.in_sets[c.block])[0]
         assert u.replacement == source

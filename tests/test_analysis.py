@@ -117,7 +117,7 @@ def test_transfer_properties_randomized():
             while cur in by_dst and isinstance(by_dst[cur], Var):
                 assert cur not in seen
                 seen.add(cur)
-                cur = by_dst[cur].name
+                cur = by_dst[cur]
         d = defined_var(stmt)
         if d is not None:
             for dst, src in after.items():
@@ -194,9 +194,9 @@ def lattice_cases(draw) -> tuple[FactSet, FactSet, FactSet, Statement]:
             how = draw(st.sampled_from(("keep", "drop", "step")))
             if how == "keep":
                 b[dst] = src
-            elif how == "step" and isinstance(src, Var) and src.name in a:
-                b[dst] = a[src.name]
-    sources = sorted({src.name for src in a.values() if isinstance(src, Var)})
+            elif how == "step" and isinstance(src, Var) and src in a:
+                b[dst] = a[src]
+    sources = sorted({src for src in a.values() if isinstance(src, Var)})
     if sources and draw(st.booleans()):
         stmt = Copy(draw(st.sampled_from(sources)), draw(model_operands))
     else:
@@ -239,7 +239,7 @@ def _const_in_sets(prog):
             return m
         m = {k: v for k, v in m.items() if k != d}
         if isinstance(stmt, Copy) and isinstance(stmt.src, Const):
-            m[d] = stmt.src.value
+            m[d] = stmt.src
         return m
 
     changed = True
@@ -279,5 +279,5 @@ def test_const_copy_programs_agree_with_constant_analysis():
             got = {}
             for dst, src in facts.items():
                 assert isinstance(src, Const)
-                got[dst] = src.value
+                got[dst] = src
             assert got == expected[label], label

@@ -185,15 +185,15 @@ def set_based_classic_transform(prog):
         def attempt(operand, position):
             if not isinstance(operand, Var):
                 return operand
-            own = [block for block, var in rd[label] if var == operand.name]
+            own = [block for block, var in rd[label] if var == operand]
             if len(own) != 1:
                 return operand
             def_stmt = prog.blocks[own[0]].stmt
             if not isinstance(def_stmt, Copy) or def_stmt.src == operand:
                 return operand
-            if acs.in_sets[label].get(operand.name) != def_stmt.src:
+            if acs.in_sets[label].get(operand) != def_stmt.src:
                 return operand
-            replacements.append(Replacement(label, position, operand.name, def_stmt.src, 1))
+            replacements.append(Replacement(label, position, operand, def_stmt.src, 1))
             return def_stmt.src
 
         stmt = block.stmt
@@ -368,7 +368,7 @@ def test_classic_never_beats_unified():
             u = uni_sites[key]
             assert u.original == c.original
             expected = (
-                resolve_chain(c.replacement.name, result.in_sets[c.block])[0]
+                resolve_chain(c.replacement, result.in_sets[c.block])[0]
                 if isinstance(c.replacement, Var)
                 else c.replacement
             )

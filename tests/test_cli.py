@@ -79,7 +79,7 @@ def test_transform_output_reparses(capsys):
 
     _, out, _ = run(capsys, "transform", FIG2)
     prog = parse_program(out)
-    assert prog.blocks["B6"].stmt.src.name == "a"
+    assert prog.blocks["B6"].stmt.src == "a"
 
 
 def test_transform_iterate(capsys):

@@ -44,6 +44,10 @@ def test_fact_set_rejects_cycles():
         pairs(("x", "y"), ("y", "x"))
     with pytest.raises(ValueError):
         pairs(("a", "b"), ("b", "c"), ("c", "a"))
+    with pytest.raises(ValueError, match="cyclic pair set"):
+        FactSet({"a": "b", "b": "a"})
+    # a chain that ends at a constant is no cycle
+    assert dict(FactSet({"a": "b", "b": 0})) == {"a": "b", "b": 0}
 
 
 def test_meet_is_intersection():

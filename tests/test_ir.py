@@ -106,6 +106,16 @@ def test_parse_signed_constants():
     )
     assert prog.blocks["B1"].stmt == Copy("x", Const(-3))
     assert prog.blocks["B2"].stmt == Copy("y", Const(7))
+    # an operand is its own value: a constant its int, a variable its name
+    prog = parse_program(
+        "entry: B0\nexit: B4\nB0: nop -> B1\nB1: x = -5 -> B2\nB2: x = y -> B3\nB3: branch 0 -> B4, B4\nB4: nop\n"
+    )
+    assert type(prog.blocks["B1"].stmt.src) is int
+    assert type(prog.blocks["B2"].stmt.src) is str
+    assert type(prog.blocks["B3"].stmt.cond) is int
+    assert uses(prog.blocks["B1"].stmt) == (-5,)
+    assert uses(prog.blocks["B2"].stmt) == ("y",)
+    assert uses(prog.blocks["B3"].stmt) == (0,)
 
 
 def test_parse_int64_boundaries():

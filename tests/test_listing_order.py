@@ -55,7 +55,7 @@ class Renaming:
         self.names = names
 
     def operand(self, op):
-        return Var(self.names[op.name]) if isinstance(op, Var) else op
+        return self.names[op] if isinstance(op, Var) else op
 
     def statement(self, stmt):
         if isinstance(stmt, Copy):

@@ -36,7 +36,7 @@ def _off_by_one_after(min_hops: int):
     def resolve(var, facts):
         target, hops = resolve_chain(var, facts)
         if hops >= min_hops and isinstance(target, Const):
-            target = Const(target.value + 1)
+            target = Const(target + 1)
         return target, hops
 
     return resolve

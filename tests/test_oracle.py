@@ -438,11 +438,11 @@ def _ref_wrap(value: int) -> int:
 
 def _ref_value(op, env):
     if isinstance(op, Const):
-        return op.value
+        return op
     try:
-        return env[op.name]
+        return env[op]
     except KeyError:
-        raise _RefStop(f"unbound-variable {op.name}") from None
+        raise _RefStop(f"unbound-variable {op}") from None
 
 
 def _ref_apply(op: str, a: int, b: int) -> int:
@@ -838,7 +838,7 @@ def test_replay_plan_lists_pairs_in_sort_order():
         for label, pairs in plan.items():
             facts = res.in_sets[label]
             assert [dst for dst, _ in pairs] == sorted(facts)
-            assert all(src == (facts[dst].value if isinstance(facts[dst], Const) else facts[dst].name) for dst, src in pairs)
+            assert all(src == facts[dst] for dst, src in pairs)
 
 
 def test_fact_replay_names_the_first_broken_pair_in_sort_order(fig2):

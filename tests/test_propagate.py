@@ -29,16 +29,21 @@ def rewrite_statement(stmt, facts, block=""):
     return _rewrite_slots(stmt, block, facts, _chain_endpoint)
 
 
+RESOLVE_CASES = [
+    ("c", (("c", "b"), ("b", "a")), Var("a"), 2),
+    ("d", (("d", "c"), ("c", 2)), Const(2), 2),
+    ("b", (("b", "a"),), Var("a"), 1),
+    ("a", (("b", "a"),), Var("a"), 0),
+    ("x", (), Var("x"), 0),
+    ("x", (("x", 7),), Const(7), 1),
+]
+
+
 @pytest.mark.parametrize(
     "var,specs,expected,hops",
-    [
-        ("c", (("c", "b"), ("b", "a")), Var("a"), 2),
-        ("d", (("d", "c"), ("c", 2)), Const(2), 2),
-        ("b", (("b", "a"),), Var("a"), 1),
-        ("a", (("b", "a"),), Var("a"), 0),
-        ("x", (), Var("x"), 0),
-        ("x", (("x", 7),), Const(7), 1),
-    ],
+    RESOLVE_CASES,
+    # pytest would name a plain operand by its value; these ids stay as they were
+    ids=[f"{var}-specs{i}-expected{i}-{hops}" for i, (var, _, _, hops) in enumerate(RESOLVE_CASES)],
 )
 def test_resolve_chain(var, specs, expected, hops):
     assert resolve_chain(var, pairs(*specs)) == (expected, hops)
