@@ -21,14 +21,12 @@ from .ir import (
     Binary,
     Block,
     Branch,
-    Const,
     Copy,
     Nop,
     Operand,
     ParseError,
     Program,
     Statement,
-    Var,
     defined_var,
     format_statement,
     parse_program,

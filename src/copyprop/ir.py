@@ -30,9 +30,9 @@ successors; the validity check then decides whether the block has the right
 number. This grammar is the one the parser runs: it splits each line into
 these tokens once, and a faulty line raises the ParseError of its first fault.
 
-An operand is its own value: a variable is its name (a `str`) and a
-constant its `int`, as in ``Copy("x", "y")`` and ``Copy("x", 5)``. `Var` and
-`Const` are aliases of `str` and `int`, and an operand prints as itself.
+An operand is a `str` or an `int`: a variable is its name and a constant
+its value, as in ``Copy("x", "y")`` and ``Copy("x", 5)``, and an operand
+prints as itself.
 
 A `Program` keeps its blocks in `natural_key` order (B2 before B10) whatever
 order it was given, so no listing order reaches any walk over `prog.blocks`.
@@ -54,9 +54,9 @@ INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
 
 
+# perfbench/bench_trace.py imports this name to tell a variable use
 Var = str
-Const = int
-Operand = Var | Const
+Operand = str | int
 
 
 @dataclass(frozen=True)

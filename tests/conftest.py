@@ -10,13 +10,11 @@ from copyprop import (
     Binary,
     Block,
     Branch,
-    Const,
     Copy,
     FactSet,
     Nop,
     Program,
     Statement,
-    Var,
     parse_program,
 )
 
@@ -71,8 +69,8 @@ def straight_line(*stmts: Statement) -> Program:
 
 def copy_chain(n: int) -> tuple[Program, str]:
     """x1 = x0; ...; xn = x(n-1); u = xn + 0. Returns (program, use label)."""
-    stmts: list[Statement] = [Copy(f"x{i}", Var(f"x{i - 1}")) for i in range(1, n + 1)]
-    stmts.append(Binary("u", "+", Var(f"x{n}"), Const(0)))
+    stmts: list[Statement] = [Copy(f"x{i}", f"x{i - 1}") for i in range(1, n + 1)]
+    stmts.append(Binary("u", "+", f"x{n}", 0))
     return straight_line(*stmts), f"B{n + 1}"
 
 
@@ -80,9 +78,9 @@ def looped_counter() -> Program:
     """x = 0, then a loop body x = x + 1 guarded by branch p."""
     blocks = {
         "B0": Block(Nop(), ("B1",)),
-        "B1": Block(Copy("x", Const(0)), ("B2",)),
-        "B2": Block(Binary("x", "+", Var("x"), Const(1)), ("B3",)),
-        "B3": Block(Branch(Var("p")), ("B2", "B4")),
+        "B1": Block(Copy("x", 0), ("B2",)),
+        "B2": Block(Binary("x", "+", "x", 1), ("B3",)),
+        "B3": Block(Branch("p"), ("B2", "B4")),
         "B4": Block(Nop(), ()),
     }
     return Program(blocks, "B0", "B4")

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from copyprop import Binary, Block, Branch, Const, Copy, Nop, Program, Var, validate
+from copyprop import Binary, Block, Branch, Copy, Nop, Program, validate
 from copyprop.ir import BINARY_OPS, INT64_MAX, INT64_MIN
 
 VARIABLES = ("a", "b", "c", "d")
 
 values = st.one_of(st.integers(-8, 8), st.sampled_from((INT64_MIN, -1, 2**62, INT64_MAX)))
-operands = st.one_of(st.sampled_from(VARIABLES).map(Var), values.map(Const))
+operands = st.one_of(st.sampled_from(VARIABLES), values)
 # what a body position holds; the chain and the diamond come last, left out where they do not fit
 KINDS = ("copy", "binary", "branch", "nop", "chain", "diamond")
 
@@ -47,12 +47,12 @@ def programs(draw, max_blocks: int = 12) -> Program:
                 mid, join = labels[i + 1 : i + 3]
                 first = draw(st.sampled_from([name for name in VARIABLES if name != var]))
                 blocks[label] = Block(Copy(first, draw(operands)), (mid,))
-                blocks[mid] = Block(Copy(var, Var(first)), (join,))
+                blocks[mid] = Block(Copy(var, first), (join,))
             else:
                 left, right, join = labels[i + 1 : i + 4]
                 blocks[label] = Block(Branch(draw(operands)), (left, right))
                 blocks[left] = blocks[right] = Block(Copy(var, draw(operands)), (join,))
-            lhs, rhs = Var(var), draw(operands)
+            lhs, rhs = var, draw(operands)
             if draw(st.booleans()):
                 lhs, rhs = rhs, lhs
             use = Binary(draw(st.sampled_from(VARIABLES)), draw(st.sampled_from(BINARY_OPS)), lhs, rhs)

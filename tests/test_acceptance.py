@@ -19,10 +19,8 @@ from hypothesis import strategies as st
 
 from copyprop import (
     Binary,
-    Const,
     Copy,
     GenParams,
-    Var,
     classic_transform,
     fact_soundness_violation,
     mop_in,
@@ -89,9 +87,9 @@ def test_ac1_diamond_merge_rewrite():
     with criterion("AC-1", budget=1.0):
         prog = load_fixture("fig1.tac")
         result = run_acs(prog)
-        assert result.in_sets["B4"].get("y") == Var("x")
+        assert result.in_sets["B4"].get("y") == "x"
         rewritten, report = transform(prog, result)
-        assert rewritten.blocks["B4"].stmt == Binary("z", "+", Var("x"), Var("w"))
+        assert rewritten.blocks["B4"].stmt == Binary("z", "+", "x", "w")
         assert len(report.replacements) == 1
         _, baseline = classic_transform(prog)
         assert baseline.replacements == ()
@@ -101,10 +99,10 @@ def test_ac2_chain_program_single_pass():
     with criterion("AC-2", budget=1.0):
         prog = load_fixture("fig2.tac")
         rewritten, _ = transform(prog, run_acs(prog))
-        assert rewritten.blocks["B2"].stmt == Binary("d", "+", Var("a"), Const(1))
-        assert rewritten.blocks["B4"].stmt == Binary("f", "+", Var("a"), Var("d"))
-        assert rewritten.blocks["B5"].stmt == Binary("g", "+", Var("a"), Var("a"))
-        assert rewritten.blocks["B6"].stmt == Copy("e", Var("a"))
+        assert rewritten.blocks["B2"].stmt == Binary("d", "+", "a", 1)
+        assert rewritten.blocks["B4"].stmt == Binary("f", "+", "a", "d")
+        assert rewritten.blocks["B5"].stmt == Binary("g", "+", "a", "a")
+        assert rewritten.blocks["B6"].stmt == Copy("e", "a")
 
 
 def test_ac3_chain_round_counts():
@@ -113,7 +111,7 @@ def test_ac3_chain_round_counts():
             prog, use_label = copy_chain(n)
             unified, report = transform(prog, run_acs(prog))
             assert report.pass_count == 1
-            assert unified.blocks[use_label].stmt == Binary("u", "+", Var("x0"), Const(0))
+            assert unified.blocks[use_label].stmt == Binary("u", "+", "x0", 0)
 
             rounds = 0
             current = prog
@@ -123,7 +121,7 @@ def test_ac3_chain_round_counts():
                     break
                 rounds += 1
             assert rounds == n, f"chain {n}: classic took {rounds} rounds"
-            assert current.blocks[use_label].stmt == Binary("u", "+", Var("x0"), Const(0))
+            assert current.blocks[use_label].stmt == Binary("u", "+", "x0", 0)
 
 
 def test_ac4_per_site_dominance():
@@ -137,7 +135,7 @@ def test_ac4_per_site_dominance():
             for c in baseline.replacements:
                 u = sites[(c.block, c.position)]
                 assert u.original == c.original
-                if isinstance(c.replacement, Var):
+                if isinstance(c.replacement, str):
                     expected = resolve_chain(c.replacement, result.in_sets[c.block])[0]
                 else:
                     expected = c.replacement
@@ -179,7 +177,7 @@ def _functional_and_acyclic(facts: FactSet) -> bool:
                 return False
             seen.add(cur)
             src = by_dst[cur]
-            if not isinstance(src, Var):
+            if not isinstance(src, str):
                 break
             cur = src
     return True
@@ -225,6 +223,6 @@ def test_ac4_per_site_dominance_on_any_program(prog):
         u = unified[(c.block, c.position)]
         assert u.original == c.original
         source = c.replacement
-        if isinstance(source, Var):
+        if isinstance(source, str):
             source = resolve_chain(source, result.in_sets[c.block])[0]
         assert u.replacement == source

@@ -9,13 +9,11 @@ from copyprop import (
     EMPTY,
     Binary,
     Branch,
-    Const,
     Copy,
     FactSet,
     GenParams,
     Nop,
     Statement,
-    Var,
     defined_var,
     predecessors,
     random_program,
@@ -28,41 +26,41 @@ from conftest import pairs, straight_line
 
 def test_transfer_kills_both_columns():
     before = pairs(("b", "a"), ("c", "b"))
-    after = transfer(Copy("a", Const(7)), before)
+    after = transfer(Copy("a", 7), before)
     assert after == pairs(("a", 7), ("c", "b"))
 
 
 def test_transfer_kill_matches_variable_sources_only():
     # defining x kills (y, x) but a constant source spelled the same is untouchable
     before = pairs(("y", "x"), ("z", 4))
-    after = transfer(Copy("x", Const(1)), before)
+    after = transfer(Copy("x", 1), before)
     assert after == pairs(("x", 1), ("z", 4))
 
 
 def test_transfer_self_copy_generates_nothing():
     before = pairs(("x", 1), ("y", "x"))
-    after = transfer(Copy("x", Var("x")), before)
+    after = transfer(Copy("x", "x"), before)
     assert after == EMPTY
 
 
 def test_transfer_binary_kills_dst():
     before = pairs(("b", "a"))
-    assert transfer(Binary("d", "+", Var("b"), Const(1)), before) == before
-    assert transfer(Binary("b", "+", Var("b"), Const(1)), before) == EMPTY
+    assert transfer(Binary("d", "+", "b", 1), before) == before
+    assert transfer(Binary("b", "+", "b", 1), before) == EMPTY
 
 
 def test_transfer_identity_statements():
     before = pairs(("y", "x"))
     assert transfer(Nop(), before) == before
-    assert transfer(Branch(Var("y")), before) == before
+    assert transfer(Branch("y"), before) == before
 
 
 def test_redefinition_of_source_invalidates():
     prog = straight_line(
-        Copy("x", Const(5)),
-        Copy("y", Var("x")),
-        Copy("x", Const(9)),
-        Copy("z", Var("y")),
+        Copy("x", 5),
+        Copy("y", "x"),
+        Copy("x", 9),
+        Copy("z", "y"),
     )
     res = run_acs(prog)
     # at z = y the fact (y, x) is stale: x was overwritten
@@ -78,9 +76,9 @@ def _random_facts(rng):
             continue
         later = names[i + 1 :]
         if later and rng.random() < 0.6:
-            out[n] = Var(rng.choice(later))
+            out[n] = rng.choice(later)
         else:
-            out[n] = Const(rng.randint(-5, 5))
+            out[n] = rng.randint(-5, 5)
     return FactSet(out)
 
 
@@ -90,15 +88,15 @@ def _random_stmt(rng):
     if roll < 0.1:
         return Nop()
     if roll < 0.2:
-        return Branch(Var(rng.choice(vs)))
+        return Branch(rng.choice(vs))
     if roll < 0.6:
-        src = Var(rng.choice(vs)) if rng.random() < 0.6 else Const(rng.randint(-5, 5))
+        src = rng.choice(vs) if rng.random() < 0.6 else rng.randint(-5, 5)
         return Copy(rng.choice(vs), src)
     return Binary(
         rng.choice(vs),
         rng.choice("+-*"),
-        Var(rng.choice(vs)),
-        Const(rng.randint(-5, 5)) if rng.random() < 0.3 else Var(rng.choice(vs)),
+        rng.choice(vs),
+        rng.randint(-5, 5) if rng.random() < 0.3 else rng.choice(vs),
     )
 
 
@@ -114,7 +112,7 @@ def test_transfer_properties_randomized():
         for start in by_dst:
             seen = set()
             cur = start
-            while cur in by_dst and isinstance(by_dst[cur], Var):
+            while cur in by_dst and isinstance(by_dst[cur], str):
                 assert cur not in seen
                 seen.add(cur)
                 cur = by_dst[cur]
@@ -124,7 +122,7 @@ def test_transfer_properties_randomized():
                 if dst == d:
                     assert isinstance(stmt, Copy) and src == stmt.src
                 else:
-                    assert src != Var(d)
+                    assert src != d
         assert transfer(stmt, after) == after
 
 
@@ -139,14 +137,14 @@ def fact_maps(draw) -> dict:
     facts = {}
     for i, name in enumerate(names):
         later = names[i + 1 :]
-        choices = [st.none(), st.integers(-3, 3).map(Const)] + ([st.sampled_from(later).map(Var)] if later else [])
+        choices = [st.none(), st.integers(-3, 3)] + ([st.sampled_from(later)] if later else [])
         src = draw(st.one_of(*choices))
         if src is not None:
             facts[name] = src
     return facts
 
 
-model_operands = st.one_of(st.sampled_from(NAMES).map(Var), st.integers(-3, 3).map(Const))
+model_operands = st.one_of(st.sampled_from(NAMES), st.integers(-3, 3))
 model_statements = st.one_of(
     st.just(Nop()),
     model_operands.map(Branch),
@@ -161,8 +159,8 @@ def _model_transfer(stmt, pairs):
     d = defined_var(stmt)
     if d is None:
         return pairs
-    kept = {(dst, src) for dst, src in pairs if dst != d and src != Var(d)}
-    if isinstance(stmt, Copy) and stmt.src != Var(d):
+    kept = {(dst, src) for dst, src in pairs if dst != d and src != d}
+    if isinstance(stmt, Copy) and stmt.src != d:
         kept.add((d, stmt.src))
     return frozenset(kept)
 
@@ -194,9 +192,9 @@ def lattice_cases(draw) -> tuple[FactSet, FactSet, FactSet, Statement]:
             how = draw(st.sampled_from(("keep", "drop", "step")))
             if how == "keep":
                 b[dst] = src
-            elif how == "step" and isinstance(src, Var) and src in a:
+            elif how == "step" and isinstance(src, str) and src in a:
                 b[dst] = a[src]
-    sources = sorted({src for src in a.values() if isinstance(src, Var)})
+    sources = sorted({src for src in a.values() if isinstance(src, str)})
     if sources and draw(st.booleans()):
         stmt = Copy(draw(st.sampled_from(sources)), draw(model_operands))
     else:
@@ -238,7 +236,7 @@ def _const_in_sets(prog):
         if d is None:
             return m
         m = {k: v for k, v in m.items() if k != d}
-        if isinstance(stmt, Copy) and isinstance(stmt.src, Const):
+        if isinstance(stmt, Copy) and isinstance(stmt.src, int):
             m[d] = stmt.src
         return m
 
@@ -278,6 +276,6 @@ def test_const_copy_programs_agree_with_constant_analysis():
         for label, facts in res.in_sets.items():
             got = {}
             for dst, src in facts.items():
-                assert isinstance(src, Const)
+                assert isinstance(src, int)
                 got[dst] = src
             assert got == expected[label], label

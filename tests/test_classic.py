@@ -10,12 +10,10 @@ from copyprop import (
     Binary,
     Block,
     Branch,
-    Const,
     Copy,
     GenParams,
     Nop,
     Program,
-    Var,
     classic_transform,
     mop_in,
     parse_program,
@@ -73,7 +71,7 @@ def test_reaching_definitions_fig1(fig1):
 
 
 def test_reaching_definitions_kill():
-    prog = straight_line(Copy("x", Const(5)), Copy("x", Const(9)))
+    prog = straight_line(Copy("x", 5), Copy("x", 9))
     unique_definitions_match_the_reference(prog)
     assert reaching_definitions(prog).unique_definition(prog.exit, "x") == "B2"
 
@@ -89,9 +87,9 @@ def test_reaching_definitions_skip_unreachable():
     orphan has no entry of its own."""
     blocks = {
         "B0": Block(Nop(), ("B1",)),
-        "B1": Block(Copy("x", Const(1)), ("B2",)),
+        "B1": Block(Copy("x", 1), ("B2",)),
         "B2": Block(Nop(), ()),
-        "B9": Block(Copy("x", Const(2)), ("B2",)),
+        "B9": Block(Copy("x", 2), ("B2",)),
     }
     prog = Program(blocks, "B0", "B2")
     unique_definitions_match_the_reference(prog)
@@ -123,10 +121,10 @@ def test_reaching_definitions_self_loop_and_unreachable_definition():
     an orphan definition of the same variable never reaches anything."""
     blocks = {
         "B0": Block(Nop(), ("B1",)),
-        "B1": Block(Copy("x", Const(0)), ("B2",)),
-        "B2": Block(Binary("x", "+", Var("x"), Const(1)), ("B2",)),
+        "B1": Block(Copy("x", 0), ("B2",)),
+        "B2": Block(Binary("x", "+", "x", 1), ("B2",)),
         "B3": Block(Nop(), ()),
-        "B9": Block(Copy("x", Const(5)), ("B2",)),
+        "B9": Block(Copy("x", 5), ("B2",)),
     }
     sites = unique_definitions_match_the_reference(Program(blocks, "B0", "B3"))
     assert set(sites) == {"B0", "B1", "B2"}
@@ -160,10 +158,10 @@ def test_unique_definition(fig1):
 
     blocks = {
         "B0": Block(Nop(), ("B1",)),
-        "B1": Block(Copy("x", Const(1)), ("B2",)),
-        "B2": Block(Binary("y", "+", Var("x"), Const(1)), ("B2",)),
+        "B1": Block(Copy("x", 1), ("B2",)),
+        "B2": Block(Binary("y", "+", "x", 1), ("B2",)),
         "B3": Block(Nop(), ()),
-        "B9": Block(Copy("x", Const(2)), ("B2",)),
+        "B9": Block(Copy("x", 2), ("B2",)),
     }
     rd = reaching_definitions(Program(blocks, "B0", "B3"))
     assert rd.unique_definition("B2", "x") == "B1"
@@ -183,7 +181,7 @@ def set_based_classic_transform(prog):
             continue
 
         def attempt(operand, position):
-            if not isinstance(operand, Var):
+            if not isinstance(operand, str):
                 return operand
             own = [block for block, var in rd[label] if var == operand]
             if len(own) != 1:
@@ -253,12 +251,12 @@ def test_classic_fig1_cannot_rewrite(fig1):
 
 def test_classic_fig2_rewrites_computational_uses(fig2):
     out, report = classic_transform(fig2)
-    assert out.blocks["B2"].stmt == Binary("d", "+", Var("a"), Const(1))
-    assert out.blocks["B4"].stmt == Binary("f", "+", Var("b"), Var("d"))
-    assert out.blocks["B5"].stmt == Binary("g", "+", Var("b"), Var("a"))
+    assert out.blocks["B2"].stmt == Binary("d", "+", "a", 1)
+    assert out.blocks["B4"].stmt == Binary("f", "+", "b", "d")
+    assert out.blocks["B5"].stmt == Binary("g", "+", "b", "a")
     # copy sources stay put: the chain head is untouched
-    assert out.blocks["B3"].stmt == Copy("c", Var("b"))
-    assert out.blocks["B6"].stmt == Copy("e", Var("c"))
+    assert out.blocks["B3"].stmt == Copy("c", "b")
+    assert out.blocks["B6"].stmt == Copy("e", "c")
     assert sites(report) == {
         ("B2", "binary-lhs"),
         ("B4", "binary-lhs"),
@@ -270,38 +268,38 @@ def test_classic_fig2_rewrites_computational_uses(fig2):
 
 
 def test_classic_straight_line():
-    prog = straight_line(Copy("x", Var("y")), Binary("z", "+", Var("x"), Const(1)))
+    prog = straight_line(Copy("x", "y"), Binary("z", "+", "x", 1))
     out, _ = classic_transform(prog)
-    assert out.blocks["B2"].stmt == Binary("z", "+", Var("y"), Const(1))
+    assert out.blocks["B2"].stmt == Binary("z", "+", "y", 1)
 
 
 def test_classic_requires_available_pair():
     # x = y; y = 3; z = x + 0: the only def of x is a copy, but (x, y) is
     # stale at the use because y was overwritten
     prog = straight_line(
-        Copy("x", Var("y")),
-        Copy("y", Const(3)),
-        Binary("z", "+", Var("x"), Const(0)),
+        Copy("x", "y"),
+        Copy("y", 3),
+        Binary("z", "+", "x", 0),
     )
     out, report = classic_transform(prog)
-    assert out.blocks["B3"].stmt == Binary("z", "+", Var("x"), Const(0))
+    assert out.blocks["B3"].stmt == Binary("z", "+", "x", 0)
     assert report.replacements == ()
 
 
 def test_classic_propagates_constants():
-    prog = straight_line(Copy("x", Const(5)), Binary("z", "+", Var("x"), Const(1)))
+    prog = straight_line(Copy("x", 5), Binary("z", "+", "x", 1))
     out, report = classic_transform(prog)
-    assert out.blocks["B2"].stmt == Binary("z", "+", Const(5), Const(1))
-    assert report.replacements[0].replacement == Const(5)
+    assert out.blocks["B2"].stmt == Binary("z", "+", 5, 1)
+    assert report.replacements[0].replacement == 5
 
 
 def test_classic_rewrites_branch_condition():
-    base = straight_line(Copy("p", Var("q")), Nop())
+    base = straight_line(Copy("p", "q"), Nop())
     blocks = dict(base.blocks)
-    blocks["B2"] = Block(Branch(Var("p")), ("B3", "B3"))
+    blocks["B2"] = Block(Branch("p"), ("B3", "B3"))
     prog = Program(blocks, base.entry, base.exit)
     out, report = classic_transform(prog)
-    assert out.blocks["B2"].stmt == Branch(Var("q"))
+    assert out.blocks["B2"].stmt == Branch("q")
     assert report.replacements[0].position == "branch-cond"
 
 
@@ -309,7 +307,7 @@ def test_classic_single_step_per_round():
     prog, use_label = copy_chain(3)
     out, report = classic_transform(prog)
     # only the last link feeds the use; one hop, not the whole chain
-    assert out.blocks[use_label].stmt == Binary("u", "+", Var("x2"), Const(0))
+    assert out.blocks[use_label].stmt == Binary("u", "+", "x2", 0)
     assert all(r.chain_length == 1 for r in report.replacements)
 
 
@@ -324,7 +322,7 @@ def test_classic_chain_needs_n_rounds(n):
         prog = nxt
         rounds += 1
     assert rounds == n
-    assert prog.blocks[use_label].stmt == Binary("u", "+", Var("x0"), Const(0))
+    assert prog.blocks[use_label].stmt == Binary("u", "+", "x0", 0)
 
 
 @pytest.mark.parametrize(
@@ -336,10 +334,10 @@ def test_unreachable_block_is_kept_as_is(one_pass):
     prog = Program(
         {
             "B0": Block(Nop(), ("B1",)),
-            "B1": Block(Copy("x", Const(5)), ("B2",)),
-            "B2": Block(Binary("y", "+", Var("x"), Const(1)), ("B3",)),
+            "B1": Block(Copy("x", 5), ("B2",)),
+            "B2": Block(Binary("y", "+", "x", 1), ("B3",)),
             "B3": Block(Nop(), ()),
-            "B4": Block(Binary("z", "+", Var("x"), Const(2)), ("B3",)),
+            "B4": Block(Binary("z", "+", "x", 2), ("B3",)),
         },
         "B0",
         "B3",
@@ -347,7 +345,7 @@ def test_unreachable_block_is_kept_as_is(one_pass):
     out, report = one_pass(prog)
     assert out.blocks["B4"] == prog.blocks["B4"]
     assert all(r.block != "B4" for r in report.replacements)
-    assert out.blocks["B2"].stmt == Binary("y", "+", Const(5), Const(1))
+    assert out.blocks["B2"].stmt == Binary("y", "+", 5, 1)
 
 
 def test_classic_never_beats_unified():
@@ -369,7 +367,7 @@ def test_classic_never_beats_unified():
             assert u.original == c.original
             expected = (
                 resolve_chain(c.replacement, result.in_sets[c.block])[0]
-                if isinstance(c.replacement, Var)
+                if isinstance(c.replacement, str)
                 else c.replacement
             )
             assert u.replacement == expected
@@ -406,7 +404,7 @@ def test_equal_blocks_at_different_labels_stay_distinct():
     _, baseline = classic_transform(prog)
     assert not [r for r in baseline.replacements if r.block == "J"]
     rewritten, unified = transform(prog, run_acs(prog))
-    assert Replacement("J", "binary-lhs", "y", Const(3), 2) in unified.replacements
-    assert rewritten.blocks["J"].stmt == Binary("z", "+", Const(3), Const(1))
+    assert Replacement("J", "binary-lhs", "y", 3, 2) in unified.replacements
+    assert rewritten.blocks["J"].stmt == Binary("z", "+", 3, 1)
     assert mop_in(prog) == run_acs(prog).in_sets
     assert parse_program(print_program(prog)) == prog

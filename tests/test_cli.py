@@ -11,10 +11,10 @@ import pytest
 import copyprop.analysis as analysis
 import copyprop.cli as cli
 import copyprop.oracle as oracle
-from copyprop import Const, Replacement, ReplacementReport, Verdict, variables
+from copyprop import Replacement, ReplacementReport, Verdict, variables
 from copyprop.cli import build_parser, main
 from copyprop.ir import print_program
-from conftest import FIXTURES, load_fixture, sequential_diamonds
+from conftest import FIXTURES, fan_in, load_fixture, sequential_diamonds
 
 FIG1 = str(FIXTURES / "fig1.tac")
 FIG2 = str(FIXTURES / "fig2.tac")
@@ -144,7 +144,7 @@ def test_compare_reports_a_baseline_site_the_unified_pass_lacks(monkeypatch, cap
 
     def extra_site(prog, result):
         out, report = baseline(prog, result)
-        extra = Replacement("B2", "copy-src", "x", Const(9), 1)
+        extra = Replacement("B2", "copy-src", "x", 9, 1)
         return out, ReplacementReport(report.replacements + (extra,), report.pass_count)
 
     monkeypatch.setattr(cli, "classic_transform", extra_site)
@@ -248,6 +248,19 @@ def test_check_mop_skips_a_program_past_the_step_budget(tmp_path, capsys):
     code, out, _ = run(capsys, "check", str(path), "--inputs", "1")
     assert code == 0
     assert out.splitlines()[-2:] == ["mop: SKIP (budget)", "PASS"]
+
+
+@pytest.mark.parametrize("shape", [fan_in, sequential_diamonds], ids=["fan_in", "sequential_diamonds"])
+def test_check_finishes_on_large_programs_whose_labels_run_against_the_flow(shape, tmp_path, capsys):
+    # round robin sweeps once per block on both shapes; at n=1000 check takes
+    # under 3 s on a shared 2-vCPU host, so 60 s leaves a margin of over 20x
+    path = tmp_path / "shape.tac"
+    path.write_text(print_program(shape(1000)))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "check", str(path), "--inputs", "2")
+    assert time.perf_counter() - start < 60
+    assert code == 0
+    assert out.splitlines()[-1] == "PASS"
 
 
 @pytest.mark.parametrize(

@@ -12,13 +12,11 @@ from copyprop import (
     EMPTY,
     Block,
     Branch,
-    Const,
     Copy,
     FactSet,
     GenParams,
     Nop,
     Program,
-    Var,
     format_facts,
     predecessors,
     random_program,
@@ -36,7 +34,7 @@ from conftest import looped_counter, pairs, straight_line, swapped_branches
 def test_fact_set_rejects_self_pair():
     """x = x carries no information: x -> x is a one-step cycle."""
     with pytest.raises(ValueError, match="cyclic pair set"):
-        FactSet({"x": Var("x")})
+        FactSet({"x": "x"})
 
 
 def test_fact_set_rejects_cycles():
@@ -65,8 +63,8 @@ def test_meet_conflicting_pairs_drop_out():
 
 def test_lookup():
     fs = pairs(("y", "x"), ("z", 4))
-    assert fs.get("y") == fs["y"] == Var("x")
-    assert fs.get("z") == Const(4)
+    assert fs.get("y") == fs["y"] == "x"
+    assert fs.get("z") == 4
     assert fs.get("q") is None
 
 
@@ -74,7 +72,7 @@ def test_membership_and_len():
     fs = pairs(("y", "x"))
     assert "y" in fs
     assert "x" not in fs
-    assert list(fs.items()) == [("y", Var("x"))]
+    assert list(fs.items()) == [("y", "x")]
     assert len(fs) == 1
 
 
@@ -92,7 +90,7 @@ def test_reachable_excludes_orphan():
     blocks = {
         "B0": Block(Nop(), ("B1",)),
         "B1": Block(Nop(), ()),
-        "B9": Block(Copy("x", Const(1)), ("B1",)),
+        "B9": Block(Copy("x", 1), ("B1",)),
     }
     prog = Program(blocks, "B0", "B1")
     assert reverse_postorder(prog) == ["B0", "B1"]
@@ -146,8 +144,8 @@ def test_predecessors_take_linear_time_in_a_wide_join():
     n = 20_000
     blocks = {"S": Block(Nop(), ("C0",)), "J": Block(Nop(), ("X",)), "X": Block(Nop(), ())}
     for i in range(n):
-        blocks[f"C{i}"] = Block(Copy("v", Const(i)), (f"B{i}",))
-        blocks[f"B{i}"] = Block(Branch(Var("p")), (f"C{i + 1}" if i + 1 < n else "J", "J"))
+        blocks[f"C{i}"] = Block(Copy("v", i), (f"B{i}",))
+        blocks[f"B{i}"] = Block(Branch("p"), (f"C{i + 1}" if i + 1 < n else "J", "J"))
     prog = Program(blocks, "S", "X")
     start = time.perf_counter()
     preds = predecessors(prog)
@@ -157,7 +155,7 @@ def test_predecessors_take_linear_time_in_a_wide_join():
 
 
 def test_solve_straight_line_accumulates():
-    prog = straight_line(Copy("x", Const(5)), Copy("y", Var("x")))
+    prog = straight_line(Copy("x", 5), Copy("y", "x"))
     res = run_acs(prog)
     assert res.in_sets[prog.exit] == pairs(("x", 5), ("y", "x"))
     assert res.in_sets["B0"] == EMPTY
@@ -185,7 +183,7 @@ def test_unreachable_block_stays_top():
     blocks = {
         "B0": Block(Nop(), ("B1",)),
         "B1": Block(Nop(), ()),
-        "B9": Block(Copy("x", Const(1)), ("B1",)),
+        "B9": Block(Copy("x", 1), ("B1",)),
     }
     prog = Program(blocks, "B0", "B1")
     res = run_acs(prog)
@@ -224,7 +222,7 @@ def test_solver_updates_only_descend():
 
 def _with_orphan(prog):
     """prog plus an unreachable block that defines a variable and jumps to the exit."""
-    orphan = Block(Copy("x", Const(1)), (prog.exit,))
+    orphan = Block(Copy("x", 1), (prog.exit,))
     return Program({**prog.blocks, "Z9": orphan}, prog.entry, prog.exit)
 
 
@@ -309,7 +307,7 @@ def test_solution_is_a_fixpoint():
 
 
 def test_iterations_counts_work():
-    prog = straight_line(Copy("x", Const(5)))
+    prog = straight_line(Copy("x", 5))
     res = run_acs(prog)
     assert res.iterations >= len(prog.blocks)
 

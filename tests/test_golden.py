@@ -2,7 +2,8 @@
 
 The expected files under tests/golden/ were recorded once and pin the
 output of the analysis, the rewrite, the baseline and the checks on the
-fixtures, on a fixed fuzz seed and on two generated looping programs. A
+fixtures, on a fixed fuzz seed (at the default fuel and at the fuel
+ceiling) and on two generated looping programs. A
 change meant to keep behaviour must pass this unchanged; one that alters
 output on purpose records the files again and says so.
 Each file holds the line "exit: N" and then the captured stdout.
@@ -40,17 +41,24 @@ def loopy_program(seed: int) -> Program:
     )
 
 
-# (golden file stem, FILE_COMMANDS key or "fuzz", fixture name or loopy seed or None)
+FUZZ_COMMANDS = {
+    "fuzz": ["check", "--fuzz", "--programs", "200", "--seed", "7"],
+    # a fast-forwarded run keeps no fuel-long trace, so the fuel ceiling
+    # prints what the default fuel does, in about the same time
+    "fuzz-fuel": ["check", "--fuzz", "--programs", "200", "--seed", "7", "--fuel", "10000000"],
+}
+
+# (test id, golden file stem, FILE_COMMANDS or FUZZ_COMMANDS key, fixture name or loopy seed or None)
 CASES = (
-    [(f"{name}-{cmd}", cmd, name) for name in FIXTURE_NAMES for cmd in FILE_COMMANDS]
-    + [(f"loopy{seed}-{cmd}", cmd, seed) for seed in LOOPY_SEEDS for cmd in LOOPY_COMMANDS]
-    + [("fuzz-seed7", "fuzz", None)]
+    [(f"{name}-{cmd}", f"{name}-{cmd}", cmd, name) for name in FIXTURE_NAMES for cmd in FILE_COMMANDS]
+    + [(f"loopy{seed}-{cmd}", f"loopy{seed}-{cmd}", cmd, seed) for seed in LOOPY_SEEDS for cmd in LOOPY_COMMANDS]
+    + [("fuzz-seed7", "fuzz-seed7", "fuzz", None), ("fuzz-seed7-fuel-ceiling", "fuzz-seed7", "fuzz-fuel", None)]
 )
 
 
 def argv_for(cmd: str, source: str | int | None, tmp_path: Path) -> list[str]:
-    if cmd == "fuzz":
-        return ["check", "--fuzz", "--programs", "200", "--seed", "7"]
+    if cmd in FUZZ_COMMANDS:
+        return FUZZ_COMMANDS[cmd]
     if isinstance(source, int):
         path = tmp_path / f"loopy{source}.tac"
         path.write_text(print_program(loopy_program(source)))
@@ -60,7 +68,7 @@ def argv_for(cmd: str, source: str | int | None, tmp_path: Path) -> list[str]:
     return [verb, str(path), *flags]
 
 
-@pytest.mark.parametrize(("stem", "cmd", "source"), CASES, ids=[c[0] for c in CASES])
+@pytest.mark.parametrize(("stem", "cmd", "source"), [c[1:] for c in CASES], ids=[c[0] for c in CASES])
 def test_cli_output_matches_golden(stem, cmd, source, tmp_path, capsys):
     code = main(argv_for(cmd, source, tmp_path))
     actual = f"exit: {code}\n" + capsys.readouterr().out

@@ -13,7 +13,6 @@ from copyprop import (
     Binary,
     Block,
     Branch,
-    Const,
     Copy,
     GenParams,
     Nop,
@@ -21,7 +20,6 @@ from copyprop import (
     ParseError,
     Program,
     Statement,
-    Var,
     defined_var,
     format_statement,
     parse_program,
@@ -42,10 +40,10 @@ def test_parse_fig1_structure(fig1):
     assert fig1.entry == "B0"
     assert fig1.exit == "B5"
     assert sorted(fig1.blocks) == ["B0", "B1", "B2", "B3", "B4", "B5"]
-    assert fig1.blocks["B1"].stmt == Branch(Var("p"))
+    assert fig1.blocks["B1"].stmt == Branch("p")
     assert fig1.blocks["B1"].succs == ("B2", "B3")
-    assert fig1.blocks["B2"].stmt == Copy("y", Var("x"))
-    assert fig1.blocks["B4"].stmt == Binary("z", "+", Var("y"), Var("w"))
+    assert fig1.blocks["B2"].stmt == Copy("y", "x")
+    assert fig1.blocks["B4"].stmt == Binary("z", "+", "y", "w")
     assert fig1.blocks["B5"].succs == ()
 
 
@@ -60,7 +58,7 @@ B1: x = 5 -> B2   # trailing comment
 B2: nop
 """
     prog = parse_program(text)
-    assert prog.blocks["B1"].stmt == Copy("x", Const(5))
+    assert prog.blocks["B1"].stmt == Copy("x", 5)
 
 
 def test_a_comment_may_hold_a_unicode_line_separator():
@@ -68,7 +66,7 @@ def test_a_comment_may_hold_a_unicode_line_separator():
     text = "entry: B0\nexit: B2\nB0: nop -> B1  # see\u2028B7\nB1: x = 5 -> B2\nB2: nop\n"
     prog = parse_program(text)
     assert prog.blocks["B0"].succs == ("B1",)
-    assert prog.blocks["B1"].stmt == Copy("x", Const(5))
+    assert prog.blocks["B1"].stmt == Copy("x", 5)
 
 
 def test_one_leading_byte_order_mark_is_skipped():
@@ -89,7 +87,7 @@ def test_vertical_whitespace_between_tokens_is_whitespace(space):
     text = f"entry: B0\r\nexit: B2\rB0: nop{space}-> B1\nB1: x{space}={space}5 -> B2\nB2: nop\n"
     prog = parse_program(text)
     assert prog.blocks["B0"].succs == ("B1",)
-    assert prog.blocks["B1"].stmt == Copy("x", Const(5))
+    assert prog.blocks["B1"].stmt == Copy("x", 5)
 
 
 @pytest.mark.parametrize("space", ["\x0b", "\x0c", "\u2028"])
@@ -104,8 +102,8 @@ def test_parse_signed_constants():
     prog = parse_program(
         "entry: B0\nexit: B3\nB0: nop -> B1\nB1: x = -3 -> B2\nB2: y = +7 -> B3\nB3: nop\n"
     )
-    assert prog.blocks["B1"].stmt == Copy("x", Const(-3))
-    assert prog.blocks["B2"].stmt == Copy("y", Const(7))
+    assert prog.blocks["B1"].stmt == Copy("x", -3)
+    assert prog.blocks["B2"].stmt == Copy("y", 7)
     # an operand is its own value: a constant its int, a variable its name
     prog = parse_program(
         "entry: B0\nexit: B4\nB0: nop -> B1\nB1: x = -5 -> B2\nB2: x = y -> B3\nB3: branch 0 -> B4, B4\nB4: nop\n"
@@ -123,8 +121,8 @@ def test_parse_int64_boundaries():
     prog = parse_program(
         f"entry: B0\nexit: B3\nB0: nop -> B1\nB1: x = {lo} -> B2\nB2: y = {hi} -> B3\nB3: nop\n"
     )
-    assert prog.blocks["B1"].stmt == Copy("x", Const(lo))
-    assert prog.blocks["B2"].stmt == Copy("y", Const(hi))
+    assert prog.blocks["B1"].stmt == Copy("x", lo)
+    assert prog.blocks["B2"].stmt == Copy("y", hi)
 
 
 def test_parse_constant_out_of_range():
@@ -136,13 +134,13 @@ def test_parse_constant_out_of_range():
 def test_parse_constant_with_leading_zeros_past_the_int_limit():
     zeros = "0" * 5000
     prog = parse_program(f"entry: B0\nexit: B2\nB0: nop -> B1\nB1: x = -{zeros}5 -> B2\nB2: nop\n")
-    assert prog.blocks["B1"].stmt == Copy("x", Const(-5))
+    assert prog.blocks["B1"].stmt == Copy("x", -5)
 
 
 def test_validate_constant_range():
     blocks = {
         "B0": Block(Nop(), ("B1",)),
-        "B1": Block(Copy("x", Const(2**63)), ("B2",)),
+        "B1": Block(Copy("x", 2**63), ("B2",)),
         "B2": Block(Nop(), ()),
     }
     assert "constant-range B1" in validate(Program(blocks, "B0", "B2"))
@@ -152,7 +150,7 @@ def test_validate_constant_range():
 def test_validate_bad_label(label):
     blocks = {
         "B0": Block(Nop(), (label,)),
-        label: Block(Copy("x", Const(1)), ("B2",)),
+        label: Block(Copy("x", 1), ("B2",)),
         "B2": Block(Nop(), ()),
     }
     assert validate(Program(blocks, "B0", "B2")) == [f"bad-label {label}"]
@@ -161,10 +159,10 @@ def test_validate_bad_label(label):
 @pytest.mark.parametrize(
     "stmt, diag",
     [
-        (Copy("nop", Const(1)), "bad-identifier nop"),
-        (Copy("x", Var("1x")), "bad-identifier 1x"),
-        (Binary("x", "%", Var("a"), Const(2)), "bad-operator B1"),
-        (Copy("x", Var("\u017f")), "bad-identifier \u017f"),
+        (Copy("nop", 1), "bad-identifier nop"),
+        (Copy("x", "1x"), "bad-identifier 1x"),
+        (Binary("x", "%", "a", 2), "bad-operator B1"),
+        (Copy("x", "\u017f"), "bad-identifier \u017f"),
     ],
 )
 def test_validate_statement_names_and_operator(stmt, diag):
@@ -177,9 +175,9 @@ def test_validate_orders_diagnostics_by_label_then_by_check():
     statement's destination, operands and operator, then its successors."""
     blocks = {
         "B0": Block(Nop(), ("1B",)),
-        "B10": Block(Binary("y", "%", Const(2**63), Var("branch")), ("B11",)),
-        "B2": Block(Copy("nop", Var("1x")), ("B10", "L7")),
-        "1B": Block(Branch(Var("p")), ("B2",)),
+        "B10": Block(Binary("y", "%", 2**63, "branch"), ("B11",)),
+        "B2": Block(Copy("nop", "1x"), ("B10", "L7")),
+        "1B": Block(Branch("p"), ("B2",)),
         "B11": Block(Nop(), ()),
     }
     assert validate(Program(blocks, "B0", "B11")) == [
@@ -293,10 +291,10 @@ def _parse_operand(tok: tuple[str, int], lineno: int) -> Operand:
         if len(digits) <= 19:
             value = -int(digits) if text[0] == "-" else int(digits)
             if INT64_MIN <= value <= INT64_MAX:
-                return Const(value)
+                return value
         raise ParseError(f"constant {text} out of 64-bit range", lineno, col + 1)
     if IDENT_RE.match(text) and text not in RESERVED:
-        return Var(text)
+        return text
     raise ParseError(f"expected operand, got '{text}'", lineno, col + 1)
 
 
@@ -658,14 +656,14 @@ def test_validate_clean_fixture(fig2):
 def test_validate_exit_must_be_nop():
     blocks = {
         "B0": Block(Nop(), ("B1",)),
-        "B1": Block(Copy("x", Const(1)), ()),
+        "B1": Block(Copy("x", 1), ()),
     }
     assert validate(Program(blocks, "B0", "B1")) == ["exit-not-nop"]
 
 
 def test_validate_entry_must_be_nop():
     blocks = {
-        "B0": Block(Copy("x", Const(1)), ("B1",)),
+        "B0": Block(Copy("x", 1), ("B1",)),
         "B1": Block(Nop(), ()),
     }
     assert "entry-not-nop" in validate(Program(blocks, "B0", "B1"))
@@ -674,7 +672,7 @@ def test_validate_entry_must_be_nop():
 def test_validate_entry_has_preds():
     blocks = {
         "B0": Block(Nop(), ("B1",)),
-        "B1": Block(Branch(Var("p")), ("B0", "B2")),
+        "B1": Block(Branch("p"), ("B0", "B2")),
         "B2": Block(Nop(), ()),
     }
     assert "entry-has-preds" in validate(Program(blocks, "B0", "B2"))
@@ -688,7 +686,7 @@ def test_validate_entry_is_exit():
 def test_validate_nonexit_needs_successor():
     blocks = {
         "B0": Block(Nop(), ("B1",)),
-        "B1": Block(Copy("x", Const(1)), ()),
+        "B1": Block(Copy("x", 1), ()),
         "B2": Block(Nop(), ()),
     }
     diags = validate(Program(blocks, "B0", "B2"))
@@ -699,12 +697,12 @@ def test_validate_nonexit_needs_successor():
     "stmt,dst,used",
     [
         (Nop(), None, ()),
-        (Branch(Var("p")), None, ("p",)),
-        (Copy("x", Var("y")), "x", ("y",)),
-        (Copy("x", Const(3)), "x", ()),
-        (Binary("z", "+", Var("a"), Const(1)), "z", ("a",)),
-        (Binary("z", "*", Var("a"), Var("b")), "z", ("a", "b")),
-        (Binary("z", "*", Var("a"), Var("a")), "z", ("a", "a")),
+        (Branch("p"), None, ("p",)),
+        (Copy("x", "y"), "x", ("y",)),
+        (Copy("x", 3), "x", ()),
+        (Binary("z", "+", "a", 1), "z", ("a",)),
+        (Binary("z", "*", "a", "b"), "z", ("a", "b")),
+        (Binary("z", "*", "a", "a"), "z", ("a", "a")),
     ],
 )
 def test_def_use(stmt, dst, used):
@@ -713,8 +711,8 @@ def test_def_use(stmt, dst, used):
 
 
 def test_uses_keeps_operand_order():
-    assert uses(Binary("z", "-", Var("a"), Var("b"))) == (Var("a"), Var("b"))
-    assert uses(Copy("x", Const(2))) == (Const(2),)
+    assert uses(Binary("z", "-", "a", "b")) == ("a", "b")
+    assert uses(Copy("x", 2)) == (2,)
     assert uses(Nop()) == ()
 
 
@@ -726,10 +724,10 @@ def test_variables_fig1(fig1):
     "stmt,text",
     [
         (Nop(), "nop"),
-        (Branch(Var("p")), "branch p"),
-        (Copy("y", Var("x")), "y = x"),
-        (Copy("y", Const(-4)), "y = -4"),
-        (Binary("z", "/", Var("a"), Const(2)), "z = a / 2"),
+        (Branch("p"), "branch p"),
+        (Copy("y", "x"), "y = x"),
+        (Copy("y", -4), "y = -4"),
+        (Binary("z", "/", "a", 2), "z = a / 2"),
     ],
 )
 def test_format_statement(stmt, text):
@@ -747,7 +745,7 @@ def test_print_minimal_is_four_lines():
 
 
 def test_print_orders_labels_naturally():
-    stmts = [Copy(f"v{i}", Const(i)) for i in range(11)]
+    stmts = [Copy(f"v{i}", i) for i in range(11)]
     text = print_program(straight_line(*stmts))
     lines = [ln for ln in text.splitlines() if not ln.endswith(("B0", "B12"))]
     # B2 must come before B10 despite lexicographic order saying otherwise

@@ -19,14 +19,12 @@ from copyprop import (
     Binary,
     Block,
     Branch,
-    Const,
     Copy,
     CyclicGraphError,
     FactSet,
     PathBudgetError,
     Program,
     Replacement,
-    Var,
     classic_transform,
     differential_check,
     mop_in,
@@ -55,7 +53,7 @@ class Renaming:
         self.names = names
 
     def operand(self, op):
-        return self.names[op] if isinstance(op, Var) else op
+        return self.names[op] if isinstance(op, str) else op
 
     def statement(self, stmt):
         if isinstance(stmt, Copy):

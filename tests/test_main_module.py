@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from copyprop import Binary, Const, Var, print_program
+from copyprop import Binary, print_program
 from conftest import straight_line
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -56,7 +56,7 @@ def test_a_closed_stdout_exits_141_quietly(tmp_path, argv):
     # the output is larger than a pipe buffer, so the run is still writing
     # when the reader closes the pipe after one line, as `| head -1` does
     path = tmp_path / "line.tac"
-    path.write_text(print_program(straight_line(*[Binary("x", "+", Var("x"), Const(1))] * 10_000)))
+    path.write_text(print_program(straight_line(*[Binary("x", "+", "x", 1)] * 10_000)))
     entry = ["-c", PLANTED_FAILURE] if argv[0] == "check" else ["-m", "copyprop"]
     command = [sys.executable, *entry, argv[0], str(path), *argv[1:]]
     with subprocess.Popen(command, cwd=ROOT, env=ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as run:

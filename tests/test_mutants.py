@@ -17,7 +17,7 @@ import copyprop.analysis as analysis
 import copyprop.cli as cli
 import copyprop.oracle as oracle
 import copyprop.propagate as propagate
-from copyprop import Const, Copy, FactSet, Var
+from copyprop import Copy, FactSet
 from copyprop.cli import main
 from copyprop.ir import defined_var
 
@@ -35,8 +35,8 @@ def _off_by_one_after(min_hops: int):
 
     def resolve(var, facts):
         target, hops = resolve_chain(var, facts)
-        if hops >= min_hops and isinstance(target, Const):
-            target = Const(target + 1)
+        if hops >= min_hops and isinstance(target, int):
+            target = target + 1
         return target, hops
 
     return resolve
@@ -51,7 +51,7 @@ def _transfer_without_use_kill(stmt, facts):
     if dst is None:
         return facts
     kept = {d: src for d, src in facts.items() if d != dst}
-    if isinstance(stmt, Copy) and stmt.src != Var(dst):
+    if isinstance(stmt, Copy) and stmt.src != dst:
         kept[dst] = stmt.src
     return FactSet(kept)
 

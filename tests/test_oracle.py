@@ -17,7 +17,6 @@ from copyprop import (
     Binary,
     Block,
     Branch,
-    Const,
     Copy,
     CyclicGraphError,
     FactSet,
@@ -25,7 +24,6 @@ from copyprop import (
     Nop,
     PathBudgetError,
     Program,
-    Var,
     differential_check,
     parse_program,
     print_program,
@@ -79,7 +77,7 @@ def test_cyclic_graph_is_rejected():
 
 def test_deep_straight_line_has_one_path():
     # deeper than the interpreter's default recursion limit
-    prog = straight_line(*[Binary("x", "+", Var("x"), Const(1))] * 1200)
+    prog = straight_line(*[Binary("x", "+", "x", 1)] * 1200)
     paths = enumerate_paths(prog, prog.exit)
     assert paths == [tuple(f"B{i}" for i in range(1202))]
     assert mop_in(prog)[prog.exit] == EMPTY == run_acs(prog).in_sets[prog.exit]
@@ -123,7 +121,7 @@ def test_cycle_among_unreachable_blocks_is_not_walked():
         "B8: x = x + 1 -> B9\nB9: branch p -> B8, B2\n"
     )
     assert enumerate_paths(prog, "B2") == [("B0", "B1", "B2")]
-    assert mop_in(prog) == {"B0": EMPTY, "B1": EMPTY, "B2": FactSet({"x": Const(1)})}
+    assert mop_in(prog) == {"B0": EMPTY, "B1": EMPTY, "B2": FactSet({"x": 1})}
     assert enumerate_paths(prog, "B8") == []
 
 
@@ -179,7 +177,7 @@ def test_step_budget_bounds_the_pairs_a_walk_transfers(monkeypatch):
     prog = sequential_diamonds(12, tail=2000)
     blocks = dict(prog.blocks)
     for j in range(2000):
-        blocks[f"T{j}"] = Block(Copy(f"c{j}", Var("y")), blocks[f"T{j}"].succs)
+        blocks[f"T{j}"] = Block(Copy(f"c{j}", "y"), blocks[f"T{j}"].succs)
     prog = Program(blocks, prog.entry, prog.exit)
     pairs = 0
 
@@ -197,9 +195,9 @@ def test_step_budget_bounds_the_pairs_a_walk_transfers(monkeypatch):
 
 def test_mop_fig1(fig1):
     mop = mop_in(fig1)
-    assert mop["B4"] == FactSet({"y": Var("x")})
+    assert mop["B4"] == FactSet({"y": "x"})
     assert mop["B2"] == EMPTY
-    assert mop["B5"] == FactSet({"y": Var("x")})
+    assert mop["B5"] == FactSet({"y": "x"})
 
 
 def acyclic_corpus() -> list[Program]:
@@ -373,12 +371,12 @@ def test_interpret_branch_polarity():
     [(-7, 2, -3), (7, -2, -3), (-7, -2, 3), (7, 2, 3), (1, 3, 0)],
 )
 def test_division_truncates_toward_zero(a, b, expected):
-    prog = straight_line(Binary("x", "/", Const(a), Const(b)))
+    prog = straight_line(Binary("x", "/", a, b))
     assert interpret(prog, {}, 10).final_env == {"x": expected}
 
 
 def test_division_by_zero_is_runtime_error():
-    prog = straight_line(Binary("x", "/", Const(1), Var("y")))
+    prog = straight_line(Binary("x", "/", 1, "y"))
     trace = interpret(prog, {"y": 0}, 10)
     assert trace.status == "runtime-error"
     assert trace.error == "div-by-zero"
@@ -386,7 +384,7 @@ def test_division_by_zero_is_runtime_error():
 
 
 def test_unbound_variable_is_runtime_error():
-    prog = straight_line(Copy("x", Var("q")))
+    prog = straight_line(Copy("x", "q"))
     trace = interpret(prog, {}, 10)
     assert trace.status == "runtime-error"
     assert trace.error == "unbound-variable q"
@@ -394,16 +392,16 @@ def test_unbound_variable_is_runtime_error():
 
 def test_arithmetic_wraps_64_bits():
     prog = straight_line(
-        Binary("x", "+", Const(2**63 - 1), Const(1)),
-        Binary("y", "*", Const(2**62), Const(4)),
-        Binary("z", "-", Const(-(2**63)), Const(1)),
+        Binary("x", "+", 2**63 - 1, 1),
+        Binary("y", "*", 2**62, 4),
+        Binary("z", "-", -(2**63), 1),
     )
     env = interpret(prog, {}, 10).final_env
     assert env == {"x": -(2**63), "y": 0, "z": 2**63 - 1}
 
 
 def test_trace_records_env_after_each_step():
-    prog = straight_line(Copy("x", Const(5)), Binary("x", "+", Var("x"), Const(1)))
+    prog = straight_line(Copy("x", 5), Binary("x", "+", "x", 1))
     seen = []
     trace = interpret(prog, {}, 10, on_step=lambda label, env: seen.append((label, dict(env))))
     # the environment after step i is the one step i + 1 sees, and after the last is final_env
@@ -418,7 +416,7 @@ def test_trace_records_env_after_each_step():
 
 
 def test_on_step_sees_env_before_statement():
-    prog = straight_line(Copy("x", Const(5)))
+    prog = straight_line(Copy("x", 5))
     seen = []
     interpret(prog, {}, 10, on_step=lambda label, env: seen.append((label, dict(env))))
     assert seen == [("B0", {}), ("B1", {}), ("B2", {"x": 5})]
@@ -437,7 +435,7 @@ def _ref_wrap(value: int) -> int:
 
 
 def _ref_value(op, env):
-    if isinstance(op, Const):
+    if isinstance(op, int):
         return op
     try:
         return env[op]
@@ -507,7 +505,7 @@ def _uninitialised(prog: Program, var: str) -> Program:
     var is read from the input environment."""
     blocks = dict(prog.blocks)
     for label, block in prog.blocks.items():
-        if isinstance(block.stmt, Copy) and block.stmt.dst == var and isinstance(block.stmt.src, Const):
+        if isinstance(block.stmt, Copy) and block.stmt.dst == var and isinstance(block.stmt.src, int):
             blocks[label] = Block(Nop(), block.succs)
             break
     return Program(blocks, prog.entry, prog.exit)
@@ -624,7 +622,7 @@ def test_a_state_that_never_repeats_runs_every_step(monkeypatch):
 def test_int64_wrap_inside_a_loop_repeats_after_four_laps(monkeypatch):
     # x = x + 2**62 wraps to its start value after four laps of B2, B3
     blocks = dict(looped_counter().blocks)
-    blocks["B2"] = Block(Binary("x", "+", Var("x"), Const(2**62)), ("B3",))
+    blocks["B2"] = Block(Binary("x", "+", "x", 2**62), ("B3",))
     prog = Program(blocks, "B0", "B4")
     executed = _executed_step_by_step(monkeypatch)
     for fuel in (2, 9, 10, 13, 10000, 10003):
@@ -738,7 +736,7 @@ def test_generated_programs_are_valid():
 def test_generator_initialises_every_variable():
     prog = random_program(GenParams(seed=3, num_vars=5, min_blocks=10))
     inits = [prog.blocks[f"B{i}"].stmt for i in range(1, 6)]
-    assert all(isinstance(s, Copy) and isinstance(s.src, Const) for s in inits)
+    assert all(isinstance(s, Copy) and isinstance(s.src, int) for s in inits)
     assert {s.dst for s in inits} == {"a", "b", "c", "d", "e"}
 
 
@@ -771,7 +769,7 @@ def test_generator_const_copy_only():
     prog = random_program(GenParams(seed=8, const_copy_only=True))
     for block in prog.blocks.values():
         if isinstance(block.stmt, Copy):
-            assert isinstance(block.stmt.src, Const)
+            assert isinstance(block.stmt.src, int)
 
 
 def test_generator_rejects_bad_params():
@@ -819,7 +817,7 @@ def test_fact_replay_catches_a_planted_lie(fig2):
     """A deliberately corrupted IN set must be flagged by the replay."""
     res = run_acs(fig2)
     bad_ins = dict(res.in_sets)
-    bad_ins["B2"] = FactSet({"b": Const(5)})
+    bad_ins["B2"] = FactSet({"b": 5})
     bad = AnalysisResult(bad_ins, res.out_sets, res.iterations)
     violation = fact_soundness_violation(fig2, bad, {"a": 3}, 100)
     assert violation is not None
@@ -844,7 +842,7 @@ def test_replay_plan_lists_pairs_in_sort_order():
 def test_fact_replay_names_the_first_broken_pair_in_sort_order(fig2):
     res = run_acs(fig2)
     bad_ins = dict(res.in_sets)
-    bad_ins["B2"] = FactSet({"z": Const(7), "b": Const(5)})
+    bad_ins["B2"] = FactSet({"z": 7, "b": 5})
     bad = AnalysisResult(bad_ins, res.out_sets, res.iterations)
     reason, _ = fact_soundness_violation(fig2, bad, {"a": 3}, 100)
     assert "(b, 5)" in reason
@@ -852,7 +850,7 @@ def test_fact_replay_names_the_first_broken_pair_in_sort_order(fig2):
 
 def test_fact_replay_halts_with_program():
     # the replayed run stops at the same runtime error as the original
-    prog = straight_line(Copy("x", Var("q")))
+    prog = straight_line(Copy("x", "q"))
     res = run_acs(prog)
     assert fact_soundness_violation(prog, res, {}, 10) is None
 
@@ -915,7 +913,7 @@ def test_differential_skips_an_iterated_program_equal_to_one_pass(fig2, monkeypa
 def test_differential_catches_a_broken_iterated_program(fig2, monkeypatch):
     def broken(prog, max_rounds):
         rewritten, report = transform_to_fixpoint(prog, max_rounds)
-        return _with_stmt(rewritten, "B6", Copy("e", Const(99))), report
+        return _with_stmt(rewritten, "B6", Copy("e", 99)), report
 
     monkeypatch.setattr(oracle, "transform_to_fixpoint", broken)
     verdict = differential_check(fig2, [{"a": 3}, {"a": -1}], 100)
@@ -927,11 +925,11 @@ def test_differential_catches_a_broken_iterated_program(fig2, monkeypatch):
 def test_differential_reports_the_one_pass_failure_first(fig2, monkeypatch):
     def broken_one(prog, result):
         rewritten, report = transform(prog, result)
-        return _with_stmt(rewritten, "B6", Copy("e", Const(3))), report
+        return _with_stmt(rewritten, "B6", Copy("e", 3)), report
 
     def broken_iterated(prog, max_rounds):
         rewritten, report = transform_to_fixpoint(prog, max_rounds)
-        return _with_stmt(rewritten, "B6", Copy("e", Const(99))), report
+        return _with_stmt(rewritten, "B6", Copy("e", 99)), report
 
     monkeypatch.setattr(oracle, "transform", broken_one)
     monkeypatch.setattr(oracle, "transform_to_fixpoint", broken_iterated)
@@ -950,7 +948,7 @@ def test_differential_compares_values_when_only_the_fast_forward_differs(monkeyp
         "entry: B0\nexit: B6\nB0: nop -> B1\nB1: x = 8 -> B2\nB2: y = x -> B3\n"
         "B3: z = y + 1 -> B4\nB4: x = z / 2 -> B5\nB5: branch p -> B2, B6\nB6: nop\n"
     )
-    variant = _with_stmt(prog, "B2", Copy("y", Const(2)))
+    variant = _with_stmt(prog, "B2", Copy("y", 2))
     original, planted = interpret(prog, {"p": 1}, 100), interpret(variant, {"p": 1}, 100)
     assert original.prefix != planted.prefix and original.labels == planted.labels
     monkeypatch.setattr(oracle, "transform", lambda prog, result: (variant, transform(prog, result)[1]))
@@ -962,7 +960,7 @@ def test_differential_replays_facts_on_the_original_run(fig2, monkeypatch):
     """The planted (b, 5) lie of the replay test, reached through differential_check."""
     res = run_acs(fig2)
     bad_ins = dict(res.in_sets)
-    bad_ins["B2"] = FactSet({"b": Const(5)})
+    bad_ins["B2"] = FactSet({"b": 5})
     bad = AnalysisResult(bad_ins, res.out_sets, res.iterations)
     monkeypatch.setattr(oracle, "run_acs", lambda prog: bad)
     # the rewrite stays honest, so only the replay can see the lie

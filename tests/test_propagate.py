@@ -7,11 +7,9 @@ import pytest
 from copyprop import (
     Binary,
     Branch,
-    Const,
     Copy,
     GenParams,
     Nop,
-    Var,
     defined_var,
     print_program,
     random_program,
@@ -30,12 +28,12 @@ def rewrite_statement(stmt, facts, block=""):
 
 
 RESOLVE_CASES = [
-    ("c", (("c", "b"), ("b", "a")), Var("a"), 2),
-    ("d", (("d", "c"), ("c", 2)), Const(2), 2),
-    ("b", (("b", "a"),), Var("a"), 1),
-    ("a", (("b", "a"),), Var("a"), 0),
-    ("x", (), Var("x"), 0),
-    ("x", (("x", 7),), Const(7), 1),
+    ("c", (("c", "b"), ("b", "a")), "a", 2),
+    ("d", (("d", "c"), ("c", 2)), 2, 2),
+    ("b", (("b", "a"),), "a", 1),
+    ("a", (("b", "a"),), "a", 0),
+    ("x", (), "x", 0),
+    ("x", (("x", 7),), 7, 1),
 ]
 
 
@@ -51,51 +49,51 @@ def test_resolve_chain(var, specs, expected, hops):
 
 def test_resolve_returns_operand_only():
     facts = pairs(("c", "b"), ("b", "a"))
-    assert resolve_chain("c", facts)[0] == Var("a")
-    assert resolve_chain("q", facts)[0] == Var("q")
+    assert resolve_chain("c", facts)[0] == "a"
+    assert resolve_chain("q", facts)[0] == "q"
 
 
 def test_rewrite_copy_source():
-    stmt, reps = rewrite_statement(Copy("e", Var("c")), pairs(("c", "b"), ("b", "a")), "B6")
-    assert stmt == Copy("e", Var("a"))
+    stmt, reps = rewrite_statement(Copy("e", "c"), pairs(("c", "b"), ("b", "a")), "B6")
+    assert stmt == Copy("e", "a")
     assert len(reps) == 1
     rep = reps[0]
     assert (rep.block, rep.position) == ("B6", "copy-src")
     assert rep.original == "c"
-    assert rep.replacement == Var("a")
+    assert rep.replacement == "a"
     assert rep.chain_length == 2
 
 
 def test_rewrite_binary_operands():
     stmt, reps = rewrite_statement(
-        Binary("z", "+", Var("y"), Var("w")), pairs(("y", "x")), "B4"
+        Binary("z", "+", "y", "w"), pairs(("y", "x")), "B4"
     )
-    assert stmt == Binary("z", "+", Var("x"), Var("w"))
+    assert stmt == Binary("z", "+", "x", "w")
     assert [r.position for r in reps] == ["binary-lhs"]
 
 
 def test_rewrite_leaves_destination_alone():
     # x is both defined and used; only the use slot changes
-    stmt, reps = rewrite_statement(Binary("x", "+", Var("x"), Const(1)), pairs(("x", 4)))
-    assert stmt == Binary("x", "+", Const(4), Const(1))
+    stmt, reps = rewrite_statement(Binary("x", "+", "x", 1), pairs(("x", 4)))
+    assert stmt == Binary("x", "+", 4, 1)
     assert len(reps) == 1
 
 
 def test_rewrite_branch_condition():
-    stmt, reps = rewrite_statement(Branch(Var("p")), pairs(("p", "q")))
-    assert stmt == Branch(Var("q"))
+    stmt, reps = rewrite_statement(Branch("p"), pairs(("p", "q")))
+    assert stmt == Branch("q")
     assert reps[0].position == "branch-cond"
 
 
 def test_rewrite_without_facts_is_identity():
-    stmt = Binary("z", "+", Var("y"), Var("w"))
+    stmt = Binary("z", "+", "y", "w")
     assert rewrite_statement(stmt, pairs()) == (stmt, [])
 
 
 def test_transform_fig1(fig1):
     out, report = transform(fig1, run_acs(fig1))
-    assert out.blocks["B4"].stmt == Binary("z", "+", Var("x"), Var("w"))
-    assert out.blocks["B2"].stmt == Copy("y", Var("x"))  # nothing known at B2
+    assert out.blocks["B4"].stmt == Binary("z", "+", "x", "w")
+    assert out.blocks["B2"].stmt == Copy("y", "x")  # nothing known at B2
     assert len(report.replacements) == 1
     assert report.pass_count == 1
     assert report.converged
@@ -103,11 +101,11 @@ def test_transform_fig1(fig1):
 
 def test_transform_fig2_single_pass(fig2):
     out, report = transform(fig2, run_acs(fig2))
-    assert out.blocks["B2"].stmt == Binary("d", "+", Var("a"), Const(1))
-    assert out.blocks["B3"].stmt == Copy("c", Var("a"))
-    assert out.blocks["B4"].stmt == Binary("f", "+", Var("a"), Var("d"))
-    assert out.blocks["B5"].stmt == Binary("g", "+", Var("a"), Var("a"))
-    assert out.blocks["B6"].stmt == Copy("e", Var("a"))
+    assert out.blocks["B2"].stmt == Binary("d", "+", "a", 1)
+    assert out.blocks["B3"].stmt == Copy("c", "a")
+    assert out.blocks["B4"].stmt == Binary("f", "+", "a", "d")
+    assert out.blocks["B5"].stmt == Binary("g", "+", "a", "a")
+    assert out.blocks["B6"].stmt == Copy("e", "a")
     assert len(report.replacements) == 6
     # chain uses resolve all the way in one pass
     assert "B6: e = a -> B7" in print_program(out)
@@ -137,7 +135,7 @@ def test_transform_is_shape_preserving():
 
 
 def test_transform_copy_free_is_identity():
-    prog = straight_line(Binary("z", "+", Var("a"), Const(1)), Nop())
+    prog = straight_line(Binary("z", "+", "a", 1), Nop())
     out, report = transform(prog, run_acs(prog))
     assert out == prog
     assert report.replacements == ()
@@ -150,24 +148,24 @@ def test_replacements_never_reintroduce_original():
         _, report = transform(prog, run_acs(prog))
         for rep in report.replacements:
             assert rep.chain_length >= 1
-            assert rep.replacement != Var(rep.original)
+            assert rep.replacement != rep.original
 
 
 def test_fixpoint_needs_multiple_rounds_when_pairs_go_stale():
     # b = a; c = b; b = 1; d = c
     prog = straight_line(
-        Copy("b", Var("a")),
-        Copy("c", Var("b")),
-        Copy("b", Const(1)),
-        Copy("d", Var("c")),
+        Copy("b", "a"),
+        Copy("c", "b"),
+        Copy("b", 1),
+        Copy("d", "c"),
     )
     out, report = transform_to_fixpoint(prog, 10)
     assert report.pass_count == 3
     assert report.converged
     assert len(report.replacements) == 2
     # round one rewrites c = b into c = a, unblocking d = c in round two
-    assert out.blocks["B2"].stmt == Copy("c", Var("a"))
-    assert out.blocks["B4"].stmt == Copy("d", Var("a"))
+    assert out.blocks["B2"].stmt == Copy("c", "a")
+    assert out.blocks["B4"].stmt == Copy("d", "a")
 
 
 def test_fixpoint_fig2_terminates_in_two(fig2):
@@ -175,11 +173,11 @@ def test_fixpoint_fig2_terminates_in_two(fig2):
     assert report.pass_count == 2
     assert report.converged
     assert len(report.replacements) == 6
-    assert out.blocks["B6"].stmt == Copy("e", Var("a"))
+    assert out.blocks["B6"].stmt == Copy("e", "a")
 
 
 def test_fixpoint_copy_free_single_pass():
-    prog = straight_line(Binary("z", "+", Var("a"), Const(1)))
+    prog = straight_line(Binary("z", "+", "a", 1))
     out, report = transform_to_fixpoint(prog, 10)
     assert out == prog
     assert report.pass_count == 1
@@ -190,22 +188,22 @@ def test_fixpoint_copy_free_single_pass():
 def test_chain_collapses_in_one_pass(n):
     prog, use_label = copy_chain(n)
     out, report = transform(prog, run_acs(prog))
-    assert out.blocks[use_label].stmt == Binary("u", "+", Var("x0"), Const(0))
+    assert out.blocks[use_label].stmt == Binary("u", "+", "x0", 0)
     chain_rep = [r for r in report.replacements if r.block == use_label]
     assert chain_rep[0].chain_length == n
 
 
 def test_fixpoint_respects_round_budget():
     prog = straight_line(
-        Copy("b", Var("a")),
-        Copy("c", Var("b")),
-        Copy("b", Const(1)),
-        Copy("d", Var("c")),
+        Copy("b", "a"),
+        Copy("c", "b"),
+        Copy("b", 1),
+        Copy("d", "c"),
     )
     out, report = transform_to_fixpoint(prog, 1)
     assert report.pass_count == 1
     assert not report.converged
-    assert out.blocks["B4"].stmt == Copy("d", Var("c"))  # second round never ran
+    assert out.blocks["B4"].stmt == Copy("d", "c")  # second round never ran
 
 
 def test_fixpoint_rejects_bad_budget(fig1):
