@@ -58,7 +58,8 @@ def _rewrite_slots(
 ) -> tuple[Statement, list[Replacement]]:
     """Rewrite each variable use of one statement to `rule(label, facts, name,
     slot)`: (replacement, chain length), or None to keep the use. The one
-    place that knows which operand of which statement is which slot."""
+    place that knows which operand of which statement is which slot. A
+    statement with no use replaced is returned itself, not a copy."""
     replacements: list[Replacement] = []
 
     def slot(operand: Operand, position: str) -> Operand:
@@ -71,11 +72,17 @@ def _rewrite_slots(
         return found[0]
 
     if isinstance(stmt, Copy):
-        stmt = Copy(stmt.dst, slot(stmt.src, "copy-src"))
+        src = slot(stmt.src, "copy-src")
+        if replacements:
+            stmt = Copy(stmt.dst, src)
     elif isinstance(stmt, Binary):
-        stmt = Binary(stmt.dst, stmt.op, slot(stmt.lhs, "binary-lhs"), slot(stmt.rhs, "binary-rhs"))
+        lhs, rhs = slot(stmt.lhs, "binary-lhs"), slot(stmt.rhs, "binary-rhs")
+        if replacements:
+            stmt = Binary(stmt.dst, stmt.op, lhs, rhs)
     elif isinstance(stmt, Branch):
-        stmt = Branch(slot(stmt.cond, "branch-cond"))
+        cond = slot(stmt.cond, "branch-cond")
+        if replacements:
+            stmt = Branch(cond)
     return stmt, replacements
 
 
@@ -93,16 +100,25 @@ def _rewrite_program(
     """One pass in label order over the blocks with an IN set, the reachable
     ones, asking `rule(label, IN set, variable, slot)` for each use; the
     unreachable blocks are kept as is. Both propagations walk the program
-    here and differ only in the rule."""
+    here and differ only in the rule.
+
+    The result shares with `prog` what did not change: a block without a
+    replacement is `prog`'s own `Block` object, statement included, and a
+    pass that replaces nothing returns `prog` itself. Only rewritten blocks
+    are built anew. Blocks and statements are frozen and no caller edits a
+    program's dict in place, so sharing is safe."""
     new_blocks: dict[str, Block] = {}
     replacements: list[Replacement] = []
     for label, block in prog.blocks.items():
         if label in in_sets:
             stmt, reps = _rewrite_slots(block.stmt, label, in_sets[label], rule)
-            block = Block(stmt, block.succs)
-            replacements.extend(reps)
+            if reps:
+                block = Block(stmt, block.succs)
+                replacements.extend(reps)
         new_blocks[label] = block
-    return Program(new_blocks, prog.entry, prog.exit), ReplacementReport(tuple(replacements), pass_count=1)
+    if replacements:
+        prog = Program(new_blocks, prog.entry, prog.exit)
+    return prog, ReplacementReport(tuple(replacements), pass_count=1)
 
 
 def transform(prog: Program, result: AnalysisResult) -> tuple[Program, ReplacementReport]:
@@ -115,7 +131,15 @@ def transform_to_fixpoint(prog: Program, max_rounds: int) -> tuple[Program, Repl
     counts) or max_rounds is hit; non-convergence is reported, never raised.
 
     A rewritten copy can introduce pairs a later round resolves further, so a
-    single pass is not always idempotent.
+    single pass is not always idempotent. But when round k replaced something
+    and no `copy-src` slot, round k + 1 would replace nothing, so it counts
+    (when k < max_rounds) without being solved or rewritten:
+    - `transfer` reads only a block's defined variable and a copy's source.
+      Targets never move and no copy source moved, so round k + 1's IN sets
+      are round k's.
+    - Every use round k rewrote holds its chain's endpoint: a constant, or a
+      variable `end` with `facts.get(end)` None, which resolves in 0 hops.
+    - Every use round k left alone resolved in 0 hops under the same IN set.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
@@ -125,4 +149,6 @@ def transform_to_fixpoint(prog: Program, max_rounds: int) -> tuple[Program, Repl
         replacements.extend(report.replacements)
         if not report.replacements:
             return prog, ReplacementReport(tuple(replacements), rounds, True)
+        if rounds < max_rounds and all(r.position != "copy-src" for r in report.replacements):
+            return prog, ReplacementReport(tuple(replacements), rounds + 1, True)
     return prog, ReplacementReport(tuple(replacements), max_rounds, False)

@@ -547,13 +547,27 @@ def test_a_unicode_line_separator_in_a_comment_is_not_a_line_break(tmp_path, cap
     assert run(capsys, "analyze", str(path)) == run(capsys, "analyze", FIG1)
 
 
+# B1: x = 1, B2: y = x + 1, so one pass rewrites a binary use and no copy source
+CONSTANT_USE = "entry: B0\nexit: B3\nB0: nop -> B1\nB1: x = 1 -> B2\nB2: y = x + 1 -> B3\nB3: nop\n"
+
+
 @pytest.mark.parametrize(
     "argv, solves",
-    [(["compare", FIG2], 1), (["check", FIG2], 2)],
+    [
+        (["compare", FIG2], 1),
+        (["check", FIG2], 2),
+        (["transform", FIG2, "--iterate", "10"], 2),
+        (["transform", "CONSTANT_USE", "--iterate", "10"], 1),
+    ],
 )
-def test_commands_solve_the_original_once(argv, solves, monkeypatch, capsys):
+def test_commands_solve_the_original_once(argv, solves, monkeypatch, capsys, tmp_path):
     """compare hands its solution to the baseline and check hands it to the
-    differential check; only check's iterated rewrite solves again."""
+    differential check; only check's iterated rewrite solves again. An
+    iterated transform solves until a round moves no copy source (fig2's
+    first round moves c = b to c = a) and counts the next round unsolved."""
+    path = tmp_path / "constant_use.tac"
+    path.write_text(CONSTANT_USE)
+    argv = [str(path) if arg == "CONSTANT_USE" else arg for arg in argv]
     calls = []
     original = analysis.solve_forward
 
@@ -564,6 +578,18 @@ def test_commands_solve_the_original_once(argv, solves, monkeypatch, capsys):
     monkeypatch.setattr(analysis, "solve_forward", counted)
     assert run(capsys, *argv)[0] == 0
     assert len(calls) == solves
+
+
+def test_iterate_reports_the_round_it_counts_without_solving(tmp_path, capsys):
+    path = tmp_path / "constant_use.tac"
+    path.write_text(CONSTANT_USE)
+    assert run(capsys, "transform", str(path), "--iterate", "10", "--report") == (
+        0,
+        "entry: B0\nexit: B3\nB0: nop -> B1\nB1: x = 1 -> B2\nB2: y = 1 + 1 -> B3\nB3: nop\n"
+        "# passes: 2\n"
+        "# B2 binary-lhs: x -> 1 (chain 1)\n",
+        "",
+    )
 
 
 def test_parse_diagnostics_go_to_stderr(tmp_path, capsys):

@@ -3,14 +3,20 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import copyprop.propagate as propagate
 from copyprop import (
     Binary,
     Branch,
     Copy,
     GenParams,
     Nop,
+    ReplacementReport,
+    classic_transform,
     defined_var,
+    parse_program,
     print_program,
     random_program,
     resolve_chain,
@@ -20,6 +26,7 @@ from copyprop import (
 )
 from copyprop.propagate import _chain_endpoint, _rewrite_slots
 from conftest import copy_chain, pairs, straight_line
+from strategies import programs
 
 
 def rewrite_statement(stmt, facts, block=""):
@@ -209,3 +216,70 @@ def test_fixpoint_respects_round_budget():
 def test_fixpoint_rejects_bad_budget(fig1):
     with pytest.raises(ValueError):
         transform_to_fixpoint(fig1, 0)
+
+
+def solving_every_round(prog, max_rounds):
+    """Reference for transform_to_fixpoint without its early stop: solve and
+    rewrite every round until one replaces nothing or the budget is spent."""
+    replacements = []
+    for rounds in range(1, max_rounds + 1):
+        prog, report = transform(prog, run_acs(prog))
+        replacements.extend(report.replacements)
+        if not report.replacements:
+            return prog, ReplacementReport(tuple(replacements), rounds, True)
+    return prog, ReplacementReport(tuple(replacements), max_rounds, False)
+
+
+@settings(max_examples=500)
+@given(prog=programs(), max_rounds=st.integers(1, 4))
+def test_fixpoint_matches_solving_every_round(prog, max_rounds):
+    """A round it counts without solving is one that would replace nothing."""
+    out, report = transform_to_fixpoint(prog, max_rounds)
+    expected, expected_report = solving_every_round(prog, max_rounds)
+    assert out == expected
+    assert report.replacements == expected_report.replacements
+    assert report.pass_count == expected_report.pass_count
+    assert report.converged is expected_report.converged
+
+
+@pytest.mark.parametrize("max_rounds, passes, converged", [(10, 2, True), (1, 1, False)])
+def test_fixpoint_counts_a_confirming_round_without_solving_it(max_rounds, passes, converged, monkeypatch):
+    # round one rewrites y = x + 1 and no copy source, so round two would
+    # have round one's IN sets and nothing left to resolve; it is counted
+    # only when the budget has room for it
+    solves = []
+    run_acs = propagate.run_acs
+    monkeypatch.setattr(propagate, "run_acs", lambda prog: solves.append(prog) or run_acs(prog))
+    out, report = transform_to_fixpoint(straight_line(Copy("x", 1), Binary("y", "+", "x", 1)), max_rounds)
+    assert out.blocks["B2"].stmt == Binary("y", "+", 1, 1)
+    assert report.pass_count == passes
+    assert report.converged is converged
+    assert len(solves) == 1
+
+
+REWRITES = {
+    "transform": lambda prog: transform(prog, run_acs(prog)),
+    "classic_transform": classic_transform,
+}
+
+
+@pytest.mark.parametrize("rewrite", list(REWRITES.values()), ids=list(REWRITES))
+@settings(max_examples=300)
+@given(prog=programs())
+def test_a_pass_shares_every_block_it_does_not_rewrite(rewrite, prog):
+    """Unrewritten blocks are the input's objects, rewritten ones are new, a
+    pass that rewrites nothing returns its input, and the input is left as
+    it was."""
+    text = print_program(prog)
+    out, report = rewrite(prog)
+    rewritten = {r.block for r in report.replacements}
+    if not rewritten:
+        assert out is prog
+    for label, block in prog.blocks.items():
+        if label in rewritten:
+            assert out.blocks[label] is not block
+            assert out.blocks[label].stmt is not block.stmt
+        else:
+            assert out.blocks[label] is block
+            assert out.blocks[label].stmt is block.stmt
+    assert prog == parse_program(text)
