@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, ItemsView, Iterator, KeysView, Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Generic, TypeVar
 
 from .ir import Operand, Program, Statement
@@ -104,30 +105,16 @@ class AnalysisResult(Generic[L]):
 
 def reverse_postorder(prog: Program) -> list[str]:
     """Blocks reachable from the entry in reverse postorder of a depth-first walk
-    that explores successors in listed order; only back edges point backwards."""
-    seen = {prog.entry}
-    post: list[str] = []
-    stack = [(prog.entry, iter(prog.blocks[prog.entry].succs))]
-    while stack:
-        label, succs = stack[-1]
-        for succ in succs:
-            if succ not in seen:
-                seen.add(succ)
-                stack.append((succ, iter(prog.blocks[succ].succs)))
-                break
-        else:
-            stack.pop()
-            post.append(label)
-    return post[::-1]
+    that explores successors in listed order; only back edges point backwards.
+    Walked once per program (see `Program`); each call returns a new list."""
+    return list(prog._reverse_postorder())
 
 
-def predecessors(prog: Program) -> dict[str, tuple[str, ...]]:
-    """Each block's predecessors once each, in label order."""
-    preds: dict[str, dict[str, None]] = {label: {} for label in prog.blocks}
-    for label, block in prog.blocks.items():
-        for succ in block.succs:
-            preds[succ][label] = None
-    return {label: tuple(ps) for label, ps in preds.items()}
+def predecessors(prog: Program) -> Mapping[str, tuple[str, ...]]:
+    """Each block's predecessors once each, in label order. Found once per
+    program (see `Program`) and shared by programs with the same edges, so
+    the map returned is a read-only view."""
+    return MappingProxyType(prog._predecessors())
 
 
 def _solve(
@@ -153,8 +140,8 @@ def _solve(
     `on_update(label, old, new)` fires on every OUT change, with `old` None
     for a block's first OUT; `iterations` counts block visits.
     """
-    preds = predecessors(prog)
-    rpo = reverse_postorder(prog)
+    preds = prog._predecessors()
+    rpo = prog._reverse_postorder()
     ins: dict[str, L] = {}
     outs: dict[str, L] = {}
     dirty = set(rpo)

@@ -42,8 +42,10 @@ from __future__ import annotations
 
 import functools
 import re
-from collections.abc import Iterable
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Mapping
+from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import TypeVar
 
 INT_RE = re.compile(r"[+-]?[0-9]+\Z")
 DIGITS_RE = re.compile(r"([0-9]+)")
@@ -92,17 +94,83 @@ class Block:
     succs: tuple[str, ...] = ()
 
 
+T = TypeVar("T")
+
+
+def _build_reverse_postorder(prog: Program) -> tuple[str, ...]:
+    seen = {prog.entry}
+    post: list[str] = []
+    stack = [(prog.entry, iter(prog.blocks[prog.entry].succs))]
+    while stack:
+        label, succs = stack[-1]
+        for succ in succs:
+            if succ not in seen:
+                seen.add(succ)
+                stack.append((succ, iter(prog.blocks[succ].succs)))
+                break
+        else:
+            stack.pop()
+            post.append(label)
+    return tuple(reversed(post))
+
+
+def _build_predecessors(prog: Program) -> dict[str, tuple[str, ...]]:
+    preds: dict[str, dict[str, None]] = {label: {} for label in prog.blocks}
+    for label, block in prog.blocks.items():
+        for succ in block.succs:
+            preds[succ][label] = None
+    return {label: tuple(ps) for label, ps in preds.items()}
+
+
 @dataclass(frozen=True)
 class Program:
-    """`blocks` is the program's own dict, in `natural_key` order whatever
-    order it was given; equality ignores order, as dicts compare without it."""
+    """`blocks` is a read-only view of the program's own dict, in
+    `natural_key` order whatever order it was given; equality ignores order,
+    as dicts compare without it.
 
-    blocks: dict[str, Block]
+    A value derived from the program, such as its predecessor map or the
+    interpreter's decoded form, is built on its first use (`_derive`) and
+    kept in `_memo`, which equality and repr ignore. The program cannot be
+    edited, so what is kept never goes stale.
+    """
+
+    blocks: Mapping[str, Block]
     entry: str
     exit: str
+    _memo: dict[Callable[[Program], object], object] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "blocks", {name: self.blocks[name] for name in sorted(self.blocks, key=natural_key)})
+        ordered = {name: self.blocks[name] for name in sorted(self.blocks, key=natural_key)}
+        object.__setattr__(self, "blocks", MappingProxyType(ordered))
+
+    def _derive(self, build: Callable[[Program], T]) -> T:
+        """`build(self)`, built on the first call with `build` and kept."""
+        value = self._memo.get(build)
+        if value is None:
+            value = self._memo[build] = build(self)
+        return value
+
+    def _predecessors(self) -> dict[str, tuple[str, ...]]:
+        """Each block's predecessors once each, in label order; shared, so
+        not to be edited."""
+        return self._derive(_build_predecessors)
+
+    def _reverse_postorder(self) -> tuple[str, ...]:
+        """The blocks reachable from the entry in reverse postorder of a
+        depth-first walk that explores successors in listed order."""
+        return self._derive(_build_reverse_postorder)
+
+    def _with_statements(self, blocks: dict[str, Block]) -> Program:
+        """This program with `blocks` in place of its own. Each label of
+        `blocks` must keep its successors, so the new program has the same
+        edges and shares the views built from them alone."""
+        new = Program(blocks, self.entry, self.exit)
+        for build in (_build_predecessors, _build_reverse_postorder):
+            if build in self._memo:
+                new._memo[build] = self._memo[build]
+        return new
 
 
 def defined_var(stmt: Statement) -> str | None:

@@ -36,7 +36,7 @@ from .ir import (
     Statement,
     validate,
 )
-from .propagate import transform, transform_to_fixpoint
+from .propagate import _moved_no_copy_source, transform, transform_to_fixpoint
 
 INT64_MASK = (1 << 64) - 1
 Env = dict[str, int]
@@ -204,7 +204,8 @@ Decoded = tuple[str, str | None, Operand | None, Operand | None, str, str | None
 def _decode(prog: Program) -> dict[str, Decoded]:
     """Each block as a tuple the interpreter dispatches on. The kind is "=" for
     a copy, the operator for a binary, "?" for a branch and "" for a nop; the
-    operands are the statement's own."""
+    operands are the statement's own. `interpret` decodes a program once and
+    keeps the result on it (see `Program`)."""
     code: dict[str, Decoded] = {}
     for label, block in prog.blocks.items():
         stmt, succs = block.stmt, block.succs
@@ -310,9 +311,10 @@ def interpret(prog: Program, env0: Env, fuel: int, *, on_step: StepHook | None =
     runs, on every step until the run is fast-forwarded and none after. That
     is never before the first repeated state, so the hook sees every state of
     the run at least once: it suits a check of the state that keeps its first
-    finding, such as the fact replay.
+    finding, such as the fact replay. A program is decoded on its first run
+    only (`_decode`).
     """
-    code = _decode(prog)
+    code = prog._derive(_decode)
     env = dict(env0)
     labels: list[str] = []
     label, status, error, period = _run(code, prog.exit, prog.entry, env, labels, fuel, on_step)
@@ -513,16 +515,20 @@ def differential_check(
     `fact_soundness_violation`. The first failure is reported in this order:
     the one-pass program over all inputs, each input's fact violation right
     after its comparison, then the iterated program. An iterated program
-    equal to the one-pass program is not run: runs are deterministic.
+    equal to the one-pass program is not run: runs are deterministic. It is
+    not even built when the one pass moved no copy source, as the next round
+    would replace nothing (`propagate._moved_no_copy_source`).
     `result` is the availability solution of prog when the caller already
     has it; otherwise it is solved here.
     """
     if result is None:
         result = run_acs(prog)
-    one, _ = transform(prog, result)
-    iterated: Program | None = transform_to_fixpoint(one, ROUNDS - 1)[0]
-    if iterated == one:
-        iterated = None
+    one, report = transform(prog, result)
+    iterated: Program | None = None
+    if not _moved_no_copy_source(report):
+        iterated = transform_to_fixpoint(one, ROUNDS - 1)[0]
+        if iterated == one:
+            iterated = None
     plan = _replay_plan(result)
     iterated_failure: Verdict | None = None
     for env0 in envs:

@@ -105,8 +105,10 @@ def _rewrite_program(
     The result shares with `prog` what did not change: a block without a
     replacement is `prog`'s own `Block` object, statement included, and a
     pass that replaces nothing returns `prog` itself. Only rewritten blocks
-    are built anew. Blocks and statements are frozen and no caller edits a
-    program's dict in place, so sharing is safe."""
+    are built anew. A pass moves no successor, so the result also shares
+    `prog`'s label order and edge views (`Program._with_statements`).
+    Blocks, statements, views and a program's blocks are immutable, so
+    sharing is safe."""
     new_blocks: dict[str, Block] = {}
     replacements: list[Replacement] = []
     for label, block in prog.blocks.items():
@@ -117,7 +119,7 @@ def _rewrite_program(
                 replacements.extend(reps)
         new_blocks[label] = block
     if replacements:
-        prog = Program(new_blocks, prog.entry, prog.exit)
+        prog = prog._with_statements(new_blocks)
     return prog, ReplacementReport(tuple(replacements), pass_count=1)
 
 
@@ -126,21 +128,28 @@ def transform(prog: Program, result: AnalysisResult) -> tuple[Program, Replaceme
     return _rewrite_program(prog, result.in_sets, _chain_endpoint)
 
 
+def _moved_no_copy_source(report: ReplacementReport) -> bool:
+    """Whether one more round after this pass of `transform` would replace
+    nothing, so it need not be solved or rewritten. A single pass is not
+    always idempotent: a rewritten copy can introduce pairs a later round
+    resolves further. But when no `copy-src` slot moved, it is:
+    - `transfer` reads only a block's defined variable and a copy's source.
+      Targets never move and no copy source moved, so the next round's IN
+      sets are this round's.
+    - Every use this round rewrote holds its chain's endpoint: a constant, or
+      a variable `end` with `facts.get(end)` None, which resolves in 0 hops.
+    - Every use this round left alone resolved in 0 hops under the same IN
+      set.
+    """
+    return all(r.position != "copy-src" for r in report.replacements)
+
+
 def transform_to_fixpoint(prog: Program, max_rounds: int) -> tuple[Program, ReplacementReport]:
     """Reanalyze and rewrite until a round replaces nothing (that round
     counts) or max_rounds is hit; non-convergence is reported, never raised.
-
-    A rewritten copy can introduce pairs a later round resolves further, so a
-    single pass is not always idempotent. But when round k replaced something
-    and no `copy-src` slot, round k + 1 would replace nothing, so it counts
-    (when k < max_rounds) without being solved or rewritten:
-    - `transfer` reads only a block's defined variable and a copy's source.
-      Targets never move and no copy source moved, so round k + 1's IN sets
-      are round k's.
-    - Every use round k rewrote holds its chain's endpoint: a constant, or a
-      variable `end` with `facts.get(end)` None, which resolves in 0 hops.
-    - Every use round k left alone resolved in 0 hops under the same IN set.
-    """
+    A round that replaced uses but moved no copy source is followed by one
+    that would replace nothing (`_moved_no_copy_source`); that round counts,
+    when max_rounds allows it, without being solved or rewritten."""
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
     replacements: list[Replacement] = []
@@ -149,6 +158,6 @@ def transform_to_fixpoint(prog: Program, max_rounds: int) -> tuple[Program, Repl
         replacements.extend(report.replacements)
         if not report.replacements:
             return prog, ReplacementReport(tuple(replacements), rounds, True)
-        if rounds < max_rounds and all(r.position != "copy-src" for r in report.replacements):
+        if rounds < max_rounds and _moved_no_copy_source(report):
             return prog, ReplacementReport(tuple(replacements), rounds + 1, True)
     return prog, ReplacementReport(tuple(replacements), max_rounds, False)

@@ -113,3 +113,39 @@ def fan_in(n: int) -> Program:
         lines += [f"C{i}: v{i} = {i} -> B{i}", f"B{i}: branch p -> C{i + 1}, J"]
     lines += [f"C{n}: nop -> J", "J: nop"]
     return parse_program("\n".join(lines) + "\n")
+
+
+def nested_loops(n: int, body: int = 0) -> Program:
+    """n loops, each the body of the one before: loop i tests `branch c` in
+    H_i, enters through P_i, where x_i = x_(i-1) (x_0 = y), and comes back
+    from its latch L_i: y = x_i + 1. Leaving loop i goes to the latch of loop
+    i - 1, or to the exit. The innermost loop runs `body` nops N_j between
+    its P and its latch. The copies form a chain x_i, ..., x_0, y that any
+    latch breaks at y, so one rewriting round moves copy sources to x_0 and a
+    second, solved anew, confirms. The cycle-free path from the innermost
+    latch out through every Q_i takes every back edge L_i -> H_i, so the loop
+    connectedness d (Kam & Ullman, 1976) is n."""
+    lines = ["entry: E", "exit: X", "E: nop -> H0"]
+    for i in range(n):
+        inner = f"H{i + 1}" if i + 1 < n else ("N0" if body else f"L{i}")
+        outer = f"L{i - 1}" if i else "X"
+        src = f"x{i - 1}" if i else "y"
+        lines += [
+            f"H{i}: branch c -> P{i}, Q{i}",
+            f"P{i}: x{i} = {src} -> {inner}",
+            f"L{i}: y = x{i} + 1 -> H{i}",
+            f"Q{i}: nop -> {outer}",
+        ]
+    lines += [f"N{j}: nop -> {f'N{j + 1}' if j + 1 < body else f'L{n - 1}'}" for j in range(body)]
+    lines.append("X: nop")
+    return parse_program("\n".join(lines) + "\n")
+
+
+def nop_run(n: int) -> Program:
+    """x = 1, then n nops, then y = x + 1: one straight path, n + 4 blocks
+    deep, whose copy reaches the use across every nop. Acyclic, so the loop
+    connectedness is 0."""
+    lines = ["entry: B0", f"exit: B{n + 3}", "B0: nop -> B1", "B1: x = 1 -> B2"]
+    lines += [f"B{i}: nop -> B{i + 1}" for i in range(2, n + 2)]
+    lines += [f"B{n + 2}: y = x + 1 -> B{n + 3}", f"B{n + 3}: nop"]
+    return parse_program("\n".join(lines) + "\n")

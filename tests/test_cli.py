@@ -9,12 +9,15 @@ from dataclasses import replace
 import pytest
 
 import copyprop.analysis as analysis
+import copyprop.classic as classic
 import copyprop.cli as cli
+import copyprop.dataflow as dataflow
+import copyprop.ir as ir
 import copyprop.oracle as oracle
 from copyprop import Replacement, ReplacementReport, Verdict, variables
 from copyprop.cli import build_parser, main
 from copyprop.ir import print_program
-from conftest import FIXTURES, fan_in, load_fixture, sequential_diamonds
+from conftest import FIXTURES, fan_in, load_fixture, nested_loops, nop_run, sequential_diamonds
 
 FIG1 = str(FIXTURES / "fig1.tac")
 FIG2 = str(FIXTURES / "fig2.tac")
@@ -261,6 +264,57 @@ def test_check_finishes_on_large_programs_whose_labels_run_against_the_flow(shap
     assert time.perf_counter() - start < 60
     assert code == 0
     assert out.splitlines()[-1] == "PASS"
+
+
+# shape and its loop connectedness d; each command takes under 0.2 s on a shared 2-vCPU host
+# the loops wrap a long body, so d + 2 is close to the passes a solve takes
+SHAPES = {"nested_loops": (lambda: nested_loops(2, body=2000), 2), "nop_run": (lambda: nop_run(2000), 0)}
+COMMANDS = {
+    "analyze": ["analyze"],
+    "iterate": ["transform", "--iterate", "10"],
+    "compare": ["compare"],
+    "check": ["check", "--inputs", "2"],
+    "dot": ["dot", "--annotate"],
+}
+
+
+@pytest.mark.parametrize("shape, d", list(SHAPES.values()), ids=list(SHAPES))
+@pytest.mark.parametrize("argv", list(COMMANDS.values()), ids=list(COMMANDS))
+def test_every_command_solves_a_shape_in_d_plus_2_passes(shape, d, argv, tmp_path, monkeypatch, capsys):
+    """Availability and reaching definitions are gen/kill frameworks, so a
+    solve in reverse postorder settles within d + 2 passes over the reachable
+    blocks, d the loop connectedness (Kam & Ullman, 1976): every solve a
+    command makes visits at most d + 2 blocks per reachable block."""
+    solves = []
+    solve = dataflow._solve
+
+    def counted(*args, **kwargs):
+        solves.append(solve(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(dataflow, "_solve", counted)
+    monkeypatch.setattr(classic, "_solve", counted)
+    path = tmp_path / "shape.tac"
+    path.write_text(print_program(shape()))
+    code, out, _ = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 0
+    assert argv[0] != "check" or out.splitlines()[-1] == "PASS"
+    assert solves
+    for result in solves:
+        assert result.iterations <= (d + 2) * len(result.in_sets)
+
+
+def test_check_finds_the_edge_views_of_a_file_once(monkeypatch, capsys):
+    """`check` solves the program and every rewrite of it, and runs round
+    robin, over one graph: a rewrite moves no successor, so it shares the
+    program's predecessor map and reverse postorder, and each is found once."""
+    built = []
+    for name in ("_build_predecessors", "_build_reverse_postorder"):
+        build = getattr(ir, name, None)
+        monkeypatch.setattr(ir, name, lambda prog, b=build, n=name: built.append(n) or b(prog), raising=False)
+    code, out, _ = run(capsys, "check", FIG2)  # its first pass moves copy sources, so it iterates
+    assert code == 0
+    assert sorted(built) == ["_build_predecessors", "_build_reverse_postorder"]
 
 
 @pytest.mark.parametrize(

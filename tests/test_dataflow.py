@@ -26,6 +26,7 @@ from copyprop import (
     solve_forward,
     solve_round_robin,
     transfer,
+    transform,
 )
 from copyprop import classic
 from conftest import looped_counter, pairs, straight_line, swapped_branches
@@ -135,6 +136,33 @@ def test_predecessors_fig1(fig1):
     preds = predecessors(fig1)
     assert set(preds["B4"]) == {"B2", "B3"}
     assert preds["B0"] == ()
+
+
+def test_edge_views_shared_with_a_rewrite_are_read_only(fig2):
+    """A pass shares its input's predecessor map and reverse postorder with
+    its result, so neither can be edited through what the functions return."""
+    one, _ = transform(fig2, run_acs(fig2))
+    assert one is not fig2
+    assert one._predecessors() is fig2._predecessors()
+    assert one._reverse_postorder() is fig2._reverse_postorder()
+    preds = predecessors(one)
+    with pytest.raises(TypeError):
+        preds["B4"] = ()
+    rpo = reverse_postorder(one)
+    rpo.reverse()
+    assert reverse_postorder(fig2) == reverse_postorder(one) == [f"B{i}" for i in range(9)]
+    assert preds["B4"] == ("B3",)
+
+
+def test_a_program_cannot_be_edited_in_place(fig1):
+    """What is derived from a program is kept on it, so its blocks are read
+    only: an edit would leave the predecessor map behind."""
+    preds = dict(predecessors(fig1))
+    with pytest.raises(TypeError):
+        fig1.blocks["B5"] = Block(Nop(), ("B0",))
+    with pytest.raises(TypeError):
+        del fig1.blocks["B5"]
+    assert predecessors(fig1) == preds
 
 
 def test_predecessors_take_linear_time_in_a_wide_join():

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import copyprop.oracle as oracle
+import copyprop.propagate as propagate
 from copyprop import (
     EMPTY,
     Binary,
@@ -884,6 +885,19 @@ def test_two_rounds_program_needs_both_rounds():
     assert report.pass_count == 3
 
 
+def _count_decodes(monkeypatch) -> list[Program]:
+    """The programs `interpret` decodes from here on, one entry per decoding."""
+    decoded: list[Program] = []
+    decode = oracle._decode
+    monkeypatch.setattr(oracle, "_decode", lambda prog: decoded.append(prog) or decode(prog))
+    return decoded
+
+
+def _decoded_at_most_once_each(decoded: list[Program]) -> bool:
+    # the list keeps every program alive, so ids do not repeat
+    return len({id(prog) for prog in decoded}) == len(decoded)
+
+
 def test_differential_runs_the_original_once_per_input(monkeypatch):
     runs: list[Program] = []
 
@@ -892,10 +906,12 @@ def test_differential_runs_the_original_once_per_input(monkeypatch):
         return interpret(prog, *args, **kwargs)
 
     monkeypatch.setattr(oracle, "interpret", counting)
+    decoded = _count_decodes(monkeypatch)
     envs = [{"a": 1, "p": 0}, {"a": 2, "p": 1}, {"a": -3, "p": 5}]
     assert differential_check(TWO_ROUNDS, iter(envs), 100).ok
     assert sum(prog is TWO_ROUNDS for prog in runs) == len(envs)
     assert len(runs) == 3 * len(envs)  # original, one-pass and iterated
+    assert _decoded_at_most_once_each(decoded)  # however many runs a program makes
 
 
 def test_differential_skips_an_iterated_program_equal_to_one_pass(fig2, monkeypatch):
@@ -906,8 +922,25 @@ def test_differential_skips_an_iterated_program_equal_to_one_pass(fig2, monkeypa
         return interpret(prog, *args, **kwargs)
 
     monkeypatch.setattr(oracle, "interpret", counting)
+    decoded = _count_decodes(monkeypatch)
     assert differential_check(fig2, [{"a": 3}, {"a": -1}], 100).ok
     assert len(runs) == 4  # original and one-pass per input
+    assert _decoded_at_most_once_each(decoded)
+
+
+def test_differential_solves_the_one_pass_program_only_if_a_copy_source_moved(fig1, monkeypatch):
+    """fig1's one pass rewrites z = y + w and no copy source, so another round
+    would replace nothing and the iterated program is not built; TWO_ROUNDS'
+    first pass moves a copy source, so its one-pass program is solved."""
+    solved: list[Program] = []
+    run_acs = propagate.run_acs
+    monkeypatch.setattr(propagate, "run_acs", lambda prog: solved.append(prog) or run_acs(prog))
+    envs = [{"p": 1, "x": 2, "w": 3}, {"p": 0, "x": -4, "w": 5}]
+    assert differential_check(fig1, envs, 100, result=run_acs(fig1)).ok
+    assert solved == []
+    one, _ = transform(TWO_ROUNDS, run_acs(TWO_ROUNDS))
+    assert differential_check(TWO_ROUNDS, [{"a": 1, "p": 0}], 100, result=run_acs(TWO_ROUNDS)).ok
+    assert solved[0] == one
 
 
 def test_differential_catches_a_broken_iterated_program(fig2, monkeypatch):

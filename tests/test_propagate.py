@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import copyprop.oracle as oracle
 import copyprop.propagate as propagate
 from copyprop import (
     Binary,
@@ -13,20 +14,25 @@ from copyprop import (
     Copy,
     GenParams,
     Nop,
+    Program,
     ReplacementReport,
     classic_transform,
     defined_var,
+    interpret,
     parse_program,
+    predecessors,
     print_program,
     random_program,
     resolve_chain,
+    reverse_postorder,
     run_acs,
     transform,
     transform_to_fixpoint,
 )
+from copyprop.ir import natural_key
 from copyprop.propagate import _chain_endpoint, _rewrite_slots
 from conftest import copy_chain, pairs, straight_line
-from strategies import programs
+from strategies import environments, programs
 
 
 def rewrite_statement(stmt, facts, block=""):
@@ -283,3 +289,27 @@ def test_a_pass_shares_every_block_it_does_not_rewrite(rewrite, prog):
             assert out.blocks[label] is block
             assert out.blocks[label].stmt is block.stmt
     assert prog == parse_program(text)
+
+
+PROGRAM_REWRITES = {
+    "transform": lambda prog: transform(prog, run_acs(prog))[0],
+    "transform_to_fixpoint": lambda prog: transform_to_fixpoint(prog, 10)[0],
+    "classic_transform": lambda prog: classic_transform(prog)[0],
+}
+
+
+@pytest.mark.parametrize("rewrite", list(PROGRAM_REWRITES.values()), ids=list(PROGRAM_REWRITES))
+@settings(max_examples=200)
+@given(prog=programs(), env=environments)
+def test_a_rewritten_program_has_the_views_of_a_fresh_one(rewrite, prog, env):
+    """A pass hands its result the input's edge views and label order, as it
+    moves no successor; those, and the form the interpreter decodes, must be
+    what a program built afresh from the same blocks finds."""
+    interpret(prog, env, 50)  # the input's decoded form exists before the pass
+    out = rewrite(prog)
+    fresh = Program(dict(out.blocks), out.entry, out.exit)
+    assert list(out.blocks) == sorted(out.blocks, key=natural_key)
+    assert predecessors(out) == predecessors(fresh)
+    assert reverse_postorder(out) == reverse_postorder(fresh)
+    assert interpret(out, env, 50) == interpret(fresh, env, 50)
+    assert out._derive(oracle._decode) == oracle._decode(fresh)
