@@ -87,6 +87,16 @@ class Branch:
 
 Statement = Nop | Copy | Binary | Branch
 
+# Each statement kind's operand fields in slot order, each with the name of
+# its use slot in a rewrite report: the one place that says which operand of
+# which statement is which use
+USE_SLOTS: dict[type, tuple[tuple[str, str], ...]] = {
+    Nop: (),
+    Copy: (("src", "copy-src"),),
+    Binary: (("lhs", "binary-lhs"), ("rhs", "binary-rhs")),
+    Branch: (("cond", "branch-cond"),),
+}
+
 
 @dataclass(frozen=True)
 class Block:
@@ -181,14 +191,8 @@ def defined_var(stmt: Statement) -> str | None:
 
 
 def uses(stmt: Statement) -> tuple[Operand, ...]:
-    """Operands read by the statement, in slot order."""
-    if isinstance(stmt, Copy):
-        return (stmt.src,)
-    if isinstance(stmt, Binary):
-        return (stmt.lhs, stmt.rhs)
-    if isinstance(stmt, Branch):
-        return (stmt.cond,)
-    return ()
+    """Operands read by the statement, in slot order (`USE_SLOTS`)."""
+    return tuple(getattr(stmt, name) for name, _ in USE_SLOTS[type(stmt)])
 
 
 def used_vars(stmt: Statement) -> tuple[str, ...]:

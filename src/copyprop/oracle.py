@@ -422,15 +422,13 @@ def _replay_plan(result: AnalysisResult) -> ReplayPlan:
     return {label: tuple(sorted(facts.items())) for label, facts in result.in_sets.items() if facts}
 
 
-def _fact_replay(plan: ReplayPlan) -> tuple[StepHook | None, list[tuple[str, int]]]:
+def _fact_replay(plan: ReplayPlan) -> tuple[StepHook, list[tuple[str, int]]]:
     """The `on_step` hook of `fact_soundness_violation` over a `_replay_plan`.
     The first violation lands in the returned list as (reason, step index).
-    The hook is None for an empty plan, where nothing can fail. A step's
-    verdict depends on its (label, env) state alone and only the first
-    finding is kept, so the steps `interpret` fast-forwards need no check."""
+    A step's verdict depends on its (label, env) state alone and only the
+    first finding is kept, so the steps `interpret` fast-forwards need no
+    check."""
     found: list[tuple[str, int]] = []
-    if not plan:
-        return None, found
     get = plan.get
     step = -1
 

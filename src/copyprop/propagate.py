@@ -10,13 +10,13 @@ program keeps its shape.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .analysis import run_acs
 from .dataflow import AnalysisResult, FactSet
-from .ir import Binary, Block, Branch, Copy, Operand, Program, Statement
+from .ir import USE_SLOTS, Block, Operand, Program
 
-SLOT_ORDER = ("copy-src", "binary-lhs", "binary-rhs", "branch-cond")
+SLOT_ORDER = tuple(slot for slots in USE_SLOTS.values() for _, slot in slots)
 
 
 @dataclass(frozen=True)
@@ -50,42 +50,6 @@ def resolve_chain(var: str, facts: FactSet) -> tuple[Operand, int]:
     return end, hops
 
 
-def _rewrite_slots(
-    stmt: Statement,
-    label: str,
-    facts: FactSet,
-    rule: Callable[[str, FactSet, str, str], tuple[Operand, int] | None],
-) -> tuple[Statement, list[Replacement]]:
-    """Rewrite each variable use of one statement to `rule(label, facts, name,
-    slot)`: (replacement, chain length), or None to keep the use. The one
-    place that knows which operand of which statement is which slot. A
-    statement with no use replaced is returned itself, not a copy."""
-    replacements: list[Replacement] = []
-
-    def slot(operand: Operand, position: str) -> Operand:
-        if not isinstance(operand, str):
-            return operand
-        found = rule(label, facts, operand, position)
-        if found is None:
-            return operand
-        replacements.append(Replacement(label, position, operand, *found))
-        return found[0]
-
-    if isinstance(stmt, Copy):
-        src = slot(stmt.src, "copy-src")
-        if replacements:
-            stmt = Copy(stmt.dst, src)
-    elif isinstance(stmt, Binary):
-        lhs, rhs = slot(stmt.lhs, "binary-lhs"), slot(stmt.rhs, "binary-rhs")
-        if replacements:
-            stmt = Binary(stmt.dst, stmt.op, lhs, rhs)
-    elif isinstance(stmt, Branch):
-        cond = slot(stmt.cond, "branch-cond")
-        if replacements:
-            stmt = Branch(cond)
-    return stmt, replacements
-
-
 def _chain_endpoint(label: str, facts: FactSet, name: str, position: str) -> tuple[Operand, int] | None:
     """The unified pass's rule: the endpoint of the use's pair chain, if any."""
     found = resolve_chain(name, facts)
@@ -98,9 +62,11 @@ def _rewrite_program(
     rule: Callable[[str, FactSet, str, str], tuple[Operand, int] | None],
 ) -> tuple[Program, ReplacementReport]:
     """One pass in label order over the blocks with an IN set, the reachable
-    ones, asking `rule(label, IN set, variable, slot)` for each use; the
-    unreachable blocks are kept as is. Both propagations walk the program
-    here and differ only in the rule.
+    ones, asking `rule(label, IN set, variable, slot)` for each variable use:
+    (replacement, chain length), or None to keep the use. The uses are the
+    operand fields `ir.USE_SLOTS` lists, in slot order; constants are never
+    asked about. The unreachable blocks are kept as is. Both propagations
+    walk the program here and differ only in the rule.
 
     The result shares with `prog` what did not change: a block without a
     replacement is `prog`'s own `Block` object, statement included, and a
@@ -113,10 +79,15 @@ def _rewrite_program(
     replacements: list[Replacement] = []
     for label, block in prog.blocks.items():
         if label in in_sets:
-            stmt, reps = _rewrite_slots(block.stmt, label, in_sets[label], rule)
-            if reps:
-                block = Block(stmt, block.succs)
-                replacements.extend(reps)
+            facts, stmt = in_sets[label], block.stmt
+            moved: dict[str, Operand] = {}
+            for name, slot in USE_SLOTS[type(stmt)]:
+                operand = getattr(stmt, name)
+                if isinstance(operand, str) and (found := rule(label, facts, operand, slot)) is not None:
+                    replacements.append(Replacement(label, slot, operand, *found))
+                    moved[name] = found[0]
+            if moved:
+                block = Block(replace(stmt, **moved), block.succs)
         new_blocks[label] = block
     if replacements:
         prog = prog._with_statements(new_blocks)

@@ -74,6 +74,13 @@ def copy_chain(n: int) -> tuple[Program, str]:
     return straight_line(*stmts), f"B{n + 1}"
 
 
+def wide(n: int) -> Program:
+    """v1 = 1; ...; vn = n on one straight path: block B_i defines v_i, and
+    its IN holds the i - 1 pairs made before it. Acyclic, so the loop
+    connectedness is 0."""
+    return straight_line(*(Copy(f"v{i}", i) for i in range(1, n + 1)))
+
+
 def looped_counter() -> Program:
     """x = 0, then a loop body x = x + 1 guarded by branch p."""
     blocks = {

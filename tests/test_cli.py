@@ -17,7 +17,7 @@ import copyprop.oracle as oracle
 from copyprop import Replacement, ReplacementReport, Verdict, variables
 from copyprop.cli import build_parser, main
 from copyprop.ir import print_program
-from conftest import FIXTURES, fan_in, load_fixture, nested_loops, nop_run, sequential_diamonds
+from conftest import FIXTURES, copy_chain, fan_in, load_fixture, nested_loops, nop_run, sequential_diamonds, wide
 
 FIG1 = str(FIXTURES / "fig1.tac")
 FIG2 = str(FIXTURES / "fig2.tac")
@@ -266,9 +266,14 @@ def test_check_finishes_on_large_programs_whose_labels_run_against_the_flow(shap
     assert out.splitlines()[-1] == "PASS"
 
 
-# shape and its loop connectedness d; each command takes under 0.2 s on a shared 2-vCPU host
-# the loops wrap a long body, so d + 2 is close to the passes a solve takes
-SHAPES = {"nested_loops": (lambda: nested_loops(2, body=2000), 2), "nop_run": (lambda: nop_run(2000), 0)}
+# shape and its loop connectedness d; each command takes under 0.5 s on a shared 2-vCPU host,
+# the slowest `check` on `wide`; the loops wrap a long body, so d + 2 is close to the passes a solve takes
+SHAPES = {
+    "nested_loops": (lambda: nested_loops(2, body=2000), 2),
+    "nop_run": (lambda: nop_run(2000), 0),
+    "chain": (lambda: copy_chain(150)[0], 0),
+    "wide": (lambda: wide(600), 0),
+}
 COMMANDS = {
     "analyze": ["analyze"],
     "iterate": ["transform", "--iterate", "10"],

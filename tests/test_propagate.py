@@ -1,15 +1,18 @@
 from __future__ import annotations
 
 import random
+import typing
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import copyprop.ir as ir
 import copyprop.oracle as oracle
 import copyprop.propagate as propagate
 from copyprop import (
     Binary,
+    Block,
     Branch,
     Copy,
     GenParams,
@@ -28,16 +31,19 @@ from copyprop import (
     run_acs,
     transform,
     transform_to_fixpoint,
+    uses,
 )
-from copyprop.ir import natural_key
-from copyprop.propagate import _chain_endpoint, _rewrite_slots
+from copyprop.ir import USE_SLOTS, natural_key
+from copyprop.propagate import SLOT_ORDER, _chain_endpoint, _rewrite_program
 from conftest import copy_chain, pairs, straight_line
 from strategies import environments, programs
 
 
 def rewrite_statement(stmt, facts, block=""):
-    """The unified rule applied to the uses of one statement."""
-    return _rewrite_slots(stmt, block, facts, _chain_endpoint)
+    """The unified rule applied to the uses of one statement, as the only
+    block of a program: the rewritten statement and its replacements."""
+    out, report = _rewrite_program(Program({block: Block(stmt)}, block, block), {block: facts}, _chain_endpoint)
+    return out.blocks[block].stmt, list(report.replacements)
 
 
 RESOLVE_CASES = [
@@ -101,6 +107,36 @@ def test_rewrite_branch_condition():
 def test_rewrite_without_facts_is_identity():
     stmt = Binary("z", "+", "y", "w")
     assert rewrite_statement(stmt, pairs()) == (stmt, [])
+
+
+def test_every_statement_kind_has_its_use_slots():
+    assert set(USE_SLOTS) == set(typing.get_args(ir.Statement))
+    assert SLOT_ORDER == ("copy-src", "binary-lhs", "binary-rhs", "branch-cond")
+
+
+def rename_every_use(label, facts, name, position):
+    """A rule that rewrites every variable use, whatever its IN set holds."""
+    return name.upper(), 1
+
+
+@settings(max_examples=300)
+@given(prog=programs())
+def test_the_walker_asks_about_every_variable_use_in_slot_order(prog):
+    """Under a rule that renames every use, each reachable statement keeps
+    its kind, destination and operator, its uses are renamed in place with
+    constants untouched, and its report names its variable slots in
+    `SLOT_ORDER` order."""
+    in_sets = run_acs(prog).in_sets
+    out, report = _rewrite_program(prog, in_sets, rename_every_use)
+    for label in in_sets:
+        old, new = prog.blocks[label].stmt, out.blocks[label].stmt
+        assert type(new) is type(old)
+        assert defined_var(new) == defined_var(old)
+        assert getattr(new, "op", None) == getattr(old, "op", None)
+        assert uses(new) == tuple(u.upper() if isinstance(u, str) else u for u in uses(old))
+        positions = [r.position for r in report.replacements if r.block == label]
+        assert positions == [slot for name, slot in USE_SLOTS[type(old)] if isinstance(getattr(old, name), str)]
+        assert positions == sorted(positions, key=SLOT_ORDER.index)
 
 
 def test_transform_fig1(fig1):
@@ -266,6 +302,7 @@ def test_fixpoint_counts_a_confirming_round_without_solving_it(max_rounds, passe
 REWRITES = {
     "transform": lambda prog: transform(prog, run_acs(prog)),
     "classic_transform": classic_transform,
+    "rename_every_use": lambda prog: _rewrite_program(prog, run_acs(prog).in_sets, rename_every_use),
 }
 
 
