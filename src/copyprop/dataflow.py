@@ -1,9 +1,10 @@
 """Must-availability lattice over copy facts and the package's one forward solver.
 
 A fact (dst, src) means dst currently holds the value of src. At most one
-source is available per destination, so a fact set is a map from destination
-to source, the available-copies table of Aho et al., *Compilers* 2e, §9.
-Sets of facts meet by intersection: a pair survives where both maps hold it.
+source is available per destination, so a fact set is a read-only dict from
+destination to source, the available-copies table of Aho et al., *Compilers*
+2e, §9. Sets of facts meet by intersection: a pair survives where both maps
+hold it.
 The lattice needs no symbolic top: the solver meets only the OUTs a block's
 predecessors already have, so every fact set is a finite map. The same solver
 runs the baseline's reaching definitions (`classic`) on a union lattice.
@@ -11,27 +12,30 @@ runs the baseline's reaching definitions (`classic`) on a union lattice.
 
 from __future__ import annotations
 
-from collections.abc import Callable, ItemsView, Iterator, KeysView, Mapping
+from collections.abc import Callable, KeysView, Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Generic, TypeVar
+from typing import Generic, NoReturn, TypeVar
 
 from .ir import Operand, Program, Statement
 
 
-class FactSet(Mapping[str, Operand]):
-    """A finite set of copy facts as a read-only map from destination to
-    source, so at most one source per destination. The constructor rejects
-    a cyclic map (following src variables loops), which includes x -> x.
-    A constant source is never a destination, so a walk stops there.
+class FactSet(dict[str, Operand]):
+    """A finite set of copy facts as a read-only `dict` from destination to
+    source, so at most one source per destination. The constructor copies
+    its argument and rejects a cyclic map (following src variables loops),
+    which includes x -> x. A constant source is never a destination, so a
+    walk stops there. Every mutator raises TypeError; `copy()` and `|` give
+    plain dicts.
     """
 
-    __slots__ = ("_by_dst",)
+    __slots__ = ()
     # every fact set is a real pair set; the benchmark's trace still reads this
     is_top = False
 
     def __init__(self, by_dst: Mapping[str, Operand]) -> None:
-        by_dst = dict(by_dst)
+        # the walk reads the argument: a dict subclass misses the exact-dict
+        # fast path of `in` and subscripting, and this walk is a chain's cost
         for start in by_dst:
             seen = set()
             cur = start
@@ -40,37 +44,21 @@ class FactSet(Mapping[str, Operand]):
                     raise ValueError("cyclic pair set")
                 seen.add(cur)
                 cur = by_dst[cur]
-        self._by_dst = by_dst
+        super().__init__(by_dst)
 
-    def __getitem__(self, dst: str) -> Operand:
-        return self._by_dst[dst]
+    def _read_only(self, *args: object, **kwargs: object) -> NoReturn:
+        raise TypeError("a FactSet is read-only")
 
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._by_dst)
-
-    def __len__(self) -> int:
-        return len(self._by_dst)
-
-    # the dict's own get and items: Mapping's generic ones call __getitem__
-    # per key, which slows `check --fuzz` by about a third
-    def get(self, dst: str, default: Operand | None = None) -> Operand | None:
-        return self._by_dst.get(dst, default)
-
-    def items(self) -> ItemsView[str, Operand]:
-        return self._by_dst.items()
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, FactSet):
-            return self._by_dst == other._by_dst
-        return NotImplemented
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
 
     def __repr__(self) -> str:
-        return f"FactSet({self._by_dst!r})"
+        return f"FactSet({super().__repr__()})"
 
     def meet(self, other: FactSet) -> FactSet:
         """The pairs both sets hold."""
-        theirs = other._by_dst
-        return FactSet({dst: src for dst, src in self._by_dst.items() if theirs.get(dst) == src})
+        theirs = other.get
+        return FactSet({dst: src for dst, src in self.items() if theirs(dst) == src})
 
 
 EMPTY = FactSet({})

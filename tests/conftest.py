@@ -45,6 +45,24 @@ def pairs(*specs) -> FactSet:
     return FactSet(dict(specs))
 
 
+def functional_and_acyclic(facts: FactSet) -> bool:
+    """Structural check written independently of the FactSet constructor. A
+    map is functional by its type, so this walks the sources: none may loop,
+    and a self pair x -> x is a loop of one step."""
+    by_dst = dict(facts.items())
+    for start in by_dst:
+        cur, seen = start, set()
+        while cur in by_dst:
+            if cur in seen:
+                return False
+            seen.add(cur)
+            src = by_dst[cur]
+            if not isinstance(src, str):
+                break
+            cur = src
+    return True
+
+
 def reversed_listing(prog: Program) -> Program:
     """The same program with its blocks listed bottom-up."""
     return Program(dict(reversed(prog.blocks.items())), prog.entry, prog.exit)

@@ -33,9 +33,9 @@ from copyprop import (
     transform_to_fixpoint,
     variables,
 )
-from copyprop import FactSet, differential_check
+from copyprop import differential_check
 from copyprop.analysis import transfer
-from conftest import copy_chain, load_fixture, swapped_branches
+from conftest import copy_chain, functional_and_acyclic, load_fixture, swapped_branches
 from strategies import environments, programs
 
 
@@ -165,31 +165,13 @@ def test_ac6_semantic_preservation():
             assert verdict.ok, verdict.reason
 
 
-def _functional_and_acyclic(facts: FactSet) -> bool:
-    """Structural check written independently of the FactSet constructor. A
-    map is functional by its type, so this walks the sources: none may loop,
-    and a self pair x -> x is a loop of one step."""
-    by_dst = dict(facts.items())
-    for start in by_dst:
-        cur, seen = start, set()
-        while cur in by_dst:
-            if cur in seen:
-                return False
-            seen.add(cur)
-            src = by_dst[cur]
-            if not isinstance(src, str):
-                break
-            cur = src
-    return True
-
-
 def test_ac7_fact_soundness_and_structure():
     with criterion("AC-7"):
         for prog, envs in differential_corpus():
             result = run_acs(prog)
             for label in result.in_sets:
-                assert _functional_and_acyclic(result.in_sets[label])
-                assert _functional_and_acyclic(result.out_sets[label])
+                assert functional_and_acyclic(result.in_sets[label])
+                assert functional_and_acyclic(result.out_sets[label])
             for env0 in envs:
                 assert fact_soundness_violation(prog, result, env0, 10000) is None
 

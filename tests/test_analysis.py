@@ -21,7 +21,7 @@ from copyprop import (
     run_acs,
     transfer,
 )
-from conftest import pairs, straight_line
+from conftest import functional_and_acyclic, pairs, straight_line
 
 
 def test_transfer_kills_both_columns():
@@ -168,11 +168,15 @@ def _model_transfer(stmt, pairs):
 @settings(max_examples=400)
 @given(fact_maps(), fact_maps(), model_statements)
 def test_meet_and_transfer_match_a_pair_set_model(a, b, stmt):
-    """Meet is pair-set intersection and transfer is kill-then-gen on pairs."""
+    """Meet is pair-set intersection and transfer is kill-then-gen on pairs,
+    and neither builds a cyclic map from acyclic ones: meet keeps a subset,
+    and transfer drops every pair into x before it adds x's own pair."""
     model_a, model_b = frozenset(a.items()), frozenset(b.items())
     facts_a = FactSet(a)
-    assert frozenset(facts_a.meet(FactSet(b)).items()) == model_a & model_b
-    assert frozenset(transfer(stmt, facts_a).items()) == _model_transfer(stmt, model_a)
+    met, moved = facts_a.meet(FactSet(b)), transfer(stmt, facts_a)
+    assert frozenset(met.items()) == model_a & model_b
+    assert frozenset(moved.items()) == _model_transfer(stmt, model_a)
+    assert functional_and_acyclic(met) and functional_and_acyclic(moved)
 
 
 @st.composite

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import re
 import time
 import tracemalloc
 from dataclasses import replace
@@ -273,6 +274,8 @@ SHAPES = {
     "nop_run": (lambda: nop_run(2000), 0),
     "chain": (lambda: copy_chain(150)[0], 0),
     "wide": (lambda: wide(600), 0),
+    "fan_in": (lambda: fan_in(300), 0),
+    "diamonds": (lambda: sequential_diamonds(600), 0),
 }
 COMMANDS = {
     "analyze": ["analyze"],
@@ -702,3 +705,38 @@ def test_outputs_are_deterministic(capsys):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+def readme_examples() -> list[tuple[str, list[str]]]:
+    """Each `$ copyprop ...` line in README's fenced text blocks, with the
+    lines the block shows under it."""
+    readme = (FIXTURES.parent / "README.md").read_text()
+    examples: list[tuple[str, list[str]]] = []
+    for block in re.findall(r"^```text\n(.*?)^```$", readme, re.M | re.S):
+        shown = None
+        for line in block.splitlines():
+            if line.startswith("$ copyprop "):
+                shown = []
+                examples.append((line, shown))
+            elif shown is not None:
+                shown.append(line)
+    return examples
+
+
+def shows(shown: list[str], out: list[str]) -> bool:
+    """Whether `out` is `shown` line for line, a `...` line standing for any run of lines."""
+    if not shown:
+        return not out
+    if shown[0] == "...":
+        return any(shows(shown[1:], out[i:]) for i in range(len(out) + 1))
+    return bool(out) and out[0] == shown[0] and shows(shown[1:], out[1:])
+
+
+def test_readme_examples_print_what_they_show(monkeypatch, capsys):
+    monkeypatch.chdir(FIXTURES.parent)
+    examples = readme_examples()
+    assert len(examples) >= 4
+    for command, shown in examples:
+        code, out, err = run(capsys, *command.split()[2:])
+        assert (code, err) == (0, ""), command
+        assert shows(shown, out.splitlines()), command

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import operator
 import random
 import time
 from collections import deque
@@ -75,6 +76,37 @@ def test_membership_and_len():
     assert "x" not in fs
     assert list(fs.items()) == [("y", "x")]
     assert len(fs) == 1
+
+
+MUTATORS = {
+    "__setitem__": lambda fs: operator.setitem(fs, "q", 1),
+    "__delitem__": lambda fs: operator.delitem(fs, "y"),
+    "__ior__": lambda fs: operator.ior(fs, {"q": 1}),
+    "clear": lambda fs: fs.clear(),
+    "pop": lambda fs: fs.pop("y"),
+    "popitem": lambda fs: fs.popitem(),
+    "setdefault": lambda fs: fs.setdefault("q", 1),
+    "update": lambda fs: fs.update(q=1),
+}
+
+
+@pytest.mark.parametrize("mutate", list(MUTATORS.values()), ids=list(MUTATORS))
+def test_fact_set_is_read_only(mutate):
+    """A solved IN or OUT is shared between blocks, so no one may edit it."""
+    fs = pairs(("y", "x"), ("z", 4))
+    with pytest.raises(TypeError):
+        mutate(fs)
+    assert fs == {"y": "x", "z": 4}
+
+
+def test_fact_set_is_a_copy_that_equals_the_plain_dict():
+    source = {"y": "x", "z": 4}
+    fs = FactSet(source)
+    assert fs == source and source == fs
+    assert repr(fs) == "FactSet({'y': 'x', 'z': 4})"
+    source["q"] = 1
+    del source["y"]
+    assert fs == {"y": "x", "z": 4}
 
 
 def test_format_facts():
