@@ -14,6 +14,7 @@ import random
 import string
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain
 from typing import Callable, Iterable, Iterator
 
 from .analysis import run_acs, transfer
@@ -495,6 +496,44 @@ def _difference(t1: Trace, t2: Trace, env0: Env) -> Verdict | None:
     return None
 
 
+def _input_reads(
+    trace: Trace, codes: list[dict[str, Decoded]], plan: ReplayPlan, names: Iterable[str]
+) -> tuple[str, ...]:
+    """The `names` that a run reads before assigning them, sorted: `trace`
+    is the run of the first program of `codes`, the others are read along
+    the same labels, and the fact replay of `plan` reads both sides of each
+    IN pair before the block's statement runs. A block whose target differs
+    between the programs counts as reading its targets, as a name assigned in
+    one program and not in another ends with its input value in the latter.
+
+    The names assigned only grow along a run, so a block reads the most
+    unassigned names on its first visit, and the blocks run before that visit
+    are those first visited before it: one pass over the first visits, in
+    order, is enough. They all lie in `prefix` and one lap of `cycle`, and
+    the pass stops once every name is read or assigned."""
+    unassigned, reads = set(names), set()
+    for label in dict.fromkeys(chain(trace.prefix, trace.cycle)):
+        if not unassigned:
+            break
+        target = codes[0][label][1]
+        for code in codes:
+            _, dst, a, b, _, _ = code[label]
+            if a in unassigned:
+                reads.add(a)
+            if b in unassigned:
+                reads.add(b)
+            if dst != target:
+                reads.update(unassigned.intersection((dst, target)))
+        for dst, src in plan.get(label, ()):
+            if dst in unassigned:
+                reads.add(dst)
+            if src in unassigned:
+                reads.add(src)
+        unassigned -= reads
+        unassigned.discard(target)
+    return tuple(sorted(reads))
+
+
 ROUNDS = 10
 
 
@@ -508,16 +547,43 @@ def differential_check(
     variants are compared: the one-pass program, and the program rewritten
     until a round changes nothing or `ROUNDS` rounds are done, continued from
     the one-pass program so the original is solved once. The original runs
-    once per input and every variant is compared against that run; the same
-    run replays the analysis' IN sets against live values, as in
-    `fact_soundness_violation`. The first failure is reported in this order:
-    the one-pass program over all inputs, each input's fact violation right
-    after its comparison, then the iterated program. An iterated program
-    equal to the one-pass program is not run: runs are deterministic. It is
-    not even built when the one pass moved no copy source, as the next round
-    would replace nothing (`propagate._moved_no_copy_source`).
+    once per class of inputs (below) and every variant is compared against
+    that run; the same run replays the analysis' IN sets against live values,
+    as in `fact_soundness_violation`. The first failure is reported in this
+    order: the one-pass program over all inputs, each input's fact violation
+    right after its comparison, then the iterated program. An iterated
+    program equal to the one-pass program is not run: runs are deterministic.
+    It is not even built when the one pass moved no copy source, as the next
+    round would replace nothing (`propagate._moved_no_copy_source`).
     `result` is the availability solution of prog when the caller already
     has it; otherwise it is solved here.
+
+    Classes. After an input runs to its end or out of fuel, its names and
+    its reads R are recorded: the names of the input that the original, the
+    one-pass program, the iterated program when it was run, and the fact
+    replay read before the run assigns them (`_input_reads`). A later input
+    with the same names and the same values on some recorded R is in that
+    class, and nothing is run for it. The verdict is what running every input
+    gives:
+    - On two inputs of a class, each program reads the same value at each
+      step, by induction over the steps: a name read before it is assigned
+      is in R, and an assigned one holds what the same earlier steps
+      computed. So the labels, the status, the error and the replay's first
+      broken pair and step are the same. Here the variants' block sequences
+      are the original's, or the comparison would have failed, so R covers
+      their reads too; an iterated program that failed is not run again.
+    - A name never assigned keeps the input's value all run long, in the
+      original and in each variant alike, unless a variant moved a target,
+      and then R holds the name. So the final environments compare the same
+      way on both inputs, on the same names and values.
+    - Brent's fast-forward (`_run`) compares whole environments, unread
+      names included, so it may cut a trace into prefix and cycle at another
+      step; the trace is exact either way, and no verdict depends on the cut.
+    So a skipped input fails nothing its class's first input passed, and the
+    first failing input in order is the first of its class: the `Verdict`,
+    `env` and `step` included, is the same. A run that ends in a runtime
+    error is not recorded: `_run` returns before it appends the failing
+    block, so the trace misses that block's reads.
     """
     if result is None:
         result = run_acs(prog)
@@ -529,7 +595,14 @@ def differential_check(
             iterated = None
     plan = _replay_plan(result)
     iterated_failure: Verdict | None = None
+    # (names, R) of each recorded class -> the values on R of its first inputs
+    classes: dict[tuple[frozenset[str], tuple[str, ...]], set[tuple[int, ...]]] = {}
     for env0 in envs:
+        if any(
+            names == env0.keys() and tuple(map(env0.__getitem__, reads)) in values
+            for (names, reads), values in classes.items()
+        ):
+            continue
         hook, found = _fact_replay(plan)
         original = interpret(prog, env0, fuel, on_step=hook)
         verdict = _difference(original, interpret(one, env0, fuel), env0)
@@ -537,6 +610,11 @@ def differential_check(
             return verdict
         if found:
             return Verdict(False, found[0][0], env0, found[0][1])
+        ran = [prog, one]
         if iterated is not None and iterated_failure is None:
             iterated_failure = _difference(original, interpret(iterated, env0, fuel), env0)
+            ran.append(iterated)
+        if original.status != "runtime-error":
+            reads = _input_reads(original, [p._derive(_decode) for p in ran], plan, env0)
+            classes.setdefault((frozenset(env0), reads), set()).add(tuple(map(env0.__getitem__, reads)))
     return iterated_failure or Verdict(True)

@@ -445,13 +445,18 @@ def test_check_fuel_at_the_ceiling_is_accepted(tmp_path, monkeypatch, capsys):
 
 
 def test_check_at_the_fuel_ceiling_keeps_no_fuel_long_trace(tmp_path, monkeypatch, capsys):
-    """The runs of generated program 543 spend the fuel on all five inputs
-    of `check --seed 0`, and each is fast-forwarded: its trace holds a few
-    labels, and one check stays far below the ~230 MB that traces of 10**7
-    labels take."""
-    prog = oracle.random_program(oracle.GenParams(seed=543))
-    path = tmp_path / "looping.tac"
-    path.write_text(print_program(prog))
+    """Generated program 543 spends the fuel on all five inputs of `check
+    --seed 0`, and so does program 635 with its B2: b = 6 made a nop, where
+    B5: b = b * 0 then reads the input b. Each run is fast-forwarded: its
+    trace holds a few labels, and one check stays far below the ~230 MB that
+    traces of 10**7 labels take. Program 543 reads no input, so its five
+    inputs are one class and share one run of the original and one of the
+    one-pass program; program 635, so edited, reads b, and runs both per
+    input."""
+    edited = oracle.random_program(oracle.GenParams(seed=635))
+    b2 = edited.blocks["B2"]
+    assert b2.stmt == ir.Copy("b", 6)
+    edited = ir.Program({**edited.blocks, "B2": ir.Block(ir.Nop(), b2.succs)}, edited.entry, edited.exit)
     traces, interpret = [], oracle.interpret
 
     def recording(*args, **kwargs):
@@ -459,18 +464,45 @@ def test_check_at_the_fuel_ceiling_keeps_no_fuel_long_trace(tmp_path, monkeypatc
         return traces[-1]
 
     monkeypatch.setattr(oracle, "interpret", recording)
-    tracemalloc.start()
-    try:
-        code, out, _ = run(capsys, "check", str(path), "--inputs", "5", "--fuel", str(10**7))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (code, out.splitlines()[-1]) == (0, "PASS")
-    assert peak < 16 * 2**20
-    assert len(traces) >= 10  # the original and the one-pass program per input
-    for trace in traces:
-        assert (trace.status, trace.length) == ("fuel-exhausted", 10**7)
-        assert len(trace.prefix) + len(trace.cycle) < 100
+    for prog, runs in ((oracle.random_program(oracle.GenParams(seed=543)), 2), (edited, 10)):
+        path = tmp_path / "looping.tac"
+        path.write_text(print_program(prog))
+        traces.clear()
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, "check", str(path), "--inputs", "5", "--fuel", str(10**7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out.splitlines()[-1]) == (0, "PASS")
+        assert peak < 16 * 2**20
+        assert len(traces) == runs  # the original and the one-pass program per class
+        for trace in traces:
+            assert (trace.status, trace.length) == ("fuel-exhausted", 10**7)
+            assert len(trace.prefix) + len(trace.cycle) < 100
+
+
+def test_check_fuzz_runs_each_program_at_most_three_times(monkeypatch, capsys):
+    """Generated programs assign every variable before reading it, so all
+    inputs of one are a class: the original, the one-pass and the iterated
+    program run once each, however many inputs there are."""
+    calls: list[int] = []
+    interpret, differential_check = oracle.interpret, cli.differential_check
+
+    def counting(*args, **kwargs):
+        calls[-1] += 1
+        return interpret(*args, **kwargs)
+
+    def check(*args, **kwargs):
+        calls.append(0)
+        return differential_check(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "interpret", counting)
+    monkeypatch.setattr(cli, "differential_check", check)
+    assert main(["check", "--fuzz", "--programs", "100", "--inputs", "5", "--seed", "0"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 100
+    assert max(calls) <= 3
 
 
 def test_check_draws_each_input_only_when_it_is_read(monkeypatch, capsys):

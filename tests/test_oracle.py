@@ -44,6 +44,7 @@ from copyprop.analysis import transfer
 from copyprop.dataflow import AnalysisResult
 from conftest import fan_in, load_fixture, looped_counter, sequential_diamonds, straight_line
 from strategies import VARIABLES, environments, programs
+from test_mutants import no_kill_of_uses_of_the_defined_variable
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -908,9 +909,11 @@ def test_differential_runs_the_original_once_per_input(monkeypatch):
     monkeypatch.setattr(oracle, "interpret", counting)
     decoded = _count_decodes(monkeypatch)
     envs = [{"a": 1, "p": 0}, {"a": 2, "p": 1}, {"a": -3, "p": 5}]
+    # x is assigned before it is read, so these two are one class
+    envs += [{"a": 4, "p": 1, "x": 0}, {"a": 4, "p": 1, "x": 9}]
     assert differential_check(TWO_ROUNDS, iter(envs), 100).ok
-    assert sum(prog is TWO_ROUNDS for prog in runs) == len(envs)
-    assert len(runs) == 3 * len(envs)  # original, one-pass and iterated
+    assert sum(prog is TWO_ROUNDS for prog in runs) == 4
+    assert len(runs) == 3 * 4  # original, one-pass and iterated
     assert _decoded_at_most_once_each(decoded)  # however many runs a program makes
 
 
@@ -1002,6 +1005,148 @@ def test_differential_replays_facts_on_the_original_run(fig2, monkeypatch):
     verdict = differential_check(fig2, [{"a": 3}], 100)
     assert verdict == oracle.Verdict(False, reason, {"a": 3}, 2)
     assert step == 2
+
+
+def reference_differential(prog: Program, envs, fuel: int) -> oracle.Verdict:
+    """`differential_check` as it was before inputs were grouped into
+    classes: every input runs the original, the one-pass program and, until
+    it fails, the iterated program."""
+    result = oracle.run_acs(prog)
+    one, report = oracle.transform(prog, result)
+    iterated = None
+    if not propagate._moved_no_copy_source(report):
+        iterated = oracle.transform_to_fixpoint(one, oracle.ROUNDS - 1)[0]
+        if iterated == one:
+            iterated = None
+    plan = oracle._replay_plan(result)
+    iterated_failure = None
+    for env0 in envs:
+        hook, found = oracle._fact_replay(plan)
+        original = interpret(prog, env0, fuel, on_step=hook)
+        verdict = oracle._difference(original, interpret(one, env0, fuel), env0)
+        if verdict is not None:
+            return verdict
+        if found:
+            return oracle.Verdict(False, found[0][0], env0, found[0][1])
+        if iterated is not None and iterated_failure is None:
+            iterated_failure = oracle._difference(original, interpret(iterated, env0, fuel), env0)
+    return iterated_failure or oracle.Verdict(True)
+
+
+def _inputs_that_matter(seed: int) -> tuple[Program, list[dict[str, int]]]:
+    """A generated program with about half its initialisations turned into
+    nops, so that it reads some of its inputs, and six inputs over few
+    values, so that inputs often agree on what is read. Every third program
+    divides, and one input in five lacks a name, so runtime errors occur."""
+    rng = random.Random(seed)
+    params = GenParams(seed=seed, allow_div=seed % 3 == 0)
+    prog = random_program(params)
+    blocks = dict(prog.blocks)
+    for i in range(1, params.num_vars + 1):  # B1.. assign each variable a constant
+        if rng.random() < 0.5:
+            blocks[f"B{i}"] = Block(Nop(), blocks[f"B{i}"].succs)
+    prog = Program(blocks, prog.entry, prog.exit)
+    names = sorted(variables(prog))
+    envs = []
+    for _ in range(6):
+        env = {name: rng.choice((-1, 0, 1, 2)) for name in names}
+        if names and rng.random() < 0.2:
+            del env[rng.choice(names)]
+        envs.append(env)
+    return prog, envs
+
+
+@pytest.mark.parametrize(
+    "mutant", [None, no_kill_of_uses_of_the_defined_variable], ids=lambda mutant: getattr(mutant, "__name__", None)
+)
+def test_differential_gives_the_verdict_of_running_every_input(mutant, monkeypatch):
+    """The classes change which runs are made, never the verdict: 500
+    programs whose inputs matter, as they are and under a mutant that makes
+    the oracles fail."""
+    if mutant is not None:
+        mutant(monkeypatch)
+    runs = Counter()
+
+    def counting(prog, env0, fuel, **kwargs):
+        trace = interpret(prog, env0, fuel, **kwargs)
+        runs["original" if kwargs else "variant"] += 1
+        runs[trace.status] += 1
+        return trace
+
+    def outcome(check, prog, envs):
+        try:
+            return check(prog, envs, 300)
+        except ValueError as err:  # the mutant can build a cyclic pair set
+            return str(err)
+
+    failures = inputs = 0
+    for seed in range(500):
+        prog, envs = _inputs_that_matter(seed)
+        expected = outcome(reference_differential, prog, envs)
+        with monkeypatch.context() as counted:
+            counted.setattr(oracle, "interpret", counting)
+            assert outcome(differential_check, prog, envs) == expected, seed
+        if isinstance(expected, oracle.Verdict):
+            failures += not expected.ok
+            inputs += len(envs) if expected.ok else envs.index(expected.env) + 1
+    assert runs["runtime-error"] and runs["fuel-exhausted"]
+    assert runs["original"] < inputs  # inputs shared runs
+    assert (failures > 50) if mutant else failures == 0
+
+
+BASE = "entry: B0\nexit: B3\nB0: nop -> B1\nB1: y = 1 -> B2\nB2: nop -> B3\nB3: nop\n"
+DIVIDES = "entry: B0\nexit: B3\nB0: nop -> B1\nB1: x = 6 / d -> B2\nB2: y = x -> B3\nB3: nop\n"
+
+
+@pytest.mark.parametrize(
+    "text, label, stmt, envs, reason",
+    [
+        # a division by zero ends the run before the trace holds the block
+        # that read d, so the first run records no class
+        (DIVIDES, "B2", Copy("y", 5), [{"d": 0}, {"d": 2}], "final value of y differs: 3 vs 5"),
+        # q is read by the one-pass program alone
+        (BASE, "B1", Copy("y", "q"), [{"q": 1}, {"q": 2}], "final value of y differs: 1 vs 2"),
+        # a moved target: the original ends with the input's q
+        (BASE, "B2", Copy("q", 1), [{"q": 1}, {"q": 2}], "final value of q differs: 2 vs 1"),
+    ],
+    ids=["div-by-zero", "one-pass-read", "moved-target"],
+)
+def test_differential_runs_an_input_that_a_planted_variant_fails(text, label, stmt, envs, reason, monkeypatch):
+    """Each planted one-pass program passes on the first input and fails on
+    the second, so the second must not share the first one's run."""
+    prog = parse_program(text)
+    variant = _with_stmt(prog, label, stmt)
+    monkeypatch.setattr(oracle, "transform", lambda prog, result: (variant, transform(prog, result)[1]))
+    verdict = differential_check(prog, envs, 100)
+    assert verdict == oracle.Verdict(False, reason, envs[1]) == reference_differential(prog, envs, 100)
+
+
+def test_differential_runs_an_input_that_only_the_replay_reads(monkeypatch):
+    """A planted (y, q) pair is the only read of q: it holds on the first
+    input and breaks on the second."""
+    prog = parse_program(BASE)
+    res = run_acs(prog)
+    bad = AnalysisResult({**res.in_sets, "B2": FactSet({"y": "q"})}, res.out_sets, res.iterations)
+    monkeypatch.setattr(oracle, "run_acs", lambda prog: bad)
+    envs = [{"q": 1}, {"q": 2}]
+    verdict = differential_check(prog, envs, 100)
+    assert verdict == oracle.Verdict(False, "fact (y, q) broken at B2: 1 vs 2", {"q": 2}, 2)
+    assert verdict == reference_differential(prog, envs, 100)
+
+
+def test_differential_keeps_inputs_with_other_names_apart(monkeypatch):
+    originals: list[dict[str, int]] = []
+
+    def counting(prog, env0, fuel, **kwargs):
+        if kwargs:  # the original's run carries the replay hook
+            originals.append(env0)
+        return interpret(prog, env0, fuel, **kwargs)
+
+    monkeypatch.setattr(oracle, "interpret", counting)
+    # y is assigned before it is read: the first two inputs are one class
+    envs = [{"y": 0}, {"y": 7}, {"y": 0, "q": 5}]
+    assert differential_check(parse_program(BASE), envs, 100).ok
+    assert originals == [envs[0], envs[2]]
 
 
 # ------------------------------------------------- fast-forwarded fact replay
