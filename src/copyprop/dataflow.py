@@ -35,15 +35,15 @@ class FactSet(dict[str, Operand]):
 
     def __init__(self, by_dst: Mapping[str, Operand]) -> None:
         # the walk reads the argument: a dict subclass misses the exact-dict
-        # fast path of `in` and subscripting, and this walk is a chain's cost
+        # fast path of `in` and subscripting, and this walk is a chain's cost.
+        # Pigeonhole: an acyclic walk meets each of the k destinations once, so a k-th hop onto one is a cycle
+        bound = len(by_dst)
         for start in by_dst:
-            seen = set()
-            cur = start
+            cur, steps = by_dst[start], 1
             while cur in by_dst:
-                if cur in seen:
+                if steps == bound:
                     raise ValueError("cyclic pair set")
-                seen.add(cur)
-                cur = by_dst[cur]
+                cur, steps = by_dst[cur], steps + 1
         super().__init__(by_dst)
 
     def _read_only(self, *args: object, **kwargs: object) -> NoReturn:

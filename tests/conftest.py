@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from copyprop import (
     Copy,
     FactSet,
     Nop,
+    Operand,
     Program,
     Statement,
     parse_program,
@@ -45,7 +47,7 @@ def pairs(*specs) -> FactSet:
     return FactSet(dict(specs))
 
 
-def functional_and_acyclic(facts: FactSet) -> bool:
+def functional_and_acyclic(facts: Mapping[str, Operand]) -> bool:
     """Structural check written independently of the FactSet constructor. A
     map is functional by its type, so this walks the sources: none may loop,
     and a self pair x -> x is a loop of one step."""

@@ -8,6 +8,8 @@ from dataclasses import replace
 from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from copyprop import (
     EMPTY,
@@ -17,6 +19,7 @@ from copyprop import (
     FactSet,
     GenParams,
     Nop,
+    Operand,
     Program,
     format_facts,
     predecessors,
@@ -30,7 +33,7 @@ from copyprop import (
     transform,
 )
 from copyprop import classic
-from conftest import looped_counter, pairs, straight_line, swapped_branches
+from conftest import functional_and_acyclic, looped_counter, pairs, straight_line, swapped_branches
 
 
 def test_fact_set_rejects_self_pair():
@@ -40,14 +43,66 @@ def test_fact_set_rejects_self_pair():
 
 
 def test_fact_set_rejects_cycles():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cyclic pair set"):
         pairs(("x", "y"), ("y", "x"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cyclic pair set"):
         pairs(("a", "b"), ("b", "c"), ("c", "a"))
     with pytest.raises(ValueError, match="cyclic pair set"):
         FactSet({"a": "b", "b": "a"})
     # a chain that ends at a constant is no cycle
     assert dict(FactSet({"a": "b", "b": 0})) == {"a": "b", "b": 0}
+
+
+@st.composite
+def pair_maps(draw) -> dict[str, Operand]:
+    """Maps of one to four components with disjoint names. A component is a
+    chain of up to 60 pairs rooted at a constant or at a free variable, or a
+    1- to 6-cycle (a self pair at 1), with up to five tree pairs feeding into
+    it. The keys are shuffled, or listed with every cycle after the acyclic
+    keys."""
+    acyclic: dict[str, Operand] = {}
+    cyclic: dict[str, Operand] = {}
+    for c in range(draw(st.integers(1, 4))):
+        name = f"c{c}v{{}}".format
+        is_cycle = draw(st.booleans())
+        if is_cycle:
+            k = draw(st.integers(1, 6))
+            component: dict[str, Operand] = {name(j): name((j + 1) % k) for j in range(k)}
+        else:
+            k = draw(st.integers(1, 60))
+            component = {name(j): name(j + 1) for j in range(k - 1)}
+            component[name(k - 1)] = draw(st.sampled_from([0, -3, f"c{c}free"]))
+        for j in range(k, k + draw(st.integers(0, 5))):
+            component[name(j)] = name(draw(st.integers(0, j - 1)))
+        (cyclic if is_cycle else acyclic).update(component)
+    by_dst = acyclic | cyclic
+    keys = list(by_dst) if draw(st.booleans()) else draw(st.permutations(list(by_dst)))
+    return {dst: by_dst[dst] for dst in keys}
+
+
+@settings(max_examples=400)
+@given(pair_maps())
+def test_fact_set_rejects_exactly_the_cyclic_maps(by_dst):
+    """The constructor's hop bound against conftest's seen-set walk."""
+    if functional_and_acyclic(by_dst):
+        assert FactSet(by_dst) == by_dst
+    else:
+        with pytest.raises(ValueError, match="cyclic pair set"):
+            FactSet(by_dst)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_fact_set_hop_bound_is_exact(k):
+    """With k pairs, the k-pair chain x0 -> ... -> xk takes k - 1 hops onto
+    destinations and is kept; the k-cycle and the (k - 1)-chain ending in a
+    self pair take k, and are rejected."""
+    chain = {f"x{i}": f"x{i + 1}" for i in range(k)}
+    assert FactSet(chain) == chain
+    cycle = chain | {f"x{k - 1}": "x0"}
+    self_ended = chain | {f"x{k - 1}": f"x{k - 1}"}
+    for by_dst in (cycle, self_ended):
+        with pytest.raises(ValueError, match="cyclic pair set"):
+            FactSet(by_dst)
 
 
 def test_meet_is_intersection():
