@@ -55,6 +55,10 @@ class FactSet(dict[str, Operand]):
     def __repr__(self) -> str:
         return f"FactSet({super().__repr__()})"
 
+    def __reduce__(self) -> tuple[type[FactSet], tuple[dict[str, Operand]]]:
+        # through the constructor, not dict's refill by __setitem__, so a load still walks the map
+        return FactSet, (dict(self),)
+
     def meet(self, other: FactSet) -> FactSet:
         """The pairs both sets hold."""
         theirs = other.get

@@ -155,6 +155,10 @@ class Program:
         ordered = {name: self.blocks[name] for name in sorted(self.blocks, key=natural_key)}
         object.__setattr__(self, "blocks", MappingProxyType(ordered))
 
+    def __reduce__(self) -> tuple[type[Program], tuple[dict[str, Block], str, str]]:
+        # the view does not pickle, and what `_memo` keeps is rebuilt on use
+        return Program, (dict(self.blocks), self.entry, self.exit)
+
     def _derive(self, build: Callable[[Program], T]) -> T:
         """`build(self)`, built on the first call with `build` and kept."""
         value = self._memo.get(build)

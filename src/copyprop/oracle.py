@@ -496,13 +496,11 @@ def _difference(t1: Trace, t2: Trace, env0: Env) -> Verdict | None:
     return None
 
 
-def _input_reads(
-    trace: Trace, codes: list[dict[str, Decoded]], plan: ReplayPlan, names: Iterable[str]
-) -> tuple[str, ...]:
-    """The `names` that a run reads before assigning them, sorted: `trace`
-    is the run of the first program of `codes`, the others are read along
-    the same labels, and the fact replay of `plan` reads both sides of each
-    IN pair before the block's statement runs. A block whose target differs
+def _reads_input(trace: Trace, codes: list[dict[str, Decoded]], plan: ReplayPlan, names: Iterable[str]) -> bool:
+    """Whether a run reads one of `names` before assigning it: `trace` is
+    the run of the first program of `codes`, the others are read along the
+    same labels, and the fact replay of `plan` reads both sides of each IN
+    pair before the block's statement runs. A block whose target differs
     between the programs counts as reading its targets, as a name assigned in
     one program and not in another ends with its input value in the latter.
 
@@ -510,28 +508,20 @@ def _input_reads(
     unassigned names on its first visit, and the blocks run before that visit
     are those first visited before it: one pass over the first visits, in
     order, is enough. They all lie in `prefix` and one lap of `cycle`, and
-    the pass stops once every name is read or assigned."""
-    unassigned, reads = set(names), set()
+    the pass stops at the first read or once every name is assigned."""
+    unassigned = set(names)
     for label in dict.fromkeys(chain(trace.prefix, trace.cycle)):
         if not unassigned:
-            break
+            return False
         target = codes[0][label][1]
         for code in codes:
             _, dst, a, b, _, _ = code[label]
-            if a in unassigned:
-                reads.add(a)
-            if b in unassigned:
-                reads.add(b)
-            if dst != target:
-                reads.update(unassigned.intersection((dst, target)))
-        for dst, src in plan.get(label, ()):
-            if dst in unassigned:
-                reads.add(dst)
-            if src in unassigned:
-                reads.add(src)
-        unassigned -= reads
+            if not unassigned.isdisjoint((a, b) if dst == target else (a, b, dst, target)):
+                return True
+        if any(not unassigned.isdisjoint(pair) for pair in plan.get(label, ())):
+            return True
         unassigned.discard(target)
-    return tuple(sorted(reads))
+    return False
 
 
 ROUNDS = 10
@@ -547,43 +537,36 @@ def differential_check(
     variants are compared: the one-pass program, and the program rewritten
     until a round changes nothing or `ROUNDS` rounds are done, continued from
     the one-pass program so the original is solved once. The original runs
-    once per class of inputs (below) and every variant is compared against
-    that run; the same run replays the analysis' IN sets against live values,
-    as in `fact_soundness_violation`. The first failure is reported in this
-    order: the one-pass program over all inputs, each input's fact violation
-    right after its comparison, then the iterated program. An iterated
-    program equal to the one-pass program is not run: runs are deterministic.
-    It is not even built when the one pass moved no copy source, as the next
-    round would replace nothing (`propagate._moved_no_copy_source`).
-    `result` is the availability solution of prog when the caller already
-    has it; otherwise it is solved here.
+    on each input until one run reads no input (below), and every variant is
+    compared against that run; the same run replays the analysis' IN sets
+    against live values, as in `fact_soundness_violation`. The first failure
+    is reported in this order: the one-pass program over all inputs, each
+    input's fact violation right after its comparison, then the iterated
+    program. An iterated program equal to the one-pass program is not run:
+    runs are deterministic. It is not even built when the one pass moved no
+    copy source, as the next round would replace nothing
+    (`propagate._moved_no_copy_source`). `result` is the availability
+    solution of prog when the caller already has it; otherwise it is solved
+    here.
 
-    Classes. After an input runs to its end or out of fuel, its names and
-    its reads R are recorded: the names of the input that the original, the
-    one-pass program, the iterated program when it was run, and the fact
-    replay read before the run assigns them (`_input_reads`). A later input
-    with the same names and the same values on some recorded R is in that
-    class, and nothing is run for it. The verdict is what running every input
-    gives:
-    - On two inputs of a class, each program reads the same value at each
-      step, by induction over the steps: a name read before it is assigned
-      is in R, and an assigned one holds what the same earlier steps
-      computed. So the labels, the status, the error and the replay's first
-      broken pair and step are the same. Here the variants' block sequences
-      are the original's, or the comparison would have failed, so R covers
-      their reads too; an iterated program that failed is not run again.
-    - A name never assigned keeps the input's value all run long, in the
-      original and in each variant alike, unless a variant moved a target,
-      and then R holds the name. So the final environments compare the same
-      way on both inputs, on the same names and values.
-    - Brent's fast-forward (`_run`) compares whole environments, unread
-      names included, so it may cut a trace into prefix and cycle at another
-      step; the trace is exact either way, and no verdict depends on the cut.
-    So a skipped input fails nothing its class's first input passed, and the
-    first failing input in order is the first of its class: the `Verdict`,
-    `env` and `step` included, is the same. A run that ends in a runtime
-    error is not recorded: `_run` returns before it appends the failing
-    block, so the trace misses that block's reads.
+    Shared runs. Once an input's original run ends at the exit or out of
+    fuel and no run reads one of its values before assigning it (the
+    original, the one-pass program, the iterated program when it ran, and
+    the fact replay: `_reads_input`), later inputs are drawn from `envs` but
+    not run. The verdict is what running them gives. A read of a name the
+    input lacks would have ended the run as `unbound-variable`, and the
+    replay flags a pair with a missing side, so every read was of an
+    assigned name: any later input, whatever names it carries, gives the
+    same labels, status, error and replay finding. A name no program assigns
+    keeps that input's value in each; one that a program assigns and another
+    does not is a differing target, read, when the input holds it, and a
+    final value missing on one side when it does not. So the final values
+    compare the same. An iterated program that failed is not run again.
+    Brent's fast-forward (`_run`) compares whole environments, unread names
+    included, so a later input may cut its trace elsewhere; no verdict
+    depends on the cut. A run that ends in a runtime error shares nothing:
+    `_run` returns before it appends the failing block, so its trace misses
+    that block's reads.
     """
     if result is None:
         result = run_acs(prog)
@@ -595,13 +578,9 @@ def differential_check(
             iterated = None
     plan = _replay_plan(result)
     iterated_failure: Verdict | None = None
-    # (names, R) of each recorded class -> the values on R of its first inputs
-    classes: dict[tuple[frozenset[str], tuple[str, ...]], set[tuple[int, ...]]] = {}
-    for env0 in envs:
-        if any(
-            names == env0.keys() and tuple(map(env0.__getitem__, reads)) in values
-            for (names, reads), values in classes.items()
-        ):
+    shared = False  # a run that read no input gives every later input's verdict
+    for env0 in envs:  # drawn to the end: a lazy caller's rng goes on to later programs
+        if shared:
             continue
         hook, found = _fact_replay(plan)
         original = interpret(prog, env0, fuel, on_step=hook)
@@ -615,6 +594,5 @@ def differential_check(
             iterated_failure = _difference(original, interpret(iterated, env0, fuel), env0)
             ran.append(iterated)
         if original.status != "runtime-error":
-            reads = _input_reads(original, [p._derive(_decode) for p in ran], plan, env0)
-            classes.setdefault((frozenset(env0), reads), set()).add(tuple(map(env0.__getitem__, reads)))
+            shared = not _reads_input(original, [p._derive(_decode) for p in ran], plan, env0)
     return iterated_failure or Verdict(True)

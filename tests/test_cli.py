@@ -483,11 +483,19 @@ def test_check_at_the_fuel_ceiling_keeps_no_fuel_long_trace(tmp_path, monkeypatc
 
 
 def test_check_fuzz_runs_each_program_at_most_three_times(monkeypatch, capsys):
-    """Generated programs assign every variable before reading it, so all
-    inputs of one are a class: the original, the one-pass and the iterated
-    program run once each, however many inputs there are."""
+    """Generated programs assign every variable before reading it, so the
+    first input's runs give the verdict of every input: the original, the
+    one-pass and the iterated program run once each, however many inputs
+    there are. The other inputs are still drawn, as later programs' inputs
+    come from the same rng."""
     calls: list[int] = []
+    draws = []
     interpret, differential_check = oracle.interpret, cli.differential_check
+
+    class CountingRandom(cli.random.Random):
+        def randint(self, a, b):
+            draws.append((a, b))
+            return super().randint(a, b)
 
     def counting(*args, **kwargs):
         calls[-1] += 1
@@ -497,12 +505,16 @@ def test_check_fuzz_runs_each_program_at_most_three_times(monkeypatch, capsys):
         calls.append(0)
         return differential_check(*args, **kwargs)
 
+    monkeypatch.setattr(cli.random, "Random", CountingRandom)
     monkeypatch.setattr(oracle, "interpret", counting)
     monkeypatch.setattr(cli, "differential_check", check)
     assert main(["check", "--fuzz", "--programs", "100", "--inputs", "5", "--seed", "0"]) == 0
     capsys.readouterr()
     assert len(calls) == 100
     assert max(calls) <= 3
+    # the generator's own rng is counted too, and never draws from -64..64;
+    # every generated program has GenParams' 4 variables
+    assert draws.count((-64, 64)) == 100 * 5 * 4
 
 
 def test_check_draws_each_input_only_when_it_is_read(monkeypatch, capsys):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import operator
+import pickle
 import random
 import time
 from collections import deque
@@ -162,6 +164,31 @@ def test_fact_set_is_a_copy_that_equals_the_plain_dict():
     source["q"] = 1
     del source["y"]
     assert fs == {"y": "x", "z": 4}
+
+
+@pytest.mark.parametrize(
+    "clone", [copy.copy, copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))], ids=["copy", "deepcopy", "pickle"]
+)
+def test_fact_sets_programs_and_solutions_round_trip(clone, fig1):
+    result = run_acs(fig1)
+    for obj in (pairs(("y", "x"), ("z", 4)), fig1, result):
+        cloned = clone(obj)
+        assert type(cloned) is type(obj) and cloned == obj
+    cloned = clone(result)
+    assert {type(facts) for facts in [*cloned.in_sets.values(), *cloned.out_sets.values()]} == {FactSet}
+    assert run_acs(clone(fig1)) == result
+
+
+def test_a_pickled_cyclic_pair_set_is_refused_on_load():
+    """A load rebuilds a fact set through its constructor, walk included."""
+
+    class Cyclic:
+        def __reduce__(self):
+            return FactSet, ({"a": "b", "b": "a"},)
+
+    payload = pickle.dumps(Cyclic())
+    with pytest.raises(ValueError, match="cyclic pair set"):
+        pickle.loads(payload)
 
 
 def test_format_facts():

@@ -10,8 +10,10 @@ listing order must not reach any result at all.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,8 +36,11 @@ from copyprop import (
     transform,
     transform_to_fixpoint,
 )
-from copyprop.ir import natural_key
+from copyprop.cli import main
+from copyprop.ir import natural_key, parse_program, variables
+from conftest import FIXTURES
 from strategies import VARIABLES, environments, programs
+from test_golden import FILE_COMMANDS, FIXTURE_NAMES, GOLDEN
 
 # names the bijections draw from; B01, B010 and L10 tie with or cross
 # B1, B10 and L2 in natural order
@@ -147,3 +152,23 @@ def test_renaming_and_relisting_rename_every_result(prog, rng, envs):
     verdict = differential_check(prog, envs, FUEL)
     renamed_verdict = differential_check(renamed, [r.env(env) for env in envs], FUEL)
     assert (verdict.ok, verdict.step) == (renamed_verdict.ok, renamed_verdict.step)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+@pytest.mark.parametrize("cmd", FILE_COMMANDS)
+def test_renamed_fixture_prints_the_golden_lines_renamed(name, cmd, tmp_path, capsys):
+    """Each fixture with its labels renamed to reverse their natural order
+    and its variables prefixed, which keeps their order, so each line keeps
+    its pairs' order and `check` draws the same inputs: every command prints
+    the golden lines renamed, in any order."""
+    prog = parse_program((FIXTURES / f"{name}.tac").read_text())
+    labels = list(prog.blocks)
+    r = Renaming(dict(zip(labels, reversed(labels))), {var: f"v_{var}" for var in variables(prog)})
+    path = tmp_path / f"{name}.tac"
+    path.write_text(print_program(r.program(prog)))
+    verb, *flags = FILE_COMMANDS[cmd]
+    code = main([verb, str(path), *flags])
+    back = {new: old for old, new in [*r.labels.items(), *r.names.items()]}
+    token = re.compile(r"\b(?:" + "|".join(map(re.escape, back)) + r")\b")
+    actual = token.sub(lambda m: back[m.group()], f"exit: {code}\n" + capsys.readouterr().out)
+    assert sorted(actual.splitlines()) == sorted((GOLDEN / f"{name}-{cmd}.txt").read_text().splitlines())

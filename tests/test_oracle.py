@@ -909,11 +909,11 @@ def test_differential_runs_the_original_once_per_input(monkeypatch):
     monkeypatch.setattr(oracle, "interpret", counting)
     decoded = _count_decodes(monkeypatch)
     envs = [{"a": 1, "p": 0}, {"a": 2, "p": 1}, {"a": -3, "p": 5}]
-    # x is assigned before it is read, so these two are one class
+    # x is assigned before it is read, but every run reads the input's a and p
     envs += [{"a": 4, "p": 1, "x": 0}, {"a": 4, "p": 1, "x": 9}]
     assert differential_check(TWO_ROUNDS, iter(envs), 100).ok
-    assert sum(prog is TWO_ROUNDS for prog in runs) == 4
-    assert len(runs) == 3 * 4  # original, one-pass and iterated
+    assert sum(prog is TWO_ROUNDS for prog in runs) == 5
+    assert len(runs) == 3 * 5  # original, one-pass and iterated
     assert _decoded_at_most_once_each(decoded)  # however many runs a program makes
 
 
@@ -1134,8 +1134,12 @@ def test_differential_runs_an_input_that_only_the_replay_reads(monkeypatch):
     assert verdict == reference_differential(prog, envs, 100)
 
 
-def test_differential_keeps_inputs_with_other_names_apart(monkeypatch):
+def test_differential_shares_a_run_that_reads_no_input_with_every_later_input(monkeypatch):
+    """BASE assigns y before any read and reads nothing else, so the first
+    input's run gives the verdict of every later one, whatever names it
+    carries: those are drawn but not run."""
     originals: list[dict[str, int]] = []
+    drawn: list[dict[str, int]] = []
 
     def counting(prog, env0, fuel, **kwargs):
         if kwargs:  # the original's run carries the replay hook
@@ -1143,10 +1147,13 @@ def test_differential_keeps_inputs_with_other_names_apart(monkeypatch):
         return interpret(prog, env0, fuel, **kwargs)
 
     monkeypatch.setattr(oracle, "interpret", counting)
-    # y is assigned before it is read: the first two inputs are one class
-    envs = [{"y": 0}, {"y": 7}, {"y": 0, "q": 5}]
-    assert differential_check(parse_program(BASE), envs, 100).ok
-    assert originals == [envs[0], envs[2]]
+    envs = [{"y": 0}, {"y": 7}, {"y": 0, "q": 5}, {}]
+    prog = parse_program(BASE)
+    verdict = differential_check(prog, (drawn.append(env) or env for env in envs), 100)
+    assert verdict == oracle.Verdict(True)
+    assert originals == [envs[0]]
+    assert drawn == envs
+    assert verdict == reference_differential(prog, envs, 100)
 
 
 # ------------------------------------------------- fast-forwarded fact replay
