@@ -20,6 +20,7 @@ from .analysis import run_acs
 from .classic import classic_transform
 from .dataflow import format_facts
 from .ir import (
+    USE_SLOTS,
     ParseError,
     Program,
     parse_program,
@@ -37,7 +38,7 @@ from .oracle import (
     random_program,
     solve_round_robin,
 )
-from .propagate import SLOT_ORDER, Replacement, transform, transform_to_fixpoint
+from .propagate import transform, transform_to_fixpoint
 
 
 def _load(path: str) -> Program:
@@ -91,17 +92,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
     classic_reps = classic_transform(prog, result)[1].replacements
     unified_reps = transform(prog, result)[1].replacements
     print(f"classic={len(classic_reps)} unified={len(unified_reps)}")
-    by_site: dict[tuple[str, str], dict[str, Replacement]] = {}
-    for kind, reps in (("classic", classic_reps), ("unified", unified_reps)):
-        for r in reps:
-            by_site.setdefault((r.block, r.position), {})[kind] = r
-    order = {label: i for i, label in enumerate(prog.blocks)}
-    for block, position in sorted(by_site, key=lambda s: (order[s[0]], SLOT_ORDER.index(s[1]))):
-        site = by_site[(block, position)]
-        var = next(iter(site.values())).original
-        c = site["classic"].replacement if "classic" in site else "-"
-        u = site["unified"].replacement if "unified" in site else "-"
-        print(f"{block} {position} {var}: classic={c} unified={u}")
+    classic = {(r.block, r.position): r.replacement for r in classic_reps}
+    unified = {(r.block, r.position): r.replacement for r in unified_reps}
+    for label, block in prog.blocks.items():
+        for name, slot in USE_SLOTS[type(block.stmt)]:
+            site = (label, slot)
+            if site in classic or site in unified:
+                var = getattr(block.stmt, name)
+                print(f"{label} {slot} {var}: classic={classic.get(site, '-')} unified={unified.get(site, '-')}")
     return 0
 
 

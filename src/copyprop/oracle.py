@@ -15,7 +15,7 @@ import string
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .analysis import run_acs, transfer
 from .dataflow import (
@@ -413,24 +413,15 @@ class Verdict:
     step: int | None = None
 
 
-ReplayPlan = dict[str, tuple[tuple[str, Operand], ...]]
-
-
-def _replay_plan(result: AnalysisResult) -> ReplayPlan:
-    """Each reachable block's IN pairs as (dst, src), in destination order
-    so the first broken pair a replay names does not follow string hashing.
-    Sorting compares dsts alone, as they are unique."""
-    return {label: tuple(sorted(facts.items())) for label, facts in result.in_sets.items() if facts}
-
-
-def _fact_replay(plan: ReplayPlan) -> tuple[StepHook, list[tuple[str, int]]]:
-    """The `on_step` hook of `fact_soundness_violation` over a `_replay_plan`.
-    The first violation lands in the returned list as (reason, step index).
-    A step's verdict depends on its (label, env) state alone and only the
-    first finding is kept, so the steps `interpret` fast-forwards need no
-    check."""
+def _fact_replay(in_sets: Mapping[str, Mapping[str, Operand]]) -> tuple[StepHook, list[tuple[str, int]]]:
+    """The `on_step` hook of `fact_soundness_violation` over the IN sets of
+    each label. The first violation lands in the returned list as (reason,
+    step index), and names the smallest broken destination of its step, so
+    the finding does not follow the order a set was built in. A step's
+    verdict depends on its (label, env) state alone and only the first
+    finding is kept, so the steps `interpret` fast-forwards need no check."""
     found: list[tuple[str, int]] = []
-    get = plan.get
+    get = in_sets.get
     step = -1
 
     def check(label: str, env: Env) -> None:
@@ -438,10 +429,13 @@ def _fact_replay(plan: ReplayPlan) -> tuple[StepHook, list[tuple[str, int]]]:
         step += 1
         if found:
             return
-        for dst, src in get(label, ()):
+        facts = get(label, EMPTY)
+        for dst, src in facts.items():
             # env is keyed by names only: env.get(src, src) is a constant
             # itself, and a name read unbound stays a str, which no value equals
             if env.get(dst) != env.get(src, src):
+                dst = min(d for d, s in facts.items() if env.get(d) != env.get(s, s))
+                src = facts[dst]
                 want = env.get(src) if isinstance(src, str) else src
                 found.append((f"fact ({dst}, {src}) broken at {label}: {env.get(dst)} vs {want}", step))
                 return
@@ -460,7 +454,7 @@ def fact_soundness_violation(
     is fast-forwarded once its (label, env) state repeats: every later step
     is in a state already checked, so the first violation comes before.
     """
-    hook, found = _fact_replay(_replay_plan(result))
+    hook, found = _fact_replay(result.in_sets)
     interpret(prog, env0, fuel, on_step=hook)
     return found[0] if found else None
 
@@ -487,7 +481,7 @@ def _difference(t1: Trace, t2: Trace, env0: Env) -> Verdict | None:
             return Verdict(False, f"trace divergence at step {step}", env0, step)
     if t1.final_env != t2.final_env:
         keys = set(t1.final_env) | set(t2.final_env)
-        bad = sorted(k for k in keys if t1.final_env.get(k) != t2.final_env.get(k))[0]
+        bad = min(k for k in keys if t1.final_env.get(k) != t2.final_env.get(k))
         return Verdict(
             False,
             f"final value of {bad} differs: {t1.final_env.get(bad)} vs {t2.final_env.get(bad)}",
@@ -496,11 +490,16 @@ def _difference(t1: Trace, t2: Trace, env0: Env) -> Verdict | None:
     return None
 
 
-def _reads_input(trace: Trace, codes: list[dict[str, Decoded]], plan: ReplayPlan, names: Iterable[str]) -> bool:
+def _reads_input(
+    trace: Trace,
+    codes: list[dict[str, Decoded]],
+    in_sets: Mapping[str, Mapping[str, Operand]],
+    names: Iterable[str],
+) -> bool:
     """Whether a run reads one of `names` before assigning it: `trace` is
     the run of the first program of `codes`, the others are read along the
-    same labels, and the fact replay of `plan` reads both sides of each IN
-    pair before the block's statement runs. A block whose target differs
+    same labels, and the fact replay of `in_sets` reads both sides of each
+    IN pair before the block's statement runs. A block whose target differs
     between the programs counts as reading its targets, as a name assigned in
     one program and not in another ends with its input value in the latter.
 
@@ -518,7 +517,8 @@ def _reads_input(trace: Trace, codes: list[dict[str, Decoded]], plan: ReplayPlan
             _, dst, a, b, _, _ = code[label]
             if not unassigned.isdisjoint((a, b) if dst == target else (a, b, dst, target)):
                 return True
-        if any(not unassigned.isdisjoint(pair) for pair in plan.get(label, ())):
+        facts = in_sets.get(label, EMPTY)
+        if not (unassigned.isdisjoint(facts) and unassigned.isdisjoint(facts.values())):
             return True
         unassigned.discard(target)
     return False
@@ -576,13 +576,12 @@ def differential_check(
         iterated = transform_to_fixpoint(one, ROUNDS - 1)[0]
         if iterated == one:
             iterated = None
-    plan = _replay_plan(result)
     iterated_failure: Verdict | None = None
     shared = False  # a run that read no input gives every later input's verdict
     for env0 in envs:  # drawn to the end: a lazy caller's rng goes on to later programs
         if shared:
             continue
-        hook, found = _fact_replay(plan)
+        hook, found = _fact_replay(result.in_sets)
         original = interpret(prog, env0, fuel, on_step=hook)
         verdict = _difference(original, interpret(one, env0, fuel), env0)
         if verdict is not None:
@@ -594,5 +593,5 @@ def differential_check(
             iterated_failure = _difference(original, interpret(iterated, env0, fuel), env0)
             ran.append(iterated)
         if original.status != "runtime-error":
-            shared = not _reads_input(original, [p._derive(_decode) for p in ran], plan, env0)
+            shared = not _reads_input(original, [p._derive(_decode) for p in ran], result.in_sets, env0)
     return iterated_failure or Verdict(True)

@@ -16,8 +16,6 @@ from .analysis import run_acs
 from .dataflow import AnalysisResult, FactSet
 from .ir import USE_SLOTS, Block, Operand, Program
 
-SLOT_ORDER = tuple(slot for slots in USE_SLOTS.values() for _, slot in slots)
-
 
 @dataclass(frozen=True)
 class Replacement:

@@ -450,9 +450,8 @@ def test_check_at_the_fuel_ceiling_keeps_no_fuel_long_trace(tmp_path, monkeypatc
     B5: b = b * 0 then reads the input b. Each run is fast-forwarded: its
     trace holds a few labels, and one check stays far below the ~230 MB that
     traces of 10**7 labels take. Program 543 reads no input, so its five
-    inputs are one class and share one run of the original and one of the
-    one-pass program; program 635, so edited, reads b, and runs both per
-    input."""
+    inputs share one run of the original and one of the one-pass program;
+    program 635, so edited, reads b, and runs both per input."""
     edited = oracle.random_program(oracle.GenParams(seed=635))
     b2 = edited.blocks["B2"]
     assert b2.stmt == ir.Copy("b", 6)
@@ -476,7 +475,7 @@ def test_check_at_the_fuel_ceiling_keeps_no_fuel_long_trace(tmp_path, monkeypatc
             tracemalloc.stop()
         assert (code, out.splitlines()[-1]) == (0, "PASS")
         assert peak < 16 * 2**20
-        assert len(traces) == runs  # the original and the one-pass program per class
+        assert len(traces) == runs  # an original and a one-pass run per input that shares none
         for trace in traces:
             assert (trace.status, trace.length) == ("fuel-exhausted", 10**7)
             assert len(trace.prefix) + len(trace.cycle) < 100

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -42,7 +43,7 @@ from copyprop import (
 )
 from copyprop.analysis import transfer
 from copyprop.dataflow import AnalysisResult
-from conftest import fan_in, load_fixture, looped_counter, sequential_diamonds, straight_line
+from conftest import fan_in, load_fixture, looped_counter, sequential_diamonds, straight_line, wide
 from strategies import VARIABLES, environments, programs
 from test_mutants import no_kill_of_uses_of_the_defined_variable
 
@@ -828,19 +829,6 @@ def test_fact_replay_catches_a_planted_lie(fig2):
     assert step == 2  # B0, B1, then the lie is visible entering B2
 
 
-def test_replay_plan_lists_pairs_in_sort_order():
-    rng = random.Random(3)
-    for _ in range(40):
-        prog = random_program(GenParams(seed=rng.randrange(2**32), num_vars=6, min_blocks=12, max_blocks=30))
-        res = run_acs(prog)
-        plan = oracle._replay_plan(res)
-        assert set(plan) == {label for label, facts in res.in_sets.items() if facts}
-        for label, pairs in plan.items():
-            facts = res.in_sets[label]
-            assert [dst for dst, _ in pairs] == sorted(facts)
-            assert all(src == facts[dst] for dst, src in pairs)
-
-
 def test_fact_replay_names_the_first_broken_pair_in_sort_order(fig2):
     res = run_acs(fig2)
     bad_ins = dict(res.in_sets)
@@ -1008,9 +996,9 @@ def test_differential_replays_facts_on_the_original_run(fig2, monkeypatch):
 
 
 def reference_differential(prog: Program, envs, fuel: int) -> oracle.Verdict:
-    """`differential_check` as it was before inputs were grouped into
-    classes: every input runs the original, the one-pass program and, until
-    it fails, the iterated program."""
+    """`differential_check` as it was before inputs could share a run:
+    every input runs the original, the one-pass program and, until it
+    fails, the iterated program."""
     result = oracle.run_acs(prog)
     one, report = oracle.transform(prog, result)
     iterated = None
@@ -1018,10 +1006,9 @@ def reference_differential(prog: Program, envs, fuel: int) -> oracle.Verdict:
         iterated = oracle.transform_to_fixpoint(one, oracle.ROUNDS - 1)[0]
         if iterated == one:
             iterated = None
-    plan = oracle._replay_plan(result)
     iterated_failure = None
     for env0 in envs:
-        hook, found = oracle._fact_replay(plan)
+        hook, found = oracle._fact_replay(result.in_sets)
         original = interpret(prog, env0, fuel, on_step=hook)
         verdict = oracle._difference(original, interpret(one, env0, fuel), env0)
         if verdict is not None:
@@ -1060,7 +1047,7 @@ def _inputs_that_matter(seed: int) -> tuple[Program, list[dict[str, int]]]:
     "mutant", [None, no_kill_of_uses_of_the_defined_variable], ids=lambda mutant: getattr(mutant, "__name__", None)
 )
 def test_differential_gives_the_verdict_of_running_every_input(mutant, monkeypatch):
-    """The classes change which runs are made, never the verdict: 500
+    """Sharing a run changes which runs are made, never the verdict: 500
     programs whose inputs matter, as they are and under a mutant that makes
     the oracles fail."""
     if mutant is not None:
@@ -1102,7 +1089,7 @@ DIVIDES = "entry: B0\nexit: B3\nB0: nop -> B1\nB1: x = 6 / d -> B2\nB2: y = x ->
     "text, label, stmt, envs, reason",
     [
         # a division by zero ends the run before the trace holds the block
-        # that read d, so the first run records no class
+        # that read d, so the first run shares nothing
         (DIVIDES, "B2", Copy("y", 5), [{"d": 0}, {"d": 2}], "final value of y differs: 3 vs 5"),
         # q is read by the one-pass program alone
         (BASE, "B1", Copy("y", "q"), [{"q": 1}, {"q": 2}], "final value of y differs: 1 vs 2"),
@@ -1156,6 +1143,27 @@ def test_differential_shares_a_run_that_reads_no_input_with_every_later_input(mo
     assert verdict == reference_differential(prog, envs, 100)
 
 
+@pytest.mark.parametrize("shape, envs", [(wide, [{}, {}]), (fan_in, [{"p": 1}, {"p": 0}])], ids=["wide", "fan_in"])
+def test_differential_keeps_no_copy_of_the_solution(shape, envs):
+    """The fact replay reads the solver's IN sets as they are: on shapes
+    whose IN sets hold up to 1000 pairs, the differential's own peak stays
+    under a tenth of what the solution takes."""
+    prog = shape(1000)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = run_acs(prog)
+        solution = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        verdict = differential_check(prog, envs, 10000, result=result)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert verdict.ok
+    assert peak < solution / 10, (peak, solution)
+
+
 # ------------------------------------------------- fast-forwarded fact replay
 # The replay hook runs under `interpret`'s fast-forward: it stops checking
 # once the (label, env) state repeats. The reference below checks every pair
@@ -1164,7 +1172,9 @@ def test_differential_shares_a_run_that_reads_no_input_with_every_later_input(mo
 
 def reference_replay(prog: Program, plan: dict, env0: dict, fuel: int) -> tuple:
     """(labels, final_env, status, error) and the first (reason, step) at
-    which a live value breaks a planned pair, or None."""
+    which a live value breaks a planned pair, or None. `plan` maps each
+    label to a map from destination to source; a step that breaks several
+    pairs names the smallest destination."""
     found = []
     steps = iter(range(fuel))
 
@@ -1172,12 +1182,14 @@ def reference_replay(prog: Program, plan: dict, env0: dict, fuel: int) -> tuple:
         step = next(steps)
         if found:
             return
-        for dst, src in plan.get(label, ()):
+        broken = []
+        for dst, src in plan.get(label, {}).items():
             x = env.get(dst)
             e = src if isinstance(src, int) else env.get(src)
             if x is None or e is None or x != e:
-                found.append((f"fact ({dst}, {src}) broken at {label}: {x} vs {e}", step))
-                return
+                broken.append((dst, f"fact ({dst}, {src}) broken at {label}: {x} vs {e}"))
+        if broken:
+            found.append((min(broken)[1], step))
 
     observed = reference_interpret(prog, env0, fuel, on_step=check)
     return observed, found[0] if found else None
@@ -1190,10 +1202,11 @@ def fast_forwarded_replay(prog: Program, plan: dict, env0: dict, fuel: int) -> t
 
 
 def _with_lies(plan: dict, lies) -> dict:
-    """plan with each (label, dst, src) appended to its label's pairs."""
+    """plan with each (label, dst, src) set in its label's map: a lie on a
+    destination the map holds replaces that pair."""
     planted = dict(plan)
     for label, dst, src in lies:
-        planted[label] = planted.get(label, ()) + ((dst, src),)
+        planted[label] = {**planted.get(label, {}), dst: src}
     return planted
 
 
@@ -1212,28 +1225,31 @@ lies = st.lists(
 def test_fast_forwarded_replay_matches_the_reference_on_any_program(prog, env, fuel, planted):
     labels = list(prog.blocks)
     lies_at = [(labels[i % len(labels)], dst, src) for i, dst, src in planted]
-    plan = _with_lies(oracle._replay_plan(run_acs(prog)), lies_at)
+    plan = _with_lies(run_acs(prog).in_sets, lies_at)
     assert fast_forwarded_replay(prog, plan, env, fuel) == reference_replay(prog, plan, env, fuel)
 
 
 def test_fast_forwarded_replay_matches_the_reference_on_random_programs():
     """3000 looping programs at fuel 1000: even seeds replay the solver's own
-    IN sets through `fact_soundness_violation`, odd seeds add a planted lie
-    at a random reachable block."""
+    IN sets through `fact_soundness_violation`, odd seeds plant two lies at
+    a random reachable block, the larger destination first: its source is
+    drawn, the smaller one's is a constant. A step that breaks both must
+    name the smaller one, whatever order its set was built in."""
     outcomes: Counter = Counter()
     for seed in range(3000):
         prog = random_program(GenParams(seed=seed, branch_prob=0.4, loop_prob=0.5))
         rng = random.Random(seed)
         env = {name: rng.randint(-4, 4) for name in sorted(variables(prog))}
         result = run_acs(prog)
-        plan = oracle._replay_plan(result)
+        plan = result.in_sets
         if seed % 2 == 0:
             expected = reference_replay(prog, plan, env, 1000)
             assert fact_soundness_violation(prog, result, env, 1000) == expected[1] is None, seed
         else:
+            names = sorted(variables(prog))
             label = rng.choice(sorted(result.in_sets))
-            src = rng.choice([*sorted(variables(prog)), rng.randint(-4, 4)])
-            plan = _with_lies(plan, [(label, rng.choice(sorted(variables(prog))), src)])
+            src = rng.choice([*names, rng.randint(-4, 4)])
+            plan = _with_lies(plan, [(label, max(names), src), (label, min(names), rng.randint(-4, 4))])
             expected = reference_replay(prog, plan, env, 1000)
             assert fast_forwarded_replay(prog, plan, env, 1000) == expected, seed
         outcomes[expected[0][2], expected[1] is not None] += 1
@@ -1260,7 +1276,7 @@ B7: nop
 
 
 def test_a_late_violation_is_found_before_the_run_is_fast_forwarded(monkeypatch):
-    plan = {"B3": (("x", 0),), "B6": (("x", "i"), ("x", 1))}
+    plan = {"B3": {"x": 0}, "B6": {"x": "i"}}
     executed = _executed_step_by_step(monkeypatch)
     replay = fast_forwarded_replay(LATE_BREAK, plan, {}, 10**5)
     assert replay == reference_replay(LATE_BREAK, plan, {}, 10**5)
@@ -1273,7 +1289,7 @@ def test_a_late_violation_is_found_before_the_run_is_fast_forwarded(monkeypatch)
 
 def test_replay_of_a_self_loop_is_fast_forwarded(monkeypatch):
     result = run_acs(SELF_LOOP)
-    assert oracle._replay_plan(result)["B2"] == (("x", 5),)
+    assert result.in_sets["B2"] == {"x": 5}
     executed = _executed_step_by_step(monkeypatch)
     assert fact_soundness_violation(SELF_LOOP, result, {"p": 1}, 10**6) is None
     assert sum(executed) < 40

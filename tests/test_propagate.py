@@ -34,7 +34,7 @@ from copyprop import (
     uses,
 )
 from copyprop.ir import USE_SLOTS, natural_key
-from copyprop.propagate import SLOT_ORDER, _chain_endpoint, _rewrite_program
+from copyprop.propagate import _chain_endpoint, _rewrite_program
 from conftest import copy_chain, pairs, straight_line
 from strategies import environments, programs
 
@@ -111,7 +111,8 @@ def test_rewrite_without_facts_is_identity():
 
 def test_every_statement_kind_has_its_use_slots():
     assert set(USE_SLOTS) == set(typing.get_args(ir.Statement))
-    assert SLOT_ORDER == ("copy-src", "binary-lhs", "binary-rhs", "branch-cond")
+    slot_order = [slot for slots in USE_SLOTS.values() for _, slot in slots]
+    assert slot_order == ["copy-src", "binary-lhs", "binary-rhs", "branch-cond"]
 
 
 def rename_every_use(label, facts, name, position):
@@ -124,8 +125,9 @@ def rename_every_use(label, facts, name, position):
 def test_the_walker_asks_about_every_variable_use_in_slot_order(prog):
     """Under a rule that renames every use, each reachable statement keeps
     its kind, destination and operator, its uses are renamed in place with
-    constants untouched, and its report names its variable slots in
-    `SLOT_ORDER` order."""
+    constants untouched, and its report names its variable slots in the
+    order `USE_SLOTS` lists them."""
+    slot_order = [slot for slots in USE_SLOTS.values() for _, slot in slots]
     in_sets = run_acs(prog).in_sets
     out, report = _rewrite_program(prog, in_sets, rename_every_use)
     for label in in_sets:
@@ -136,7 +138,7 @@ def test_the_walker_asks_about_every_variable_use_in_slot_order(prog):
         assert uses(new) == tuple(u.upper() if isinstance(u, str) else u for u in uses(old))
         positions = [r.position for r in report.replacements if r.block == label]
         assert positions == [slot for name, slot in USE_SLOTS[type(old)] if isinstance(getattr(old, name), str)]
-        assert positions == sorted(positions, key=SLOT_ORDER.index)
+        assert positions == sorted(positions, key=slot_order.index)
 
 
 def test_transform_fig1(fig1):
