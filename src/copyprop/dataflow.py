@@ -24,9 +24,10 @@ class FactSet(dict[str, Operand]):
     """A finite set of copy facts as a read-only `dict` from destination to
     source, so at most one source per destination. The constructor copies
     its argument and rejects a cyclic map (following src variables loops),
-    which includes x -> x. A constant source is never a destination, so a
-    walk stops there. Every mutator raises TypeError; `copy()` and `|` give
-    plain dicts.
+    which includes x -> x. It tests each source once with `in`, and walks on
+    from one that is a destination with one `get` per hop until a source is
+    not one; a constant source never is. Every mutator raises TypeError;
+    `copy()` and `|` give plain dicts.
     """
 
     __slots__ = ()
@@ -34,16 +35,22 @@ class FactSet(dict[str, Operand]):
     is_top = False
 
     def __init__(self, by_dst: Mapping[str, Operand]) -> None:
-        # the walk reads the argument: a dict subclass misses the exact-dict
-        # fast path of `in` and subscripting, and this walk is a chain's cost.
-        # Pigeonhole: an acyclic walk meets each of the k destinations once, so a k-th hop onto one is a cycle
-        bound = len(by_dst)
-        for start in by_dst:
-            cur, steps = by_dst[start], 1
-            while cur in by_dst:
-                if steps == bound:
+        # the walk reads the argument: `in` on a dict subclass misses the
+        # exact-dict fast path, and this walk is a chain's cost.
+        # Pigeonhole: in a map of k pairs, an acyclic walk from a source that
+        # is a destination meets at most k - 1 destinations, so its k-th `get`
+        # returns None at the latest, and k that all find one went round a cycle.
+        # Every start walks to the end, so a chain-shaped set still costs
+        # O(k²); the shared walk of ROADMAP item 2a waits on benchmark item 1.
+        get = by_dst.get
+        for cur in by_dst.values():
+            if cur in by_dst:
+                for _ in by_dst:
+                    cur = get(cur)
+                    if cur is None:
+                        break
+                else:
                     raise ValueError("cyclic pair set")
-                cur, steps = by_dst[cur], steps + 1
         super().__init__(by_dst)
 
     def _read_only(self, *args: object, **kwargs: object) -> NoReturn:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import itertools
 import operator
 import pickle
 import random
@@ -95,9 +96,10 @@ def test_fact_set_rejects_exactly_the_cyclic_maps(by_dst):
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_fact_set_hop_bound_is_exact(k):
-    """With k pairs, the k-pair chain x0 -> ... -> xk takes k - 1 hops onto
-    destinations and is kept; the k-cycle and the (k - 1)-chain ending in a
-    self pair take k, and are rejected."""
+    """With k pairs, the walk from x0's source along the k-pair chain
+    x0 -> ... -> xk makes k `get` calls, the last returning None, and is
+    kept; on the k-cycle and the (k - 1)-chain ending in a self pair all k
+    find a destination, and they are rejected."""
     chain = {f"x{i}": f"x{i + 1}" for i in range(k)}
     assert FactSet(chain) == chain
     cycle = chain | {f"x{k - 1}": "x0"}
@@ -105,6 +107,51 @@ def test_fact_set_hop_bound_is_exact(k):
     for by_dst in (cycle, self_ended):
         with pytest.raises(ValueError, match="cyclic pair set"):
             FactSet(by_dst)
+
+
+def test_fact_set_rejects_exactly_the_cyclic_small_maps():
+    """Every map over destinations x0..x(k-1), k <= 5, whose sources are
+    those names, the constant 0 or one free name: 18,248 maps, among them
+    every tail leading into a cycle, tree feeding a cycle and self pair of
+    that size."""
+    for k in range(6):
+        names = [f"x{i}" for i in range(k)]
+        for sources in itertools.product([*names, 0, "free"], repeat=k):
+            by_dst = dict(zip(names, sources))
+            if functional_and_acyclic(by_dst):
+                assert FactSet(by_dst) == by_dst
+            else:
+                with pytest.raises(ValueError, match="cyclic pair set"):
+                    FactSet(by_dst)
+
+
+class CountingReads(dict):
+    """A dict that counts the lookups made on it: `in`, subscripting and `get`."""
+
+    reads = 0
+
+    def __contains__(self, key):
+        self.reads += 1
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+
+def test_fact_set_proves_a_chain_in_one_read_per_hop():
+    """The k-pair chain x0 -> ... -> xk is proven acyclic in at most one
+    lookup per source and one per hop: k(k + 3) / 2 (the walk makes
+    k(k + 1) / 2 + k - 1). A walk that tests a hop with `in` and then
+    subscripts it makes k(k + 1)."""
+    for k in range(1, 51):
+        chain = CountingReads({f"x{i}": f"x{i + 1}" for i in range(k)})
+        assert FactSet(chain) == chain
+        assert chain.reads <= k * (k + 3) // 2, (k, chain.reads)
 
 
 def test_meet_is_intersection():
