@@ -13,8 +13,6 @@ from .dataflow import (
     AnalysisResult,
     FactSet,
     format_facts,
-    predecessors,
-    reverse_postorder,
     solve_forward,
 )
 from .ir import (
@@ -30,7 +28,9 @@ from .ir import (
     defined_var,
     format_statement,
     parse_program,
+    predecessors,
     print_program,
+    reverse_postorder,
     to_dot,
     used_vars,
     uses,

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 from collections.abc import Callable, KeysView, Mapping
 from dataclasses import dataclass, field
-from types import MappingProxyType
 from typing import Generic, NoReturn, TypeVar
 
-from .ir import Operand, Program, Statement
+from .ir import Operand, Program, Statement, predecessors, reverse_postorder
 
 
 class FactSet(dict[str, Operand]):
@@ -102,20 +101,6 @@ class AnalysisResult(Generic[L]):
         return self.in_sets.keys()
 
 
-def reverse_postorder(prog: Program) -> list[str]:
-    """Blocks reachable from the entry in reverse postorder of a depth-first walk
-    that explores successors in listed order; only back edges point backwards.
-    Walked once per program (see `Program`); each call returns a new list."""
-    return list(prog._reverse_postorder())
-
-
-def predecessors(prog: Program) -> Mapping[str, tuple[str, ...]]:
-    """Each block's predecessors once each, in label order. Found once per
-    program (see `Program`) and shared by programs with the same edges, so
-    the map returned is a read-only view."""
-    return MappingProxyType(prog._predecessors())
-
-
 def _solve(
     prog: Program,
     step: Callable[[str, L], L],
@@ -139,8 +124,8 @@ def _solve(
     `on_update(label, old, new)` fires on every OUT change, with `old` None
     for a block's first OUT; `iterations` counts block visits.
     """
-    preds = prog._predecessors()
-    rpo = prog._reverse_postorder()
+    preds = predecessors(prog)
+    rpo = reverse_postorder(prog)
     ins: dict[str, L] = {}
     outs: dict[str, L] = {}
     dirty = set(rpo)

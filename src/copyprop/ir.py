@@ -124,12 +124,12 @@ def _build_reverse_postorder(prog: Program) -> tuple[str, ...]:
     return tuple(reversed(post))
 
 
-def _build_predecessors(prog: Program) -> dict[str, tuple[str, ...]]:
+def _build_predecessors(prog: Program) -> Mapping[str, tuple[str, ...]]:
     preds: dict[str, dict[str, None]] = {label: {} for label in prog.blocks}
     for label, block in prog.blocks.items():
         for succ in block.succs:
             preds[succ][label] = None
-    return {label: tuple(ps) for label, ps in preds.items()}
+    return MappingProxyType({label: tuple(ps) for label, ps in preds.items()})
 
 
 @dataclass(frozen=True)
@@ -166,16 +166,6 @@ class Program:
             value = self._memo[build] = build(self)
         return value
 
-    def _predecessors(self) -> dict[str, tuple[str, ...]]:
-        """Each block's predecessors once each, in label order; shared, so
-        not to be edited."""
-        return self._derive(_build_predecessors)
-
-    def _reverse_postorder(self) -> tuple[str, ...]:
-        """The blocks reachable from the entry in reverse postorder of a
-        depth-first walk that explores successors in listed order."""
-        return self._derive(_build_reverse_postorder)
-
     def _with_statements(self, blocks: dict[str, Block]) -> Program:
         """This program with `blocks` in place of its own. Each label of
         `blocks` must keep its successors, so the new program has the same
@@ -185,6 +175,19 @@ class Program:
             if build in self._memo:
                 new._memo[build] = self._memo[build]
         return new
+
+
+def predecessors(prog: Program) -> Mapping[str, tuple[str, ...]]:
+    """Each block's predecessors once each, in label order: a read-only map,
+    built once per program and shared by programs with the same edges."""
+    return prog._derive(_build_predecessors)
+
+
+def reverse_postorder(prog: Program) -> tuple[str, ...]:
+    """Blocks reachable from the entry in reverse postorder of a depth-first walk
+    that explores successors in listed order; only back edges point backwards.
+    Built once per program and shared like `predecessors`."""
+    return prog._derive(_build_reverse_postorder)
 
 
 def defined_var(stmt: Statement) -> str | None:

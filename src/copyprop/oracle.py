@@ -18,12 +18,7 @@ from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .analysis import run_acs, transfer
-from .dataflow import (
-    EMPTY,
-    AnalysisResult,
-    FactSet,
-    predecessors,
-)
+from .dataflow import EMPTY, AnalysisResult, FactSet
 from .ir import (
     INT64_MAX,
     INT64_MIN,
@@ -35,6 +30,7 @@ from .ir import (
     Operand,
     Program,
     Statement,
+    predecessors,
     validate,
 )
 from .propagate import _moved_no_copy_source, transform, transform_to_fixpoint

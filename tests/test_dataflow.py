@@ -245,7 +245,7 @@ def test_format_facts():
 
 
 def test_reachable_blocks_fig1(fig1):
-    assert reverse_postorder(fig1) == ["B0", "B1", "B3", "B2", "B4", "B5"]
+    assert reverse_postorder(fig1) == ("B0", "B1", "B3", "B2", "B4", "B5")
 
 
 def test_reachable_excludes_orphan():
@@ -255,7 +255,7 @@ def test_reachable_excludes_orphan():
         "B9": Block(Copy("x", 1), ("B1",)),
     }
     prog = Program(blocks, "B0", "B1")
-    assert reverse_postorder(prog) == ["B0", "B1"]
+    assert reverse_postorder(prog) == ("B0", "B1")
 
 
 def _reachable_reference(prog):
@@ -304,15 +304,18 @@ def test_edge_views_shared_with_a_rewrite_are_read_only(fig2):
     its result, so neither can be edited through what the functions return."""
     one, _ = transform(fig2, run_acs(fig2))
     assert one is not fig2
-    assert one._predecessors() is fig2._predecessors()
-    assert one._reverse_postorder() is fig2._reverse_postorder()
     preds = predecessors(one)
+    assert preds is predecessors(fig2)
+    assert reverse_postorder(one) is reverse_postorder(fig2)
     with pytest.raises(TypeError):
         preds["B4"] = ()
-    rpo = reverse_postorder(one)
-    rpo.reverse()
-    assert reverse_postorder(fig2) == reverse_postorder(one) == [f"B{i}" for i in range(9)]
+    assert reverse_postorder(one) == tuple(f"B{i}" for i in range(9))
     assert preds["B4"] == ("B3",)
+
+
+def test_each_edge_view_is_built_once_and_handed_out_as_it_is(fig1):
+    assert predecessors(fig1) is predecessors(fig1)
+    assert reverse_postorder(fig1) is reverse_postorder(fig1)
 
 
 def test_a_program_cannot_be_edited_in_place(fig1):

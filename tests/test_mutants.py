@@ -79,6 +79,8 @@ def fault_only_in_rounds_after_the_first(mp: pytest.MonkeyPatch) -> None:
 # mutant -> `check --fuzz --seed` value. The default generator rarely builds
 # a chain of three copies ending in a constant, so 200 programs catch the
 # off-by-one endpoint at only 8 of the seeds 0-19, 3 the first of them.
+# `test_exhaustive.py` kills every mutant without a seed; these stay because
+# the golden dumps and the build-laziness test below need a failing fuzz run.
 MUTANTS = {
     meet_returns_its_first_operand: 0,
     chain_endpoint_off_by_one_after_three_hops: 3,

@@ -1,5 +1,6 @@
-"""pyproject.toml's promises about the toolchain: the package parses under
-the oldest Python it admits, and CI installs the test extra's pins."""
+"""pyproject.toml's promises about the toolchain: the package, its tests and
+its benchmark parse under the oldest Python it admits, and CI installs the
+test extra's pins."""
 
 from __future__ import annotations
 
@@ -16,9 +17,13 @@ MINIMUM = tuple(
 )
 
 
-@pytest.mark.parametrize("path", sorted((ROOT / "src" / "copyprop").glob("*.py")), ids=lambda p: p.name)
+SOURCES = [path for folder in ("src/copyprop", "tests", "perfbench") for path in sorted((ROOT / folder).glob("*.py"))]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_source_parses_under_the_minimum_python(path):
-    # rejects newer syntax such as `except*` (3.11), not newer library calls
+    # rejects newer syntax such as `except*` (3.11), not newer library calls;
+    # the tests and the benchmark run on that Python too
     ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=MINIMUM)
 
 
